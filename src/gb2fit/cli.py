@@ -15,13 +15,14 @@ from . import distributions as dist
 from . import io as gio
 from .estimate import gmm_fit, nls_fit
 from .exceptions import (
+    DomainError,
     EstimationError,
     ExistenceError,
     NonConvergenceError,
     ValidationError,
 )
 from .grouped import lower_bound_gini
-from .measures import McConfig, gini_mc, sample_measures, weighted_atkinson, atkinson_exists
+from .measures import McConfig, atkinson_closed, atkinson_exists, gini_mc, sample_measures
 from .select import GofScores, dominance_matrix, error_report, gof_scores
 from .synth import (
     MIXTURE_PRESETS,
@@ -66,20 +67,11 @@ def _fit_gini(spec, mc_n, seed):
         return g.value, g.method
 
 
-def _fit_atkinson(spec, epsilons, mc_n, seed):
-    out = {}
-    draw = None
-    for eps in epsilons:
-        if not atkinson_exists(spec, eps):
-            out[f"{eps:g}"] = None
-            continue
-        if draw is None:
-            rng = np.random.default_rng(seed)
-            u = rng.random(mc_n)
-            np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16, out=u)
-            draw = dist.quantile(spec, u)
-        out[f"{eps:g}"] = weighted_atkinson(draw, eps)
-    return out
+def _fit_atkinson(spec, epsilons):
+    return {
+        f"{eps:g}": atkinson_closed(spec, eps) if atkinson_exists(spec, eps) else None
+        for eps in epsilons
+    }
 
 
 def _fit_one_dataset(task):
@@ -134,12 +126,20 @@ def _fit_one_dataset(task):
                         "bic": scores.bic,
                         "gini": gini,
                         "gini_method": gini_method,
-                        "atkinson": _fit_atkinson(fit.spec, epsilons, mc_n, gseed),
+                        "atkinson": _fit_atkinson(fit.spec, epsilons),
                         "note": fit.note,
                     }
                 )
                 per_method[m] = gini
-            except (EstimationError, ExistenceError, ValidationError) as exc:
+            except (
+                DomainError,
+                EstimationError,
+                ExistenceError,
+                FloatingPointError,
+                NonConvergenceError,
+                ValidationError,
+                np.linalg.LinAlgError,
+            ) as exc:
                 row["error"] = str(exc)
             rows.append(row)
         if method == "both" and d.survey_gini is not None:

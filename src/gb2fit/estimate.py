@@ -8,7 +8,6 @@ when one is available.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import linalg, optimize
@@ -36,6 +35,9 @@ _THETA2_MAX = 1e3
 # where the Lorenz curve is flat in the parameters but the quantile
 # function is no longer numerically usable
 _LOG_SHAPE_BOUND = math.log(1e4)
+# Levenberg-Marquardt runs only from this many starts, those with the
+# lowest initial RSS
+_N_OPTIMIZED = 5
 
 
 @dataclass(frozen=True)
@@ -149,68 +151,70 @@ def starting_values(family, d):
     return starts
 
 
-def _objective_factory(family, u, s, weighted=None):
-    """Objective over log-shapes; infeasible regions get a sloped penalty."""
+def _residual_factory(family, u, s, whiten=None):
+    """Residual vector over log-shapes.
 
-    def obj(x):
-        penalty = 0.0
+    The share residuals (whitened for GMM) come first, then one entry per
+    shape for the excess beyond the log-shape bound, then one entry for
+    the infeasibility barrier, so the sum of squares is the objective with
+    its penalties.  Infeasible points zero the share entries and put a
+    sloped barrier in the last one.
+    """
+    n = len(u)
+
+    def residuals(x):
         xc = np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND)
-        penalty += float(np.sum((x - xc) ** 2))
-        shapes = np.exp(xc)
-        spec = spec_from_shapes(family, shapes)
+        out = np.zeros(n + len(x) + 1)
+        out[n:-1] = x - xc
+        spec = spec_from_shapes(family, np.exp(xc))
         margin = lorenz_exists_margin(spec)
         if margin <= 0.0:
-            return 1e4 * (1.0 - margin) + penalty
+            out[-1] = 100.0 * math.sqrt(1.0 - margin)
+            return out
         with np.errstate(all="ignore"):
             m = dist.lorenz(spec, u) - s
         if not np.all(np.isfinite(m)):
-            return 1e8 + penalty
-        if weighted is None:
-            return float(np.sum(m * m)) + penalty
-        return float(m @ weighted(m)) + penalty
+            out[-1] = 1e4
+            return out
+        out[:n] = m if whiten is None else whiten(m)
+        return out
 
-    return obj
+    return residuals
 
 
-def _minimize_multistart(obj, starts, polish=True):
-    best_x, best_f, n_tried, any_ok = None, np.inf, 0, False
-    for st in starts:
-        x0 = np.log(np.asarray(st, dtype=float))
-        n_tried += 1
+def _least_squares_multistart(residuals, starts):
+    """Levenberg-Marquardt from the starts with the lowest initial RSS.
+
+    Returns the best log-shapes, their objective and the solver status,
+    or (None, inf, 0) when every run failed.
+    """
+    x0s = [np.log(np.asarray(st, dtype=float)) for st in starts]
+    rss0 = [float(np.sum(residuals(x0) ** 2)) for x0 in x0s]
+    ranked = sorted(range(len(x0s)), key=rss0.__getitem__)[:_N_OPTIMIZED]
+    best_x, best_f, best_status = None, np.inf, 0
+    for i in ranked:
         try:
-            res = optimize.minimize(
-                obj, x0, method="BFGS", options={"gtol": 1e-10, "maxiter": 500}
+            # scipy's default cap of 100 evaluations per shape stops short
+            # when the optimum sits on the log-shape bound (the equal-shares
+            # limit of the one-shape families takes about 220)
+            res = optimize.least_squares(
+                residuals, x0s[i], method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                max_nfev=1000 * len(x0s[i]),
             )
         except (FloatingPointError, linalg.LinAlgError, ValueError):
-            res = None
-        if res is None or not np.isfinite(res.fun):
-            # derivative-free fallback when the quasi-Newton pass errors
-            res = optimize.minimize(
-                obj, x0, method="Nelder-Mead", options={"maxiter": 2000}
-            )
-        if np.isfinite(res.fun) and res.fun < best_f:
-            best_f, best_x = res.fun, res.x
-            any_ok = True
-    if not any_ok:
-        return None, np.inf, n_tried
-    if polish:
-        res = optimize.minimize(
-            obj,
-            best_x,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 4000},
-        )
-        if np.isfinite(res.fun) and res.fun <= best_f:
-            best_f, best_x = res.fun, res.x
-    return best_x, best_f, n_tried
+            continue
+        f = float(res.fun @ res.fun)
+        if np.isfinite(f) and f < best_f:
+            best_x, best_f, best_status = res.x, f, res.status
+    return best_x, best_f, best_status
 
 
 def nls_fit(family, d, starts=None):
     """Least-squares fit of the Lorenz curve to the observed shares.
 
-    Runs from every starting value and keeps the lowest residual sum of
-    squares; the last share (identically 1) carries no information and is
-    excluded.
+    Ranks every starting value by its initial RSS, runs Levenberg-Marquardt
+    from the best few and keeps the lowest residual sum of squares; the
+    last share (identically 1) carries no information and is excluded.
     """
     k = dist.n_shape_params(family)
     if d.n_groups < k + 1:
@@ -220,10 +224,9 @@ def nls_fit(family, d, starts=None):
     u, s = d.u[:-1], d.s[:-1]
     if starts is None:
         starts = starting_values(family, d)
-    obj = _objective_factory(family, u, s)
-    x, fval, n_tried = _minimize_multistart(obj, starts)
+    x, _, status = _least_squares_multistart(_residual_factory(family, u, s), starts)
     if x is None:
-        raise EstimationError(f"all {n_tried} {family} starts failed")
+        raise EstimationError(f"every {family} run from the best of {len(starts)} starts failed")
     shapes = np.exp(np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND))
     spec = spec_from_shapes(family, shapes)
     if lorenz_exists_margin(spec) <= 0.0:
@@ -236,8 +239,8 @@ def nls_fit(family, d, starts=None):
         method="nls",
         objective=float(np.sum(residuals**2)),
         residuals=residuals,
-        starts_tried=n_tried,
-        converged=True,
+        starts_tried=len(starts),
+        converged=status > 0,
         k=k,
     )
 
@@ -303,8 +306,10 @@ def weighting_matrix(spec, d):
     )
 
 
-def _omega_solver(omega_matrix):
-    """Solve-against-Omega closure, with ridge jitter if ill conditioned."""
+def _omega_whitener(omega_matrix):
+    """Whitening closure m -> L^-1 m with Omega = L L', so that the
+    whitened vector's squared norm is m' Omega^-1 m; adds ridge jitter
+    when Omega is ill conditioned."""
     Om = omega_matrix.Omega.copy()
     n = Om.shape[0]
     cond = np.linalg.cond(Om)
@@ -316,16 +321,16 @@ def _omega_solver(omega_matrix):
             RuntimeWarning,
         )
         Om += ridge * np.eye(n)
-    factor = linalg.cho_factor(Om)
-    return lambda m: linalg.cho_solve(factor, m)
+    chol = linalg.cholesky(Om, lower=True)
+    return lambda m: linalg.solve_triangular(chol, m, lower=True)
 
 
 def gmm_quadratic(m, omega=None):
     """Quadratic-form objective M' Omega^-1 M; identity Omega reproduces RSS."""
     m = np.asarray(m, dtype=float)
-    if omega is None:
-        return float(m @ m)
-    return float(m @ _omega_solver(omega)(m))
+    if omega is not None:
+        m = _omega_whitener(omega)(m)
+    return float(m @ m)
 
 
 def gmm_fit(family, d, nls=None):
@@ -358,15 +363,15 @@ def gmm_fit(family, d, nls=None):
 
     try:
         wm = weighting_matrix(scaled, d)
-        solve = _omega_solver(wm)
+        whiten = _omega_whitener(wm)
     except (ExistenceError, linalg.LinAlgError) as exc:
         return fallback(str(exc))
 
     u, s = d.u[:-1], d.s[:-1]
-    obj = _objective_factory(family, u, s, weighted=solve)
+    residuals_fn = _residual_factory(family, u, s, whiten=whiten)
     start_shapes = dist.shapes_of(nls.spec)
-    f_start = obj(np.log(start_shapes))
-    x, fval, _ = _minimize_multistart(obj, [start_shapes])
+    f_start = float(np.sum(residuals_fn(np.log(start_shapes)) ** 2))
+    x, fval, status = _least_squares_multistart(residuals_fn, [start_shapes])
     if x is None or fval > f_start:
         x, fval = np.log(start_shapes), f_start
     shapes = np.exp(np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND))
@@ -380,6 +385,6 @@ def gmm_fit(family, d, nls=None):
         objective=float(fval),
         residuals=residuals,
         starts_tried=nls.starts_tried,
-        converged=True,
+        converged=status > 0,
         k=nls.k,
     )

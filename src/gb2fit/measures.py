@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from . import distributions as dist
 from .distributions import GiniValue
@@ -16,6 +17,7 @@ __all__ = [
     "Microdata",
     "gini_mc",
     "atkinson_mc",
+    "atkinson_closed",
     "atkinson_exists",
     "sample_measures",
     "weighted_gini",
@@ -158,6 +160,44 @@ def atkinson_mc(spec, epsilon, cfg=McConfig()):
         )
     x = _draw(spec, cfg)
     return weighted_atkinson(x, epsilon)
+
+
+def _log_power_mean(spec, k):
+    """log (E[X^k])^(1/k) at unit scale; the limit k = 0 is E[log X]."""
+    g = spec.as_gb2()
+    if g is not None:
+        # log of the beta ratio B(p + k/a, q - k/a) / B(p, q); the log
+        # gamma of p + q cancels, which keeps the difference accurate
+        a, _, p, q = g.params
+        if k == 0.0:
+            return float(special.digamma(p) - special.digamma(q)) / a
+        return float(
+            special.gammaln(p + k / a) - special.gammaln(p)
+            + special.gammaln(q - k / a) - special.gammaln(q)
+        ) / k
+    if spec.family == "lognormal":  # E[X^k] = exp(k^2 sigma^2 / 2)
+        return k * spec.params[1] ** 2 / 2.0
+    a = spec.params[0]  # weibull: E[X^k] = Gamma(1 + k/a)
+    if k == 0.0:
+        return float(special.digamma(1.0)) / a
+    return float(special.gammaln(1.0 + k / a)) / k
+
+
+def atkinson_closed(spec, epsilon):
+    """Exact Atkinson index of a distribution from its moments.
+
+    A_eps = 1 - (E[X^(1-eps)])^(1/(1-eps)) / mu, evaluated in logs, with
+    the geometric mean exp(E[log X]) at eps = 1 (Jenkins 2009).  The scale
+    cancels, so only the shapes enter.
+    """
+    if epsilon < 0.0:
+        raise DomainError("Atkinson aversion parameter must be >= 0")
+    if not atkinson_exists(spec, epsilon):
+        raise ExistenceError(
+            f"Atkinson index (eps={epsilon}) undefined for {spec.family}{spec.params}"
+        )
+    a = -math.expm1(_log_power_mean(spec, 1.0 - epsilon) - _log_power_mean(spec, 1.0))
+    return min(max(a, 0.0), 1.0)
 
 
 def sample_measures(m, epsilons=(0.5, 1.0, 1.5)):

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from gb2fit import distributions as d
+from gb2fit import cli, distributions as d
 from gb2fit.cli import main
 from gb2fit.distributions import FamilySpec
+from gb2fit.exceptions import DomainError, NonConvergenceError
 from gb2fit.grouped import GroupedDataset
 from gb2fit.io import write_grouped_jsonl
 
@@ -105,6 +106,39 @@ class TestFit:
         rows = read_jsonl(out)
         assert any(r.get("error") and "invalid record" in r["error"] for r in rows)
         assert any(r.get("family") == "fisk" and not r.get("error") for r in rows)
+
+    @pytest.mark.parametrize(
+        "exc", [DomainError, NonConvergenceError, np.linalg.LinAlgError, FloatingPointError]
+    )
+    def test_fit_exception_isolated(self, tmp_path, monkeypatch, exc):
+        inp = tmp_path / "in.jsonl"
+        write_dataset(inp, FamilySpec.lognormal(0.0, 0.8), id="ln")
+
+        def run(out):
+            return main(
+                ["fit", "--input", str(inp), "--output", str(out),
+                 "--families", "fisk,ln", "--mc-n", "2000"]
+            )
+
+        clean = tmp_path / "clean.jsonl"
+        assert run(clean) == 0
+        real_nls_fit = cli.nls_fit
+
+        def failing_nls_fit(family, ds, *args, **kwargs):
+            if family == "fisk":
+                raise exc("injected failure")
+            return real_nls_fit(family, ds, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "nls_fit", failing_nls_fit)
+        out = tmp_path / "out.jsonl"
+        assert run(out) == 1
+        rows, clean_rows = read_jsonl(out), read_jsonl(clean)
+        assert len(rows) == len(clean_rows)
+        (bad,) = [r for r in rows if r.get("error")]
+        assert (bad["family"], bad["method"], bad["error"]) == ("fisk", "nls", "injected failure")
+        assert [r for r in rows if r is not bad] == [
+            r for r in clean_rows if r["family"] != "fisk"
+        ]
 
     def test_missing_input_exit_2(self, tmp_path):
         code = main(

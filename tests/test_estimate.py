@@ -315,3 +315,51 @@ class TestGmm:
         with pytest.warns(RuntimeWarning):
             gmm = gmm_fit("sm", ds)
         assert "fell back" in gmm.note
+
+
+def _sampled(source, seed):
+    from gb2fit.synth import (
+        MIXTURE_PRESETS,
+        GroupingPolicy,
+        microdata_to_grouped,
+        sample_family,
+        sample_mixture,
+    )
+
+    if source == "gb2":
+        m = sample_family(FamilySpec.gb2(3.0, 1.0, 1.2, 1.5), 20_000, seed=seed)
+    else:
+        m = sample_mixture(MIXTURE_PRESETS[4], 10_000, seed=seed)
+    return microdata_to_grouped(m, GroupingPolicy(n_groups=10), id=source)
+
+
+class TestStartScreening:
+    """Levenberg-Marquardt from the lowest-RSS starts only reaches the
+    minimum that a run from every start reaches."""
+
+    @pytest.mark.parametrize("source", ["gb2", "preset-5"])
+    @pytest.mark.parametrize("family", ["gb2", "b2", "sm", "dagum"])
+    def test_screened_rss_matches_every_start(self, source, family):
+        ds = _sampled(source, seed=31)
+        screened = nls_fit(family, ds)
+        starts = starting_values(family, ds)
+        assert screened.starts_tried == len(starts)
+        best = math.inf
+        for st in starts:  # one start per run: nothing is screened out
+            try:
+                best = min(best, nls_fit(family, ds, starts=[st]).rss)
+            except EstimationError:
+                continue
+        assert abs(screened.rss - best) <= 1e-9 * best, (screened.rss, best)
+
+    def test_gmm_whitened_objective(self):
+        ds = _sampled("gb2", seed=5)
+        nls = nls_fit("gb2", ds)
+        gmm = gmm_fit("gb2", ds, nls=nls)
+        assert gmm.note == "" and gmm.converged  # the second stage ran
+        wm = weighting_matrix(d.with_scale(nls.spec, solve_scale(nls.spec, ds.mean)), ds)
+        assert np.linalg.cond(wm.Omega) < 1e12  # no ridge: the plain solve applies
+        m = nls.residuals
+        f_start = gmm_quadratic(m, wm)
+        assert f_start == pytest.approx(float(m @ np.linalg.solve(wm.Omega, m)), rel=1e-12)
+        assert gmm.objective <= f_start

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from gb2fit.exceptions import DomainError, ExistenceError, ValidationError
 from gb2fit.measures import (
     McConfig,
     Microdata,
+    atkinson_closed,
     atkinson_exists,
     atkinson_mc,
     gini_mc,
@@ -183,6 +185,101 @@ class TestAtkinsonMc:
         assert atkinson_exists(FamilySpec.lognormal(0.0, 1.0), 5.0)
         with pytest.raises(ExistenceError):
             atkinson_mc(FamilySpec.sm(2.0, 1.0, 1.5), 4.0, McConfig(n=1_000, seed=0))
+
+
+# GB2 parameters (a, b, p, q) of the GB2-nested families, from their own
+_GB2_SHAPES = {
+    "gb2": lambda a, b, p, q: (a, b, p, q),
+    "b2": lambda b, p, q: (1, b, p, q),
+    "sm": lambda a, b, q: (a, b, 1, q),
+    "dagum": lambda a, b, p: (a, b, p, 1),
+    "fisk": lambda a, b: (a, b, 1, 1),
+}
+
+
+def atkinson_mpmath(spec, eps):
+    """A_eps = 1 - (E[X^k])^(1/k) / E[X], k = 1 - eps, from the gamma,
+    beta and digamma forms of the moments at 30 digits; at eps = 1 the
+    power mean is exp(E[log X])."""
+    with mpmath.workdps(30):
+        eps = mpmath.mpf(eps)
+        k = 1 - eps
+        if spec.family in _GB2_SHAPES:
+            a, b, p, q = (mpmath.mpf(v) for v in _GB2_SHAPES[spec.family](*spec.params))
+            moment = lambda k: b**k * mpmath.beta(p + k / a, q - k / a) / mpmath.beta(p, q)
+            log_mean = mpmath.log(b) + (mpmath.digamma(p) - mpmath.digamma(q)) / a
+        elif spec.family == "weibull":
+            a, b = (mpmath.mpf(v) for v in spec.params)
+            moment = lambda k: b**k * mpmath.gamma(1 + k / a)
+            log_mean = mpmath.log(b) + mpmath.digamma(1) / a
+        else:  # lognormal
+            mu, sigma = (mpmath.mpf(v) for v in spec.params)
+            moment = lambda k: mpmath.exp(k * mu + k**2 * sigma**2 / 2)
+            log_mean = mu
+        ede = mpmath.exp(log_mean) if k == 0 else moment(k) ** (1 / k)
+        return float(1 - ede / moment(1))
+
+
+# one interior point per family, with finite E[X^2] and E[X^-1] so that
+# Monte Carlo estimates have finite variance
+ATKINSON_INTERIOR = [
+    FamilySpec.gb2(2.0, 3.0, 0.8, 1.6),
+    FamilySpec.b2(2.0, 2.0, 4.0),
+    FamilySpec.sm(2.5, 1.0, 1.8),
+    FamilySpec.dagum(3.2, 1.0, 0.8),
+    FamilySpec.lognormal(0.3, 0.8),
+    FamilySpec.fisk(2.5, 4.0),
+    FamilySpec.weibull(1.4, 2.0),
+]
+# points 0.005 from an existence boundary: of the mean (q - 1/a) and, in
+# most, also of E[X^-0.5], which A_1.5 needs (p - 0.5/a; a - 0.5 for the
+# weibull); plus a heavy-tailed GB2 and a wide lognormal
+ATKINSON_EDGE = [
+    FamilySpec.gb2(5.0, 1.0, 0.5, 0.23),
+    FamilySpec.gb2(3.0, 1.0, 0.5 / 3.0 + 0.005, 1.0 / 3.0 + 0.005),
+    FamilySpec.b2(1.0, 0.505, 1.005),
+    FamilySpec.sm(1.7, 1.0, 1.0 / 1.7 + 0.005),
+    FamilySpec.dagum(1.005, 1.0, 0.5 / 1.005 + 0.005),
+    FamilySpec.lognormal(-1.0, 2.0),
+    FamilySpec.fisk(1.005, 1.0),
+    FamilySpec.weibull(0.505, 1.0),
+]
+
+
+def spec_id(spec):
+    return f"{spec.family}{spec.params}"
+
+
+class TestAtkinsonClosed:
+    @pytest.mark.parametrize("spec", ATKINSON_INTERIOR + ATKINSON_EDGE, ids=spec_id)
+    def test_mpmath_closed_form(self, spec):
+        for eps in (0.5, 1.0, 1.5):
+            assert atkinson_exists(spec, eps)
+            want = atkinson_mpmath(spec, eps)
+            assert atkinson_closed(spec, eps) == pytest.approx(want, rel=1e-12, abs=0.0), eps
+
+    def test_lognormal_analytic(self):
+        for sigma in (0.3, 1.0, 2.5):
+            for eps in (0.5, 1.0, 1.5, 3.0):
+                want = -math.expm1(-eps * sigma**2 / 2.0)
+                got = atkinson_closed(FamilySpec.lognormal(1.0, sigma), eps)
+                assert got == pytest.approx(want, rel=1e-14), (sigma, eps)
+
+    @pytest.mark.parametrize("spec", ATKINSON_INTERIOR, ids=spec_id)
+    def test_monte_carlo(self, spec):
+        # same tolerance as the lognormal check of atkinson_mc, at 2.5x its n
+        cfg = McConfig(n=1_000_000, seed=11)
+        for eps in (0.5, 1.0, 1.5):
+            closed, mc = atkinson_closed(spec, eps), atkinson_mc(spec, eps, cfg)
+            assert abs(closed - mc) < 0.003, (eps, closed, mc)
+
+    def test_edges(self):
+        spec = FamilySpec.sm(2.0, 1.0, 1.5)
+        assert atkinson_closed(spec, 0.0) == 0.0
+        with pytest.raises(DomainError):
+            atkinson_closed(spec, -0.5)
+        with pytest.raises(ExistenceError):
+            atkinson_closed(spec, 4.0)  # needs p > 1.5 with p = 1
 
 
 class TestSampleMeasures:
