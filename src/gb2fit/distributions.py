@@ -12,11 +12,15 @@ Supported families and their parameter vectors:
 
 ``b`` is the scale (money units); everything else is a dimensionless
 shape except the lognormal ``mu``, which plays the role of a log-scale.
+
+The nested families are rows of one table that maps their parameters to
+GB2 (a, b, p, q), so every formula below is written once for the GB2;
+only the lognormal and the Weibull have formulas of their own.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
@@ -42,6 +46,7 @@ __all__ = [
     "lorenz",
     "lorenz_exists_margin",
     "moment",
+    "log_power_mean",
     "incomplete_moment_cdf",
     "gini_closed",
     "n_shape_params",
@@ -50,28 +55,56 @@ __all__ = [
     "with_scale",
 ]
 
-FAMILIES = ("gb2", "b2", "sm", "dagum", "lognormal", "fisk", "weibull")
 
-_N_PARAMS = {
-    "gb2": 4,
-    "b2": 3,
-    "sm": 3,
-    "dagum": 3,
-    "lognormal": 2,
-    "fisk": 2,
-    "weibull": 2,
+def _inverse_beta(u, p, q):  # looked up per call: perfbench's tracer rebinds the name
+    return inv_inc_beta_ratio(u, p, q)
+
+
+def _inverse_beta_odds(u, p, q):
+    z = inv_inc_beta_ratio(u, p, q)
+    return z / (1.0 - z)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One row of the family table.  For the GB2-nested families ``to_gb2``
+    maps the parameters to GB2 (a, b, p, q), ``z`` is the beta-space
+    quantile z(u) = I_u^-1(p, q) and ``odds`` is z / (1 - z), in a form that
+    keeps the upper tail where 1 - z would round to 0."""
+
+    n_params: int
+    scale_index: int
+    to_gb2: Optional[Callable] = None
+    z: Optional[Callable] = None
+    odds: Optional[Callable] = None
+
+
+_TABLE = {
+    "gb2": _Family(4, 1, lambda a, b, p, q: (a, b, p, q), _inverse_beta, _inverse_beta_odds),
+    "b2": _Family(3, 0, lambda b, p, q: (1.0, b, p, q), _inverse_beta, _inverse_beta_odds),
+    "sm": _Family(  # p = 1: I_z(1, q) = 1 - (1 - z)^q
+        3, 1, lambda a, b, q: (a, b, 1.0, q),
+        lambda u, p, q: 1.0 - (1.0 - u) ** (1.0 / q),
+        lambda u, p, q: (1.0 - u) ** (-1.0 / q) - 1.0,
+    ),
+    "dagum": _Family(  # q = 1: I_z(p, 1) = z^p
+        3, 1, lambda a, b, p: (a, b, p, 1.0),
+        lambda u, p, q: u ** (1.0 / p),
+        lambda u, p, q: 1.0 / (u ** (-1.0 / p) - 1.0),
+    ),
+    "lognormal": _Family(2, 0),
+    "fisk": _Family(  # p = q = 1: I_z(1, 1) = z
+        2, 1, lambda a, b: (a, b, 1.0, 1.0),
+        lambda u, p, q: u,
+        lambda u, p, q: u / (1.0 - u),
+    ),
+    "weibull": _Family(2, 1),
 }
+
+FAMILIES = tuple(_TABLE)
 
 # index of the scale parameter within the parameter vector
-_SCALE_INDEX = {
-    "gb2": 1,
-    "b2": 0,
-    "sm": 1,
-    "dagum": 1,
-    "lognormal": 0,
-    "fisk": 1,
-    "weibull": 1,
-}
+_SCALE_INDEX = {family: row.scale_index for family, row in _TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -85,11 +118,9 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
         params = tuple(float(v) for v in self.params)
-        if len(params) != _N_PARAMS[self.family]:
-            raise DomainError(
-                f"{self.family} takes {_N_PARAMS[self.family]} parameters, "
-                f"got {len(params)}"
-            )
+        n = _TABLE[self.family].n_params
+        if len(params) != n:
+            raise DomainError(f"{self.family} takes {n} parameters, got {len(params)}")
         for i, v in enumerate(params):
             if self.family == "lognormal" and i == 0:
                 continue  # mu may be any real
@@ -129,21 +160,14 @@ class FamilySpec:
 
     def as_gb2(self) -> Optional["FamilySpec"]:
         """The equivalent GB2 spec, or None for non-nested families."""
-        if self.family == "gb2":
-            return self
-        if self.family == "b2":
-            b, p, q = self.params
-            return FamilySpec.gb2(1.0, b, p, q)
-        if self.family == "sm":
-            a, b, q = self.params
-            return FamilySpec.gb2(a, b, 1.0, q)
-        if self.family == "dagum":
-            a, b, p = self.params
-            return FamilySpec.gb2(a, b, p, 1.0)
-        if self.family == "fisk":
-            a, b = self.params
-            return FamilySpec.gb2(a, b, 1.0, 1.0)
-        return None
+        g = _gb2(self)
+        return None if g is None else FamilySpec("gb2", g)
+
+
+def _gb2(spec):
+    """GB2 parameters (a, b, p, q) of a nested spec, else None."""
+    to_gb2 = _TABLE[spec.family].to_gb2
+    return None if to_gb2 is None else to_gb2(*spec.params)
 
 
 @dataclass(frozen=True)
@@ -163,7 +187,7 @@ def n_shape_params(family):
     """Number of shape parameters estimated from shares."""
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
-    return _N_PARAMS[family] - 1
+    return _TABLE[family].n_params - 1
 
 
 def shapes_of(spec):
@@ -194,34 +218,20 @@ def with_scale(spec, scale):
     return spec_from_shapes(spec.family, shapes_of(spec), scale)
 
 
-def _scale(spec):
-    return spec.params[_SCALE_INDEX[spec.family]]
-
-
 def mean_exists(spec):
     """Whether E[X] is finite."""
     return moment_exists(spec, 1.0)
 
 
 def moment_exists(spec, k):
-    """Whether E[X^k] is finite for k > 0."""
-    fam, par = spec.family, spec.params
-    if fam == "gb2":
-        a, _, p, q = par
+    """Whether E[X^k] is finite, for any real k (GB2: -ap < k < aq)."""
+    g = _gb2(spec)
+    if g is not None:
+        a, _, p, q = g
         return q > k / a and p + k / a > 0
-    if fam == "b2":
-        _, p, q = par
-        return q > k
-    if fam == "sm":
-        a, _, q = par
-        return q > k / a
-    if fam == "dagum":
-        a, _, _ = par
-        return k / a < 1.0
-    if fam == "fisk":
-        a, _ = par
-        return k / a < 1.0
-    return True  # lognormal, weibull
+    if spec.family == "weibull":  # 1 + k/a > 0
+        return spec.params[0] + k > 0.0
+    return True  # lognormal
 
 
 def cdf(spec, x):
@@ -229,34 +239,24 @@ def cdf(spec, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("cdf requires x >= 0")
-    fam, par = spec.family, spec.params
-    with np.errstate(divide="ignore", over="ignore"):
-        if fam == "gb2":
-            a, b, p, q = par
+    g = _gb2(spec)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if g is not None:
+            a, b, p, q = g
             xa = (x / b) ** a
-            out = inc_beta_ratio(xa / (1.0 + xa), p, q)
-        elif fam == "b2":
-            b, p, q = par
-            r = x / b
-            out = inc_beta_ratio(r / (1.0 + r), p, q)
-        elif fam == "sm":
-            a, b, q = par
-            out = 1.0 - (1.0 + (x / b) ** a) ** (-q)
-        elif fam == "dagum":
-            a, b, p = par
-            out = np.where(x > 0.0, (1.0 + (x / b) ** (-a)) ** (-p), 0.0)
-        elif fam == "lognormal":
-            mu, sigma = par
+            # 1 - I_(1-v)(q, p) above the median keeps a heavy upper tail
+            # (small q), where v = xa / (1 + xa) rounds to 1
+            out = np.where(xa <= 1.0, inc_beta_ratio(xa / (1.0 + xa), p, q),
+                           1.0 - inc_beta_ratio(1.0 / (1.0 + xa), q, p))
+        elif spec.family == "lognormal":
+            mu, sigma = spec.params
             out = np.where(
                 x > 0.0,
                 std_normal_cdf((np.log(np.where(x > 0.0, x, 1.0)) - mu) / sigma),
                 0.0,
             )
-        elif fam == "fisk":
-            a, b = par
-            out = 1.0 - 1.0 / (1.0 + (x / b) ** a)
         else:  # weibull
-            a, b = par
+            a, b = spec.params
             out = 1.0 - np.exp(-((x / b) ** a))
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
@@ -267,29 +267,15 @@ def quantile(spec, u):
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise DomainError("quantile requires 0 < u < 1")
-    fam, par = spec.family, spec.params
-    if fam == "gb2":
-        a, b, p, q = par
-        v = inv_inc_beta_ratio(u, p, q)
-        out = b * (v / (1.0 - v)) ** (1.0 / a)
-    elif fam == "b2":
-        b, p, q = par
-        v = inv_inc_beta_ratio(u, p, q)
-        out = b * v / (1.0 - v)
-    elif fam == "sm":
-        a, b, q = par
-        out = b * ((1.0 - u) ** (-1.0 / q) - 1.0) ** (1.0 / a)
-    elif fam == "dagum":
-        a, b, p = par
-        out = b * (u ** (-1.0 / p) - 1.0) ** (-1.0 / a)
-    elif fam == "lognormal":
-        mu, sigma = par
+    g = _gb2(spec)
+    if g is not None:
+        a, b, p, q = g
+        out = b * _TABLE[spec.family].odds(u, p, q) ** (1.0 / a)
+    elif spec.family == "lognormal":
+        mu, sigma = spec.params
         out = np.exp(mu + sigma * std_normal_quantile(u))
-    elif fam == "fisk":
-        a, b = par
-        out = b * (u / (1.0 - u)) ** (1.0 / a)
     else:  # weibull
-        a, b = par
+        a, b = spec.params
         out = b * (-np.log1p(-u)) ** (1.0 / a)
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
@@ -298,26 +284,14 @@ def quantile(spec, u):
 def lorenz_exists_margin(spec):
     """Positive when the Lorenz curve exists (the mean is finite).
 
-    The magnitude is the distance to the existence boundary, which the
-    fitting code uses to steer optimizers back into the feasible region.
+    The magnitude is the distance q - 1/a to the existence boundary, which
+    the fitting code uses to steer optimizers back into the feasible region.
     """
-    fam, par = spec.family, spec.params
-    if fam == "gb2":
-        a, _, _, q = par
-        return q - 1.0 / a
-    if fam == "b2":
-        _, _, q = par
-        return q - 1.0
-    if fam == "sm":
-        a, _, q = par
-        return q - 1.0 / a
-    if fam == "dagum":
-        a, _, _ = par
-        return a - 1.0
-    if fam == "fisk":
-        a, _ = par
-        return a - 1.0
-    return 1.0  # lognormal, weibull
+    g = _gb2(spec)
+    if g is None:
+        return 1.0  # lognormal, weibull
+    a, _, _, q = g
+    return q - 1.0 / a
 
 
 def lorenz(spec, u):
@@ -329,23 +303,12 @@ def lorenz(spec, u):
     u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u > 1.0)):
         raise DomainError("lorenz requires 0 <= u <= 1")
-    fam, par = spec.family, spec.params
-    if fam == "gb2":
-        a, _, p, q = par
-        out = inc_beta_ratio(inv_inc_beta_ratio(u, p, q), p + 1.0 / a, q - 1.0 / a)
-    elif fam == "b2":
-        _, p, q = par
-        out = inc_beta_ratio(inv_inc_beta_ratio(u, p, q), p + 1.0, q - 1.0)
-    elif fam == "sm":
-        a, _, q = par
-        out = inc_beta_ratio(
-            1.0 - (1.0 - u) ** (1.0 / q), 1.0 + 1.0 / a, q - 1.0 / a
-        )
-    elif fam == "dagum":
-        a, _, p = par
-        out = inc_beta_ratio(u ** (1.0 / p), p + 1.0 / a, 1.0 - 1.0 / a)
-    elif fam == "lognormal":
-        _, sigma = par
+    g = _gb2(spec)
+    if g is not None:
+        a, _, p, q = g
+        out = inc_beta_ratio(_TABLE[spec.family].z(u, p, q), p + 1.0 / a, q - 1.0 / a)
+    elif spec.family == "lognormal":
+        _, sigma = spec.params
         out = np.where(
             (u > 0.0) & (u < 1.0),
             std_normal_cdf(
@@ -353,11 +316,8 @@ def lorenz(spec, u):
             ),
             u,
         )
-    elif fam == "fisk":
-        a, _ = par
-        out = inc_beta_ratio(u, 1.0 + 1.0 / a, 1.0 - 1.0 / a)
     else:  # weibull
-        a, _ = par
+        a, _ = spec.params
         out = np.where(
             u < 1.0,
             inc_gamma_ratio(-np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16)), 1.0 + 1.0 / a),
@@ -371,6 +331,30 @@ def _ln_beta(p, q):
     return ln_gamma(p) + ln_gamma(q) - ln_gamma(p + q)
 
 
+def log_power_mean(spec, k):
+    """log (E[X^k])^(1/k) at unit scale, for any real k with E[X^k] finite.
+
+    The limit k = 0 is E[log X].  Callers check ``moment_exists``.
+    """
+    g = _gb2(spec)
+    if g is not None:
+        # log of the beta ratio B(p + k/a, q - k/a) / B(p, q); the log
+        # gamma of p + q cancels, which keeps the difference accurate
+        a, _, p, q = g
+        if k == 0.0:
+            return float(special.digamma(p) - special.digamma(q)) / a
+        return float(
+            special.gammaln(p + k / a) - special.gammaln(p)
+            + special.gammaln(q - k / a) - special.gammaln(q)
+        ) / k
+    if spec.family == "lognormal":  # E[X^k] = exp(k^2 sigma^2 / 2)
+        return k * spec.params[1] ** 2 / 2.0
+    a = spec.params[0]  # weibull: E[X^k] = Gamma(1 + k/a)
+    if k == 0.0:
+        return float(special.digamma(1.0)) / a
+    return float(special.gammaln(1.0 + k / a)) / k
+
+
 def moment(spec, k):
     """k-th raw moment E[X^k] for k > 0."""
     if k <= 0.0:
@@ -379,33 +363,9 @@ def moment(spec, k):
         raise ExistenceError(
             f"moment of order {k} does not exist for {spec.family}{spec.params}"
         )
-    fam, par = spec.family, spec.params
-    if fam == "gb2":
-        a, b, p, q = par
-        return b**k * math.exp(_ln_beta(p + k / a, q - k / a) - _ln_beta(p, q))
-    if fam == "b2":
-        b, p, q = par
-        return b**k * math.exp(_ln_beta(p + k, q - k) - _ln_beta(p, q))
-    if fam == "sm":
-        a, b, q = par
-        return b**k * math.exp(
-            ln_gamma(1.0 + k / a) + ln_gamma(q - k / a) - ln_gamma(q)
-        )
-    if fam == "dagum":
-        a, b, p = par
-        return b**k * math.exp(
-            ln_gamma(p + k / a) + ln_gamma(1.0 - k / a) - ln_gamma(p)
-        )
-    if fam == "lognormal":
-        mu, sigma = par
-        return math.exp(k * mu + k**2 * sigma**2 / 2.0)
-    if fam == "fisk":
-        # derived from the GB2 moment at p = q = 1; the direct b^k G(1+k)G(1-k)
-        # form breaks scale-shape separation
-        a, b = par
-        return b**k * math.exp(ln_gamma(1.0 + k / a) + ln_gamma(1.0 - k / a))
-    a, b = par  # weibull
-    return b**k * math.exp(ln_gamma(1.0 + k / a))
+    scale = spec.params[_SCALE_INDEX[spec.family]]
+    log_scale = scale if spec.family == "lognormal" else math.log(scale)
+    return math.exp(k * (log_scale + log_power_mean(spec, k)))
 
 
 def incomplete_moment_cdf(spec, k, x):
@@ -420,27 +380,15 @@ def incomplete_moment_cdf(spec, k, x):
         raise ExistenceError(
             f"incomplete moment of order {k} undefined for {spec.family}{spec.params}"
         )
-    fam, par = spec.family, spec.params
-    if fam == "gb2":
-        a, b, p, q = par
+    g = _gb2(spec)
+    if g is not None:
+        a, b, p, q = g
         return cdf(FamilySpec.gb2(a, b, p + k / a, q - k / a), x)
-    if fam == "b2":
-        b, p, q = par
-        return cdf(FamilySpec.b2(b, p + k, q - k), x)
-    if fam == "sm":
-        a, b, q = par
-        return cdf(FamilySpec.gb2(a, b, 1.0 + k / a, q - k / a), x)
-    if fam == "dagum":
-        a, b, p = par
-        return cdf(FamilySpec.gb2(a, b, p + k / a, 1.0 - k / a), x)
-    if fam == "lognormal":
-        mu, sigma = par
+    if spec.family == "lognormal":
+        mu, sigma = spec.params
         return cdf(FamilySpec.lognormal(mu + k * sigma**2, sigma), x)
-    if fam == "fisk":
-        a, b = par
-        return cdf(FamilySpec.gb2(a, b, 1.0 + k / a, 1.0 - k / a), x)
     # weibull: generalized gamma with shape 1 + k/a
-    a, b = par
+    a, b = spec.params
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("incomplete_moment_cdf requires x >= 0")
@@ -458,16 +406,18 @@ _GINI_SERIES_MAX_ERR = 1e-5
 def gini_closed(spec, ctl=None):
     """Closed-form Gini index; the GB2 case sums two 3F2 series.
 
-    Raises NonConvergenceError when the GB2 series cannot reach a usable
+    The nested families keep their own closed forms: they are cheap, and
+    ``estimate.starting_values`` solves them for shapes.  Raises
+    NonConvergenceError when the GB2 series cannot reach a usable
     accuracy (slow convergence near the existence boundary); the caller
     should then fall back to Monte Carlo.
     """
+    if lorenz_exists_margin(spec) <= 0.0:
+        raise ExistenceError(
+            f"Gini undefined for {spec.family}{spec.params}: mean does not exist"
+        )
     fam, par = spec.family, spec.params
     if fam != "gb2":
-        if lorenz_exists_margin(spec) <= 0.0 and fam != "weibull":
-            raise ExistenceError(
-                f"Gini undefined for {spec.family}{spec.params}: mean does not exist"
-            )
         if fam == "b2":
             _, p, q = par
             g = 2.0 * math.exp(_ln_beta(2.0 * p, 2.0 * q - 1.0) - 2.0 * _ln_beta(p, q)) / p
@@ -495,10 +445,6 @@ def gini_closed(spec, ctl=None):
         return GiniValue(min(max(g, 0.0), 1.0), "closed_form")
 
     a, _, p, q = par
-    if q <= 1.0 / a:
-        raise ExistenceError(
-            f"Gini undefined for gb2{par}: requires q > 1/a"
-        )
     if ctl is None:
         ctl = SeriesControl()
     j1 = hyp3f2_unit(1.0, p + q, 2.0 * p + 1.0 / a, p + 1.0, 2.0 * (p + q), ctl)

@@ -76,10 +76,6 @@ def _gini_anchor(d):
     return min(max(g, 1e-4), 1.0 - 1e-4)
 
 
-def _closed_gini(family, shapes):
-    return dist.gini_closed(spec_from_shapes(family, shapes)).value
-
-
 def _solve_theta2(family, theta1, g, lo):
     """Root of G(theta1, theta2) = g over (lo, _THETA2_MAX), or None."""
 
@@ -89,7 +85,7 @@ def _solve_theta2(family, theta1, g, lo):
         return np.array([theta1, theta2])
 
     def f(theta2):
-        return _closed_gini(family, build(theta2)) - g
+        return dist.gini_closed(spec_from_shapes(family, build(theta2))).value - g
 
     lo = lo + 1e-6
     try:
@@ -124,24 +120,20 @@ def starting_values(family, d):
     starts = []
     if family in ("b2", "sm", "dagum"):
         for theta1 in _GRID:
-            if family == "b2":
-                lo = 1.0  # q > 1
-            elif family == "sm":
-                lo = 1.0 / theta1  # q > 1/a
-            else:
-                lo = 1.0  # dagum: a > 1
+            # the mean needs q > 1 (b2), q > 1/a (sm) or a > 1 (dagum)
+            lo = 1.0 / theta1 if family == "sm" else 1.0
             st = _solve_theta2(family, float(theta1), g, lo)
             if st is not None:
                 starts.append(st)
     elif family == "gb2":
-        # gb2 shapes are (a, p, q); reuse the three-parameter grids on the
-        # a = 1, p = 1 and q = 1 boundaries
-        for st in starting_values("b2", d):
-            starts.append(np.array([1.0, st[0], st[1]]))
-        for st in starting_values("sm", d):
-            starts.append(np.array([st[0], 1.0, st[1]]))
-        for st in starting_values("dagum", d):
-            starts.append(np.array([st[0], st[1], 1.0]))
+        # reuse the three-parameter grids on the a = 1, p = 1 and q = 1
+        # boundaries, mapped to GB2 shapes through the family table
+        for nested in ("b2", "sm", "dagum"):
+            try:
+                grid = starting_values(nested, d)
+            except EstimationError:
+                continue
+            starts += [dist.shapes_of(spec_from_shapes(nested, st).as_gb2()) for st in grid]
     else:
         raise EstimationError(f"unknown family {family!r}")
     if not starts:
@@ -253,11 +245,10 @@ def solve_scale(spec, sample_mean):
         raise ExistenceError(
             f"mean does not exist for {spec.family}{spec.params}; cannot recover scale"
         )
-    if spec.family == "lognormal":
-        sigma = spec.params[1]
-        return math.log(sample_mean) - sigma**2 / 2.0
-    unit = dist.with_scale(spec, 1.0)
-    return sample_mean / dist.moment(unit, 1.0)
+    log_mean = dist.log_power_mean(spec, 1.0)  # log E[X] at unit scale
+    if spec.family == "lognormal":  # the scale parameter is the log-scale mu
+        return math.log(sample_mean) - log_mean
+    return sample_mean / math.exp(log_mean)
 
 
 _COND_LIMIT = 1e12

@@ -1,6 +1,7 @@
 """Grouped income data: validated Lorenz ordinates and the nonparametric
 lower-bound Gini."""
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -9,6 +10,10 @@ import numpy as np
 from .exceptions import ValidationError
 
 __all__ = ["GroupedDataset", "from_shares", "lower_bound_gini", "empirical_lorenz"]
+
+
+def _is_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,8 @@ class GroupedDataset:
         problems = []
         if u.ndim != 1 or s.ndim != 1 or len(u) != len(s):
             problems.append("u and s must be 1-d vectors of equal length")
+        elif not (np.all(np.isfinite(u)) and np.all(np.isfinite(s))):
+            problems.append("u and s must be finite")
         else:
             if len(u) < 2:
                 problems.append("at least 2 groups required")
@@ -47,9 +54,11 @@ class GroupedDataset:
                 problems.append("last income share must equal 1")
             if np.any(s > u + 1e-12):
                 problems.append("income shares must satisfy s_j <= u_j")
-        if self.mean is not None and self.mean <= 0.0:
-            problems.append("mean must be positive")
-        if self.survey_gini is not None and not 0.0 <= self.survey_gini < 1.0:
+        if self.mean is not None and not (_is_number(self.mean) and 0.0 < self.mean < np.inf):
+            problems.append("mean must be positive and finite")
+        if self.survey_gini is not None and not (
+            _is_number(self.survey_gini) and 0.0 <= self.survey_gini < 1.0
+        ):
             problems.append("survey_gini must lie in [0, 1)")
         if problems:
             raise ValidationError(

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from . import distributions as dist
 from .distributions import GiniValue
@@ -134,20 +133,8 @@ def gini_mc(spec, cfg=McConfig()):
 
 
 def atkinson_exists(spec, epsilon):
-    """Whether A_eps is well defined (E[X^(1-eps)] finite when eps > 1)."""
-    if not dist.mean_exists(spec):
-        return False
-    if epsilon <= 1.0:
-        return True
-    k = epsilon - 1.0  # need a finite negative moment E[X^-k]
-    g = spec.as_gb2()
-    if g is not None:
-        a, _, p, _ = g.params
-        return p > k / a
-    if spec.family == "weibull":
-        a, _ = spec.params
-        return a > k
-    return True  # lognormal
+    """Whether A_eps is well defined: a finite mean and E[X^(1-eps)]."""
+    return dist.mean_exists(spec) and dist.moment_exists(spec, 1.0 - epsilon)
 
 
 def atkinson_mc(spec, epsilon, cfg=McConfig()):
@@ -160,27 +147,6 @@ def atkinson_mc(spec, epsilon, cfg=McConfig()):
         )
     x = _draw(spec, cfg)
     return weighted_atkinson(x, epsilon)
-
-
-def _log_power_mean(spec, k):
-    """log (E[X^k])^(1/k) at unit scale; the limit k = 0 is E[log X]."""
-    g = spec.as_gb2()
-    if g is not None:
-        # log of the beta ratio B(p + k/a, q - k/a) / B(p, q); the log
-        # gamma of p + q cancels, which keeps the difference accurate
-        a, _, p, q = g.params
-        if k == 0.0:
-            return float(special.digamma(p) - special.digamma(q)) / a
-        return float(
-            special.gammaln(p + k / a) - special.gammaln(p)
-            + special.gammaln(q - k / a) - special.gammaln(q)
-        ) / k
-    if spec.family == "lognormal":  # E[X^k] = exp(k^2 sigma^2 / 2)
-        return k * spec.params[1] ** 2 / 2.0
-    a = spec.params[0]  # weibull: E[X^k] = Gamma(1 + k/a)
-    if k == 0.0:
-        return float(special.digamma(1.0)) / a
-    return float(special.gammaln(1.0 + k / a)) / k
 
 
 def atkinson_closed(spec, epsilon):
@@ -196,7 +162,9 @@ def atkinson_closed(spec, epsilon):
         raise ExistenceError(
             f"Atkinson index (eps={epsilon}) undefined for {spec.family}{spec.params}"
         )
-    a = -math.expm1(_log_power_mean(spec, 1.0 - epsilon) - _log_power_mean(spec, 1.0))
+    a = -math.expm1(
+        dist.log_power_mean(spec, 1.0 - epsilon) - dist.log_power_mean(spec, 1.0)
+    )
     return min(max(a, 0.0), 1.0)
 
 

@@ -107,6 +107,34 @@ class TestFit:
         assert any(r.get("error") and "invalid record" in r["error"] for r in rows)
         assert any(r.get("family") == "fisk" and not r.get("error") for r in rows)
 
+    def test_bad_numbers_become_invalid_record_rows(self, tmp_path):
+        spec = FamilySpec.fisk(2.5, 1.0)
+        valid = tmp_path / "valid.jsonl"
+        write_dataset(valid, spec, mean=d.moment(spec, 1.0), id="ok")
+        good = valid.read_text().strip()
+        bad = [
+            '{"id": "str-mean", "u": [0.5, 1.0], "s": [0.3, 1.0], "mean": "x"}',
+            '{"id": "nan-mean", "u": [0.5, 1.0], "s": [0.3, 1.0], "mean": NaN}',
+            '{"id": "inf-mean", "u": [0.5, 1.0], "s": [0.3, 1.0], "mean": Infinity}',
+            '{"id": "nan-share", "u": [0.5, 1.0], "s": [NaN, 1.0], "mean": 1.0}',
+        ]
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join([bad[0], bad[1], good, bad[2], bad[3]]) + "\n")
+
+        def run(inp, out):
+            return main(
+                ["fit", "--input", str(inp), "--output", str(out),
+                 "--families", "fisk", "--method", "both", "--mc-n", "2000"]
+            )
+
+        assert run(valid, tmp_path / "valid_out.jsonl") == 0
+        assert run(mixed, tmp_path / "mixed_out.jsonl") == 1
+        rows = read_jsonl(tmp_path / "mixed_out.jsonl")
+        errors = [r for r in rows if r.get("error")]
+        assert sorted(r["id"] for r in errors) == ["record-0", "record-1", "record-3", "record-4"]
+        assert all(r["error"].startswith("invalid record: ") for r in errors)
+        assert [r for r in rows if not r.get("error")] == read_jsonl(tmp_path / "valid_out.jsonl")
+
     @pytest.mark.parametrize(
         "exc", [DomainError, NonConvergenceError, np.linalg.LinAlgError, FloatingPointError]
     )

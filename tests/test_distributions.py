@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from gb2fit import distributions as d
 from gb2fit.distributions import FamilySpec
 from gb2fit.exceptions import DomainError, ExistenceError
-from gb2fit.measures import gini_mc
+from gb2fit.measures import atkinson_exists, gini_mc
 
 # one representative per family, existence-respecting (second moments too)
 SPECS = {
@@ -295,13 +295,37 @@ class TestReductionIdentitiesFull:
         (FamilySpec.gb2(3.0, 0.7, 0.9, 1.0), FamilySpec.dagum(3.0, 0.7, 0.9)),
         (FamilySpec.gb2(1.0, 1.1, 2.0, 4.0), FamilySpec.b2(1.1, 2.0, 4.0)),
         (FamilySpec.gb2(3.0, 2.0, 1.0, 1.0), FamilySpec.fisk(3.0, 2.0)),
+        # near the existence boundaries: no second moment, no negative
+        # moments of low order, no mean
+        (FamilySpec.gb2(2.0, 1.3, 1.0, 0.8), FamilySpec.sm(2.0, 1.3, 0.8)),
+        (FamilySpec.gb2(3.0, 0.7, 0.4, 1.0), FamilySpec.dagum(3.0, 0.7, 0.4)),
+        (FamilySpec.gb2(1.0, 1.1, 0.4, 1.5), FamilySpec.b2(1.1, 0.4, 1.5)),
+        (FamilySpec.gb2(0.8, 2.0, 1.0, 1.0), FamilySpec.fisk(0.8, 2.0)),
     ]
 
-    @pytest.mark.parametrize("gb2_spec,nested", CASES, ids=[c[1].family for c in CASES])
+    IDS = ["sm", "dagum", "b2", "fisk", "sm-no-2nd-moment", "dagum-small-p", "b2-small-p",
+           "fisk-no-mean"]
+
+    @pytest.mark.parametrize("gb2_spec,nested", CASES, ids=IDS)
     def test_pointwise(self, gb2_spec, nested):
         us = np.linspace(0.05, 0.95, 10)
         xs = d.quantile(nested, us)
         assert np.max(np.abs(d.cdf(gb2_spec, xs) - d.cdf(nested, xs))) < 1e-8
         assert np.max(np.abs(d.quantile(gb2_spec, us) - xs)) < 1e-8 * np.max(xs)
+        for k in (-2.0, -0.5, 2.0):
+            assert d.moment_exists(gb2_spec, k) == d.moment_exists(nested, k), k
+        for eps in (0.5, 1.5, 2.5):
+            assert atkinson_exists(gb2_spec, eps) == atkinson_exists(nested, eps), eps
+        margin = d.lorenz_exists_margin(nested)
+        assert (d.lorenz_exists_margin(gb2_spec) > 0.0) == (margin > 0.0)
+        if margin <= 0.0:
+            with pytest.raises(ExistenceError):
+                d.lorenz(nested, us)
+            return
         assert np.max(np.abs(d.lorenz(gb2_spec, us) - d.lorenz(nested, us))) < 1e-8
+        if nested.family == "b2":  # a = 1 takes the same arithmetic path
+            assert np.array_equal(d.lorenz(gb2_spec, us), d.lorenz(nested, us))
         assert d.moment(gb2_spec, 1.0) == pytest.approx(d.moment(nested, 1.0), rel=1e-8)
+        if d.moment_exists(nested, 2.0):
+            got = d.incomplete_moment_cdf(nested, 2.0, xs)
+            assert np.max(np.abs(d.incomplete_moment_cdf(gb2_spec, 2.0, xs) - got)) < 1e-8

@@ -101,6 +101,12 @@ class TestStartingValues:
         assert len(starts) <= 60
         assert all(len(s) == 3 for s in starts)
 
+    def test_gb2_without_starts_names_gb2(self):
+        u = np.arange(1, 6) / 5
+        ds = GroupedDataset(id="eq", u=u, s=u.copy())
+        with pytest.raises(EstimationError, match="for gb2 at"):
+            nls_fit("gb2", ds)
+
     def test_anchor_defaults_to_lower_bound(self):
         # without survey_gini the anchor is the lower bound
         ds = deciles_from(FamilySpec.fisk(2.0, 1.0))

@@ -35,6 +35,24 @@ class TestValidation:
         assert "mean must be positive" in msg
         assert "survey_gini" in msg
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("mean", float("nan"), "mean must be positive and finite"),
+            ("mean", float("inf"), "mean must be positive and finite"),
+            ("mean", "x", "mean must be positive and finite"),
+            ("mean", True, "mean must be positive and finite"),
+            ("survey_gini", float("nan"), "survey_gini must lie"),
+            ("survey_gini", "0.3", "survey_gini must lie"),
+            ("s", [float("nan"), 1.0], "u and s must be finite"),
+            ("u", [0.5, float("inf")], "u and s must be finite"),
+        ],
+    )
+    def test_non_finite_or_non_numeric_rejected(self, field, value, message):
+        kwargs = {"id": "x", "u": [0.5, 1.0], "s": [0.3, 1.0], field: value}
+        with pytest.raises(ValidationError, match=message):
+            GroupedDataset(**kwargs)
+
     def test_share_above_diagonal_rejected(self):
         with pytest.raises(ValidationError):
             GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.7, 1.0]))

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gb2fit.distributions import FamilySpec, gini_closed
+from gb2fit.distributions import FamilySpec, gini_closed, moment_exists
 from gb2fit.exceptions import DomainError, ExistenceError, ValidationError
 from gb2fit.measures import (
     McConfig,
@@ -185,6 +185,14 @@ class TestAtkinsonMc:
         assert atkinson_exists(FamilySpec.lognormal(0.0, 1.0), 5.0)
         with pytest.raises(ExistenceError):
             atkinson_mc(FamilySpec.sm(2.0, 1.0, 1.5), 4.0, McConfig(n=1_000, seed=0))
+
+    @pytest.mark.parametrize("a", [0.1, 0.4, 0.5, 0.6, 1.0, 1.5, 2.0, 3.7])
+    def test_weibull_existence_is_moment_existence(self, a):
+        # E[X^(1-eps)] = b^(1-eps) Gamma(1 + (1-eps)/a): finite iff a > eps - 1,
+        # including the rounding cases eps - 1 == a and eps = 1.1, a = 0.1
+        spec = FamilySpec.weibull(a, 2.0)
+        for eps in (0.0, 0.5, 1.0, 1.1, 1.4, 1.5, 2.0, 2.5, 3.0, 4.7):
+            assert atkinson_exists(spec, eps) == moment_exists(spec, 1.0 - eps) == (a > eps - 1.0)
 
 
 # GB2 parameters (a, b, p, q) of the GB2-nested families, from their own
