@@ -14,13 +14,7 @@ import numpy as np
 from . import distributions as dist
 from . import io as gio
 from .estimate import gmm_fit, nls_fit
-from .exceptions import (
-    DomainError,
-    EstimationError,
-    ExistenceError,
-    NonConvergenceError,
-    ValidationError,
-)
+from .exceptions import EstimationError, NonConvergenceError, ValidationError
 from .grouped import lower_bound_gini
 from .measures import McConfig, atkinson_closed, atkinson_exists, gini_mc, sample_measures
 from .select import GofScores, dominance_matrix, error_report, gof_scores
@@ -131,16 +125,8 @@ def _fit_one_dataset(task):
                     }
                 )
                 per_method[m] = gini
-            except (
-                DomainError,
-                EstimationError,
-                ExistenceError,
-                FloatingPointError,
-                NonConvergenceError,
-                ValidationError,
-                np.linalg.LinAlgError,
-            ) as exc:
-                row["error"] = str(exc)
+            except Exception as exc:  # one error row per cell, never the batch
+                row["error"] = str(exc) or type(exc).__name__
             rows.append(row)
         if method == "both" and d.survey_gini is not None:
             closer = None

@@ -32,7 +32,6 @@ from .specfun import (
     inc_beta_ratio,
     inc_gamma_ratio,
     inv_inc_beta_ratio,
-    ln_gamma,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -287,11 +286,59 @@ def lorenz_exists_margin(spec):
     The magnitude is the distance q - 1/a to the existence boundary, which
     the fitting code uses to steer optimizers back into the feasible region.
     """
-    g = _gb2(spec)
-    if g is None:
-        return 1.0  # lognormal, weibull
-    a, _, _, q = g
+    return float(_margin_rows(spec.family, shapes_of(spec)[None])[0])
+
+
+def _shape_columns(shapes, ndim=0):
+    """The columns of shape rows (m, k), each as (m,) followed by ``ndim``
+    unit axes, so that it broadcasts against an ``ndim``-dimensional u."""
+    return [c.reshape((-1,) + (1,) * ndim) for c in np.asarray(shapes, dtype=float).T]
+
+
+def _gb2_columns(row, cols):
+    """GB2 (a, p, q) of a nested family's shape columns; a column or a
+    constant each."""
+    cols = list(cols)
+    cols.insert(row.scale_index, 1.0)
+    a, _, p, q = row.to_gb2(*cols)
+    return a, p, q
+
+
+def _margin_rows(family, shapes):
+    """``lorenz_exists_margin`` of each shape row (m, k), as an (m,) array."""
+    row = _TABLE[family]
+    if row.to_gb2 is None:
+        return np.ones(len(shapes))  # lognormal, weibull
+    a, _, q = _gb2_columns(row, _shape_columns(shapes))
     return q - 1.0 / a
+
+
+def _lorenz_rows(family, shapes, u):
+    """Lorenz curves of a stack of shape rows.
+
+    ``shapes`` is (m, k) in the ``shapes_of`` order and ``u`` any array in
+    [0, 1]; returns an array of shape (m,) + u.shape.  Nothing is checked:
+    the callers check u and keep rows with a positive existence margin.
+    """
+    u = np.asarray(u, dtype=float)
+    row = _TABLE[family]
+    cols = _shape_columns(shapes, u.ndim)
+    if row.to_gb2 is not None:
+        a, p, q = _gb2_columns(row, cols)
+        return inc_beta_ratio(row.z(u, p, q), p + 1.0 / a, q - 1.0 / a)
+    if family == "lognormal":
+        (sigma,) = cols
+        return np.where(
+            (u > 0.0) & (u < 1.0),
+            std_normal_cdf(special.ndtri(np.clip(u, 1e-300, 1.0 - 1e-16)) - sigma),
+            u,
+        )
+    (a,) = cols  # weibull
+    return np.where(
+        u < 1.0,
+        inc_gamma_ratio(-np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16)), 1.0 + 1.0 / a),
+        1.0,
+    )
 
 
 def lorenz(spec, u):
@@ -303,32 +350,13 @@ def lorenz(spec, u):
     u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u > 1.0)):
         raise DomainError("lorenz requires 0 <= u <= 1")
-    g = _gb2(spec)
-    if g is not None:
-        a, _, p, q = g
-        out = inc_beta_ratio(_TABLE[spec.family].z(u, p, q), p + 1.0 / a, q - 1.0 / a)
-    elif spec.family == "lognormal":
-        _, sigma = spec.params
-        out = np.where(
-            (u > 0.0) & (u < 1.0),
-            std_normal_cdf(
-                special.ndtri(np.clip(u, 1e-300, 1.0 - 1e-16)) - sigma
-            ),
-            u,
-        )
-    else:  # weibull
-        a, _ = spec.params
-        out = np.where(
-            u < 1.0,
-            inc_gamma_ratio(-np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16)), 1.0 + 1.0 / a),
-            1.0,
-        )
-    out = np.asarray(out)
+    out = np.asarray(_lorenz_rows(spec.family, shapes_of(spec)[None], u)[0])
     return float(out) if out.ndim == 0 else out
 
 
 def _ln_beta(p, q):
-    return ln_gamma(p) + ln_gamma(q) - ln_gamma(p + q)
+    lg = special.gammaln  # what specfun.ln_gamma computes, without its checks
+    return lg(p) + lg(q) - lg(p + q)
 
 
 def log_power_mean(spec, k):
@@ -403,6 +431,27 @@ def incomplete_moment_cdf(spec, k, x):
 _GINI_SERIES_MAX_ERR = 1e-5
 
 
+def _nested_gini(family, theta1, theta2):
+    """Closed-form Gini of b2 (p, q), sm (a, q) or dagum (a, p) from its two
+    shapes in the ``shapes_of`` order, clipped to [0, 1].  Nothing is
+    checked: the callers keep the shapes inside the existence region."""
+    lg = special.gammaln
+    if family == "b2":
+        p, q = theta1, theta2
+        g = 2.0 * math.exp(_ln_beta(2.0 * p, 2.0 * q - 1.0) - 2.0 * _ln_beta(p, q)) / p
+    elif family == "sm":
+        a, q = theta1, theta2
+        g = 1.0 - math.exp(
+            lg(q) + lg(2.0 * q - 1.0 / a) - lg(q - 1.0 / a) - lg(2.0 * q)
+        )
+    else:  # dagum
+        a, p = theta1, theta2
+        g = math.exp(
+            lg(p) + lg(2.0 * p + 1.0 / a) - lg(2.0 * p) - lg(p + 1.0 / a)
+        ) - 1.0
+    return min(max(g, 0.0), 1.0)
+
+
 def gini_closed(spec, ctl=None):
     """Closed-form Gini index; the GB2 case sums two 3F2 series.
 
@@ -417,23 +466,10 @@ def gini_closed(spec, ctl=None):
             f"Gini undefined for {spec.family}{spec.params}: mean does not exist"
         )
     fam, par = spec.family, spec.params
+    if fam in ("b2", "sm", "dagum"):
+        return GiniValue(_nested_gini(fam, *map(float, shapes_of(spec))), "closed_form")
     if fam != "gb2":
-        if fam == "b2":
-            _, p, q = par
-            g = 2.0 * math.exp(_ln_beta(2.0 * p, 2.0 * q - 1.0) - 2.0 * _ln_beta(p, q)) / p
-        elif fam == "sm":
-            a, _, q = par
-            g = 1.0 - math.exp(
-                ln_gamma(q) + ln_gamma(2.0 * q - 1.0 / a)
-                - ln_gamma(q - 1.0 / a) - ln_gamma(2.0 * q)
-            )
-        elif fam == "dagum":
-            a, _, p = par
-            g = math.exp(
-                ln_gamma(p) + ln_gamma(2.0 * p + 1.0 / a)
-                - ln_gamma(2.0 * p) - ln_gamma(p + 1.0 / a)
-            ) - 1.0
-        elif fam == "lognormal":
+        if fam == "lognormal":
             _, sigma = par
             g = 2.0 * std_normal_cdf(sigma / math.sqrt(2.0)) - 1.0
         elif fam == "fisk":

@@ -79,23 +79,23 @@ def _gini_anchor(d):
 def _solve_theta2(family, theta1, g, lo):
     """Root of G(theta1, theta2) = g over (lo, _THETA2_MAX), or None."""
 
-    def build(theta2):
+    def shapes(theta2):
         if family == "dagum":  # shapes are (a, p) with theta1 = p on the grid
-            return np.array([theta2, theta1])
-        return np.array([theta1, theta2])
+            return theta2, theta1
+        return theta1, theta2
 
     def f(theta2):
-        return dist.gini_closed(spec_from_shapes(family, build(theta2))).value - g
+        return dist._nested_gini(family, *shapes(theta2)) - g
 
     lo = lo + 1e-6
     try:
         flo, fhi = f(lo), f(_THETA2_MAX)
-    except (ExistenceError, OverflowError):
+    except OverflowError:
         return None
     if not np.isfinite(flo) or not np.isfinite(fhi) or flo * fhi > 0.0:
         return None
     theta2 = optimize.brentq(f, lo, _THETA2_MAX, xtol=1e-10, rtol=1e-12)
-    return build(theta2)
+    return np.array(shapes(theta2))
 
 
 def starting_values(family, d):
@@ -144,55 +144,88 @@ def starting_values(family, d):
 
 
 def _residual_factory(family, u, s, whiten=None):
-    """Residual vector over log-shapes.
+    """Residual rows of a stack of log-shape rows (m, k).
 
-    The share residuals (whitened for GMM) come first, then one entry per
-    shape for the excess beyond the log-shape bound, then one entry for
-    the infeasibility barrier, so the sum of squares is the objective with
-    its penalties.  Infeasible points zero the share entries and put a
-    sloped barrier in the last one.
+    In each row the share residuals (whitened for GMM) come first, then
+    one entry per shape for the excess beyond the log-shape bound, then one
+    entry for the infeasibility barrier, so the row's sum of squares is the
+    objective with its penalties.  Infeasible rows zero the share entries
+    and put a sloped barrier in the last one.
     """
     n = len(u)
 
     def residuals(x):
-        xc = np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND)
-        out = np.zeros(n + len(x) + 1)
-        out[n:-1] = x - xc
-        spec = spec_from_shapes(family, np.exp(xc))
-        margin = lorenz_exists_margin(spec)
-        if margin <= 0.0:
-            out[-1] = 100.0 * math.sqrt(1.0 - margin)
-            return out
-        with np.errstate(all="ignore"):
-            m = dist.lorenz(spec, u) - s
-        if not np.all(np.isfinite(m)):
-            out[-1] = 1e4
-            return out
-        out[:n] = m if whiten is None else whiten(m)
+        xc = np.minimum(np.maximum(x, -_LOG_SHAPE_BOUND), _LOG_SHAPE_BOUND)
+        shapes = np.exp(xc)
+        margin = dist._margin_rows(family, shapes)
+        feasible = margin > 0.0
+        out = np.zeros((len(x), n + x.shape[1] + 1))
+        out[:, n:-1] = x - xc
+        out[:, -1] = np.where(feasible, 0.0, 100.0 * np.sqrt(1.0 - np.minimum(margin, 0.0)))
+        if feasible.any():
+            with np.errstate(all="ignore"):
+                m = dist._lorenz_rows(family, shapes[feasible], u) - s
+            finite = np.isfinite(m).all(axis=1)
+            m[~finite] = 0.0
+            if whiten is not None:
+                m = np.array([whiten(r) for r in m]).reshape(m.shape)
+            out[feasible, :n] = m
+            out[feasible, -1] = np.where(finite, 0.0, 1e4)
         return out
 
     return residuals
 
 
+# relative step of scipy's "2-point" finite differences, sqrt(machine eps)
+_FD_STEP = np.finfo(float).eps ** 0.5
+
+
+def _least_squares(residuals, x0):
+    """``least_squares(method="lm")`` from one start, with a Jacobian that
+    evaluates its k forward-difference rows in one call of ``residuals``.
+
+    The steps are those of scipy's default "2-point" Jacobian, and f(x) is
+    reused when x is the last point evaluated, so the run is the same,
+    bit for bit, as with the default.
+    """
+    last = [None, None]  # the last point evaluated and its residuals
+
+    def fun(x):
+        f = residuals(x[None])[0]
+        last[:] = x.copy(), f
+        return f
+
+    def jac(x):
+        f0 = last[1] if np.array_equal(x, last[0]) else fun(x)
+        h = _FD_STEP * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
+        steps = np.tile(x, (len(x), 1))
+        np.fill_diagonal(steps, x + h)
+        dx = (x + h) - x
+        return ((residuals(steps) - f0) / dx[:, None]).T
+
+    # scipy's default cap of 100 evaluations per shape stops short when
+    # the optimum sits on the log-shape bound (the equal-shares limit of
+    # the one-shape families takes about 220)
+    return optimize.least_squares(
+        fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+        max_nfev=1000 * len(x0),
+    )
+
+
 def _least_squares_multistart(residuals, starts):
     """Levenberg-Marquardt from the starts with the lowest initial RSS.
 
-    Returns the best log-shapes, their objective and the solver status,
-    or (None, inf, 0) when every run failed.
+    All starts are screened in one call of ``residuals``.  Returns the best
+    log-shapes, their objective and the solver status, or (None, inf, 0)
+    when every run failed.
     """
-    x0s = [np.log(np.asarray(st, dtype=float)) for st in starts]
-    rss0 = [float(np.sum(residuals(x0) ** 2)) for x0 in x0s]
+    x0s = np.log(np.asarray(starts, dtype=float))
+    rss0 = np.sum(residuals(x0s) ** 2, axis=1)
     ranked = sorted(range(len(x0s)), key=rss0.__getitem__)[:_N_OPTIMIZED]
     best_x, best_f, best_status = None, np.inf, 0
     for i in ranked:
         try:
-            # scipy's default cap of 100 evaluations per shape stops short
-            # when the optimum sits on the log-shape bound (the equal-shares
-            # limit of the one-shape families takes about 220)
-            res = optimize.least_squares(
-                residuals, x0s[i], method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                max_nfev=1000 * len(x0s[i]),
-            )
+            res = _least_squares(residuals, x0s[i])
         except (FloatingPointError, linalg.LinAlgError, ValueError):
             continue
         f = float(res.fun @ res.fun)
@@ -361,7 +394,7 @@ def gmm_fit(family, d, nls=None):
     u, s = d.u[:-1], d.s[:-1]
     residuals_fn = _residual_factory(family, u, s, whiten=whiten)
     start_shapes = dist.shapes_of(nls.spec)
-    f_start = float(np.sum(residuals_fn(np.log(start_shapes)) ** 2))
+    f_start = float(np.sum(residuals_fn(np.log(start_shapes)[None])[0] ** 2))
     x, fval, status = _least_squares_multistart(residuals_fn, [start_shapes])
     if x is None or fval > f_start:
         x, fval = np.log(start_shapes), f_start

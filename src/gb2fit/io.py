@@ -21,6 +21,8 @@ __all__ = [
 
 
 def _grouped_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"record must be a JSON object, got {type(obj).__name__}")
     return GroupedDataset(
         id=str(obj.get("id", "dataset")),
         u=np.asarray(obj["u"], dtype=float),

@@ -57,8 +57,9 @@ def ln_gamma(x):
 
 
 def inc_beta_ratio(x, p, q):
-    """Incomplete beta function ratio B(x; p, q) on [0, 1]."""
-    if p <= 0.0 or q <= 0.0:
+    """Incomplete beta function ratio B(x; p, q) on [0, 1]; x, p and q
+    broadcast."""
+    if np.less_equal(p, 0.0).any() or np.less_equal(q, 0.0).any():
         raise DomainError("inc_beta_ratio requires p, q > 0")
     x = np.asarray(x, dtype=float)
     if np.any((x < 0.0) | (x > 1.0)):
@@ -68,8 +69,8 @@ def inc_beta_ratio(x, p, q):
 
 
 def inv_inc_beta_ratio(y, p, q):
-    """Inverse of the incomplete beta function ratio."""
-    if p <= 0.0 or q <= 0.0:
+    """Inverse of the incomplete beta function ratio; y, p and q broadcast."""
+    if np.less_equal(p, 0.0).any() or np.less_equal(q, 0.0).any():
         raise DomainError("inv_inc_beta_ratio requires p, q > 0")
     y = np.asarray(y, dtype=float)
     if np.any((y < 0.0) | (y > 1.0)):
@@ -79,8 +80,9 @@ def inv_inc_beta_ratio(y, p, q):
 
 
 def inc_gamma_ratio(x, nu):
-    """Regularized lower incomplete gamma function G(x; nu)."""
-    if nu <= 0.0:
+    """Regularized lower incomplete gamma function G(x; nu); x and nu
+    broadcast."""
+    if np.less_equal(nu, 0.0).any():
         raise DomainError("inc_gamma_ratio requires nu > 0")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):

@@ -168,6 +168,45 @@ class TestFit:
             r for r in clean_rows if r["family"] != "fisk"
         ]
 
+    @pytest.mark.parametrize("exc", [OverflowError, ValueError, ZeroDivisionError])
+    def test_any_fit_exception_isolated(self, tmp_path, monkeypatch, exc):
+        # any exception class of a fit is one error row, not the batch
+        self.test_fit_exception_isolated(tmp_path, monkeypatch, exc)
+
+    def test_exception_without_message_names_its_class(self, tmp_path, monkeypatch):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_dataset(inp, FamilySpec.fisk(2.5, 1.0), id="f")
+
+        def failing_nls_fit(family, ds, *args, **kwargs):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(cli, "nls_fit", failing_nls_fit)
+        assert main(["fit", "--input", str(inp), "--output", str(out), "--families", "fisk"]) == 1
+        (bad,) = [r for r in read_jsonl(out) if r["family"] == "fisk"]
+        assert bad["error"] == "ZeroDivisionError"
+
+    def test_non_object_lines_become_invalid_record_rows(self, tmp_path):
+        spec = FamilySpec.fisk(2.5, 1.0)
+        valid = tmp_path / "valid.jsonl"
+        write_dataset(valid, spec, mean=d.moment(spec, 1.0), id="ok")
+        bad = ["[1, 2]", '"x"', "3", "null"]
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join([bad[0], bad[1], valid.read_text().strip(), bad[2], bad[3]]) + "\n")
+
+        def run(inp, out):
+            return main(
+                ["fit", "--input", str(inp), "--output", str(out),
+                 "--families", "fisk", "--method", "both", "--mc-n", "2000"]
+            )
+
+        assert run(valid, tmp_path / "valid_out.jsonl") == 0
+        assert run(mixed, tmp_path / "mixed_out.jsonl") == 1
+        rows = read_jsonl(tmp_path / "mixed_out.jsonl")
+        errors = [r for r in rows if r.get("error")]
+        assert sorted(r["id"] for r in errors) == ["record-0", "record-1", "record-3", "record-4"]
+        assert all(r["error"].startswith("invalid record: ") for r in errors)
+        assert [r for r in rows if not r.get("error")] == read_jsonl(tmp_path / "valid_out.jsonl")
+
     def test_missing_input_exit_2(self, tmp_path):
         code = main(
             ["fit", "--input", str(tmp_path / "nope.jsonl"),

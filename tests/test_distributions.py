@@ -329,3 +329,52 @@ class TestReductionIdentitiesFull:
         if d.moment_exists(nested, 2.0):
             got = d.incomplete_moment_cdf(nested, 2.0, xs)
             assert np.max(np.abs(d.incomplete_moment_cdf(gb2_spec, 2.0, xs) - got)) < 1e-8
+
+
+def _random_specs(family, n, rng):
+    """``n`` specs of ``family`` with shapes drawn log-uniformly on
+    [0.05, 50] and a positive Lorenz existence margin."""
+    specs = []
+    while len(specs) < n:
+        shapes = np.exp(rng.uniform(math.log(0.05), math.log(50.0), d.n_shape_params(family)))
+        spec = d.spec_from_shapes(family, shapes, scale=rng.uniform(0.5, 5.0))
+        if d.lorenz_exists_margin(spec) > 0.0:
+            specs.append(spec)
+    return specs
+
+
+class TestBroadcastKernels:
+    """The estimator evaluates the private row kernels; the public functions
+    must give the same values bit for bit."""
+
+    @pytest.mark.parametrize("family", d.FAMILIES)
+    def test_lorenz_rows_equal_lorenz(self, family):
+        rng = np.random.default_rng(20261018)
+        us = np.concatenate([[0.0, 1.0], rng.uniform(size=30), np.linspace(0.0, 1.0, 11)])
+        specs = _random_specs(family, 60, rng)
+        rows = d._lorenz_rows(family, np.array([d.shapes_of(s) for s in specs]), us)
+        assert rows.shape == (len(specs), len(us))
+        for spec, row in zip(specs, rows):
+            assert row.tobytes() == d.lorenz(spec, us).tobytes(), spec
+            # a scalar u takes the same arithmetic as u inside an array
+            for j in (0, 1, 5):
+                assert d.lorenz(spec, us[j]) == row[j], (spec, us[j])
+
+    @pytest.mark.parametrize("family", d.FAMILIES)
+    def test_margin_rows_equal_margin(self, family):
+        specs = _random_specs(family, 20, np.random.default_rng(7))
+        margins = d._margin_rows(family, np.array([d.shapes_of(s) for s in specs]))
+        assert margins.tolist() == [d.lorenz_exists_margin(s) for s in specs]
+
+    @pytest.mark.parametrize("family", ["b2", "sm", "dagum"])
+    def test_nested_gini_equals_gini_closed(self, family):
+        grid = [1.05, 1.5, 2.0, 3.7, 8.0, 20.0]
+        checked = 0
+        for t1 in grid:
+            for t2 in grid:
+                spec = d.spec_from_shapes(family, [t1, t2], scale=2.0)
+                if d.lorenz_exists_margin(spec) <= 0.0:
+                    continue
+                assert d._nested_gini(family, t1, t2) == d.gini_closed(spec).value, spec
+                checked += 1
+        assert checked >= 30

@@ -369,3 +369,39 @@ class TestStartScreening:
         f_start = gmm_quadratic(m, wm)
         assert f_start == pytest.approx(float(m @ np.linalg.solve(wm.Omega, m)), rel=1e-12)
         assert gmm.objective <= f_start
+
+
+class TestBroadcastJacobian:
+    """The one-call Jacobian takes the steps of scipy's default "2-point"
+    scheme, so a Levenberg-Marquardt run is the same bit for bit."""
+
+    @pytest.mark.parametrize("family", ["gb2", "b2", "sm", "dagum"])
+    def test_runs_match_default_two_point(self, family):
+        from scipy import optimize
+
+        from gb2fit import estimate
+
+        ds = _sampled("preset-5", seed=31)
+        residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
+        x0s = np.log(np.asarray(starting_values(family, ds)))
+        rss0 = np.sum(residuals(x0s) ** 2, axis=1)
+        for x0 in x0s[np.argsort(rss0, kind="stable")[:3]]:
+            got = estimate._least_squares(residuals, x0)
+            want = optimize.least_squares(
+                lambda x: residuals(x[None])[0], x0, method="lm",
+                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=1000 * len(x0),
+            )
+            assert got.x.tobytes() == want.x.tobytes()
+            assert (got.cost, got.nfev, got.status) == (want.cost, want.nfev, want.status)
+
+    def test_screening_rows_match_single_rows(self):
+        from gb2fit import estimate
+
+        ds = _sampled("preset-5", seed=31)
+        residuals = estimate._residual_factory("gb2", ds.u[:-1], ds.s[:-1])
+        x0s = np.log(np.asarray(starting_values("gb2", ds)))
+        x0s = np.vstack([x0s, [[0.0, 0.0, -1.0], [12.0, 0.0, 0.0]]])  # infeasible, clipped
+        rows = residuals(x0s)
+        for x0, row in zip(x0s, rows):
+            assert row.tobytes() == residuals(x0[None])[0].tobytes()
+        assert rows[-2, -1] > 0.0 and rows[-1, -4] == 12.0 - math.log(1e4)

@@ -1,5 +1,8 @@
 """File-format round trips for grouped datasets and microdata."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,27 @@ class TestJsonl:
         assert rows[1][1] is None and "s_j <= u_j" in rows[1][2]
         with pytest.raises(ValidationError):
             gio.read_grouped(path)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "3", "null", "true"])
+    def test_non_object_line_is_one_bad_record(self, tmp_path, line):
+        path = tmp_path / "ds.jsonl"
+        path.write_text(line + '\n{"id": "ok", "u": [0.5, 1.0], "s": [0.3, 1.0]}\n')
+        rows = list(gio.iter_grouped(path))
+        assert [(i, d) for i, d, _ in rows][0] == (0, None)
+        assert "JSON object" in rows[0][2]
+        assert rows[1][1].id == "ok" and rows[1][2] is None
+        with pytest.raises(ValidationError):
+            gio.read_grouped(path)
+
+    def test_readme_record_example(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Grouped datasets, JSON lines")[1].split("```json")[1]
+        record = json.loads(block.split("```")[0])
+        path = tmp_path / "ds.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        (ds,) = gio.read_grouped(path)
+        assert ds.id == "cz88" and ds.mean == 12.5
+        assert ds.survey_gini == 0.35
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ds.jsonl"

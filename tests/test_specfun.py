@@ -83,6 +83,23 @@ class TestIncBeta:
         with pytest.raises(DomainError):
             inc_beta_ratio(0.5, -1.0, 2.0)
 
+    def test_broadcast_shapes(self):
+        x = np.array([0.0, 0.3, 1.0])
+        p, q = np.array([[0.5], [2.0]]), np.array([[3.0], [1.5]])
+        got = inc_beta_ratio(x, p, q)
+        assert got.shape == (2, 3)
+        for i in range(2):
+            assert got[i].tobytes() == inc_beta_ratio(x, float(p[i, 0]), float(q[i, 0])).tobytes()
+
+    @pytest.mark.parametrize("bad", ["p", "q"])
+    def test_broadcast_domain(self, bad):
+        shapes = {"p": np.array([[2.0], [1.0]]), "q": np.array([[1.5], [3.0]])}
+        shapes[bad] = np.array([[2.0], [0.0]])  # one row out of the domain
+        with pytest.raises(DomainError):
+            inc_beta_ratio(np.array([0.2, 0.7]), shapes["p"], shapes["q"])
+        with pytest.raises(DomainError):
+            inv_inc_beta_ratio(np.array([0.2, 0.7]), shapes["p"], shapes["q"])
+
 
 class TestInvIncBeta:
     def test_uniform_case(self):
@@ -124,6 +141,11 @@ class TestIncGamma:
         vals = inc_gamma_ratio(xs, 3.3)
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+    def test_broadcast_domain(self):
+        assert inc_gamma_ratio(np.array([0.5, 2.0]), np.array([[1.0], [2.5]])).shape == (2, 2)
+        with pytest.raises(DomainError):
+            inc_gamma_ratio(np.array([0.5, 2.0]), np.array([[1.0], [0.0]]))
 
 
 class TestNormal:
