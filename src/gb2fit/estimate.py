@@ -186,7 +186,9 @@ def _least_squares(residuals, x0):
 
     The steps are those of scipy's default "2-point" Jacobian, and f(x) is
     reused when x is the last point evaluated, so the run is the same,
-    bit for bit, as with the default.
+    bit for bit, as with the default.  That holds from scipy 1.16, where
+    "lm" always calls MINPACK's lmder with scipy's own finite differences;
+    earlier versions ran lmdif, which takes steps of its own.
     """
     last = [None, None]  # the last point evaluated and its residuals
 

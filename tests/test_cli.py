@@ -136,7 +136,11 @@ class TestFit:
         assert [r for r in rows if not r.get("error")] == read_jsonl(tmp_path / "valid_out.jsonl")
 
     @pytest.mark.parametrize(
-        "exc", [DomainError, NonConvergenceError, np.linalg.LinAlgError, FloatingPointError]
+        "exc",
+        [
+            DomainError, NonConvergenceError, np.linalg.LinAlgError, FloatingPointError,
+            OverflowError, ValueError, ZeroDivisionError,
+        ],
     )
     def test_fit_exception_isolated(self, tmp_path, monkeypatch, exc):
         inp = tmp_path / "in.jsonl"
@@ -167,11 +171,6 @@ class TestFit:
         assert [r for r in rows if r is not bad] == [
             r for r in clean_rows if r["family"] != "fisk"
         ]
-
-    @pytest.mark.parametrize("exc", [OverflowError, ValueError, ZeroDivisionError])
-    def test_any_fit_exception_isolated(self, tmp_path, monkeypatch, exc):
-        # any exception class of a fit is one error row, not the batch
-        self.test_fit_exception_isolated(tmp_path, monkeypatch, exc)
 
     def test_exception_without_message_names_its_class(self, tmp_path, monkeypatch):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
