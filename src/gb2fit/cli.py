@@ -4,6 +4,7 @@ measures and report generation."""
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 import zlib
@@ -14,7 +15,7 @@ import numpy as np
 from . import distributions as dist
 from . import io as gio
 from .estimate import gmm_fit, nls_fit
-from .exceptions import EstimationError, NonConvergenceError, ValidationError
+from .exceptions import NonConvergenceError, ValidationError
 from .grouped import lower_bound_gini
 from .measures import McConfig, atkinson_closed, atkinson_exists, gini_mc, sample_measures
 from .select import GofScores, dominance_matrix, error_report, gof_scores
@@ -46,6 +47,14 @@ def _parse_floats(text):
     return [float(t) for t in text.split(",") if t.strip()]
 
 
+def _parse_epsilons(text):
+    """Atkinson inequality aversions, each finite and >= 0."""
+    eps = _parse_floats(text)
+    if not all(0.0 <= e < math.inf for e in eps):
+        raise argparse.ArgumentTypeError(f"each aversion must be finite and >= 0: {text!r}")
+    return eps
+
+
 def _derived_seed(seed, *tags):
     h = zlib.crc32(":".join(str(t) for t in tags).encode())
     return (int(seed) ^ h) & 0x7FFFFFFF
@@ -55,10 +64,9 @@ def _fit_gini(spec, mc_n, seed):
     """Closed-form or series Gini, falling back to Monte Carlo."""
     try:
         g = dist.gini_closed(spec)
-        return g.value, g.method
     except NonConvergenceError:
         g = gini_mc(spec, McConfig(n=mc_n, seed=seed))
-        return g.value, g.method
+    return g.value, g.method
 
 
 def _fit_atkinson(spec, epsilons):
@@ -71,73 +79,44 @@ def _fit_atkinson(spec, epsilons):
 def _fit_one_dataset(task):
     """Fit every requested family to one dataset; returns report rows."""
     d, families, method, mc_n, seed, epsilons = task
-    rows = []
     lb = lower_bound_gini(d)
-    rows.append(
-        {
-            "id": d.id,
-            "family": "lower_bound",
-            "method": "lower_bound",
-            "gini": lb,
-            "survey_gini": d.survey_gini,
-            "error": None,
-        }
-    )
+    rows = [{"id": d.id, "family": "lower_bound", "method": "lower_bound", "gini": lb,
+             "survey_gini": d.survey_gini, "error": None}]
     for family in families:
-        per_method = {}
+        nls = None
+        # Gini, its method and the Atkinson set per fitted shape vector:
+        # all are scale-free, so a GMM cell that fell back reuses its NLS ones
+        measures = {}
+        cells = []
         for m in ("nls", "gmm") if method == "both" else (method,):
-            row = {
-                "id": d.id,
-                "family": family,
-                "method": m,
-                "survey_gini": d.survey_gini,
-                "lower_bound_gini": lb,
-                "error": None,
-            }
+            row = {"id": d.id, "family": family, "method": m, "survey_gini": d.survey_gini,
+                   "lower_bound_gini": lb, "error": None}
             try:
-                if m == "gmm" and d.mean is None:
-                    raise EstimationError("mean required for GMM")
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    if m == "nls":
-                        fit = nls_fit(family, d)
-                    else:
-                        fit = gmm_fit(family, d, nls=per_method.get("nls_fit"))
+                    fit = nls_fit(family, d) if m == "nls" else gmm_fit(family, d, nls=nls)
                 if m == "nls":
-                    per_method["nls_fit"] = fit
+                    nls = fit
                 scores = gof_scores(fit)
-                gseed = _derived_seed(seed, d.id, family, m)
-                gini, gini_method = _fit_gini(fit.spec, mc_n, gseed)
-                row.update(
-                    {
-                        "converged": fit.converged,
-                        "params": list(fit.spec.params),
-                        "objective": fit.objective,
-                        "rss": fit.rss,
-                        "k": fit.k,
-                        "n_moments": len(fit.residuals),
-                        "aic": scores.aic,
-                        "bic": scores.bic,
-                        "gini": gini,
-                        "gini_method": gini_method,
-                        "atkinson": _fit_atkinson(fit.spec, epsilons),
-                        "note": fit.note,
-                    }
-                )
-                per_method[m] = gini
+                key = dist.shapes_of(fit.spec).tobytes()
+                if key not in measures:
+                    gini = _fit_gini(fit.spec, mc_n, _derived_seed(seed, d.id, family, m))
+                    measures[key] = (*gini, _fit_atkinson(fit.spec, epsilons))
+                gini, gini_method, atkinson = measures[key]
+                row.update(converged=fit.converged, params=list(fit.spec.params),
+                           objective=fit.objective, rss=fit.rss, k=fit.k,
+                           n_moments=len(fit.residuals), aic=scores.aic, bic=scores.bic,
+                           gini=gini, gini_method=gini_method, atkinson=atkinson, note=fit.note)
             except Exception as exc:  # one error row per cell, never the batch
                 row["error"] = str(exc) or type(exc).__name__
-            rows.append(row)
+            cells.append(row)
         if method == "both" and d.survey_gini is not None:
             closer = None
-            if "nls" in per_method and "gmm" in per_method:
-                closer = min(
-                    ("nls", "gmm"),
-                    key=lambda m: abs(per_method[m] - d.survey_gini),
-                )
-            for row in rows:
-                if row["id"] == d.id and row["family"] == family:
-                    row["closer_method"] = closer
+            if not any(r["error"] for r in cells):
+                closer = min(cells, key=lambda r: abs(r["gini"] - d.survey_gini))["method"]
+            for row in cells:
+                row["closer_method"] = closer
+        rows.extend(cells)
     return rows
 
 
@@ -335,7 +314,7 @@ def build_parser():
     p.add_argument("--method", choices=("nls", "gmm", "both"), default="nls")
     p.add_argument("--mc-n", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=_parse_floats, default=[0.5, 1.0, 1.5])
+    p.add_argument("--epsilon", type=_parse_epsilons, default=[0.5, 1.0, 1.5])
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_fit)
@@ -366,7 +345,7 @@ def build_parser():
     p = sub.add_parser("measures", help="weighted sample measures of a microdata CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.add_argument("--epsilon", type=_parse_floats, default=[0.5, 1.0, 1.5])
+    p.add_argument("--epsilon", type=_parse_epsilons, default=[0.5, 1.0, 1.5])
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("report", help="error bins and dominance matrices from fit output")

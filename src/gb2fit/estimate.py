@@ -7,7 +7,7 @@ when one is available.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg, optimize
@@ -143,10 +143,11 @@ def starting_values(family, d):
     return starts
 
 
-def _residual_factory(family, u, s, whiten=None):
+def _residual_factory(family, u, s, chol=None):
     """Residual rows of a stack of log-shape rows (m, k).
 
-    In each row the share residuals (whitened for GMM) come first, then
+    In each row the share residuals come first, whitened to L^-1 m for GMM
+    when the Cholesky factor L of Omega is given, then
     one entry per shape for the excess beyond the log-shape bound, then one
     entry for the infeasibility barrier, so the row's sum of squares is the
     objective with its penalties.  Infeasible rows zero the share entries
@@ -167,8 +168,8 @@ def _residual_factory(family, u, s, whiten=None):
                 m = dist._lorenz_rows(family, shapes[feasible], u) - s
             finite = np.isfinite(m).all(axis=1)
             m[~finite] = 0.0
-            if whiten is not None:
-                m = np.array([whiten(r) for r in m]).reshape(m.shape)
+            if chol is not None:
+                m = linalg.solve_triangular(chol, m.T, lower=True).T
             out[feasible, :n] = m
             out[feasible, -1] = np.where(finite, 0.0, 1e4)
         return out
@@ -236,6 +237,18 @@ def _least_squares_multistart(residuals, starts):
     return best_x, best_f, best_status
 
 
+def _spec_at(family, d, x, scale=1.0):
+    """The spec at log-shapes x, clipped to the bound, and its share
+    residuals; raises EstimationError outside the moment-existence region."""
+    shapes = np.exp(np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND))
+    spec = spec_from_shapes(family, shapes, scale=scale)
+    if lorenz_exists_margin(spec) <= 0.0:
+        raise EstimationError(
+            f"{family} optimum violates the moment-existence region: {shapes}"
+        )
+    return spec, dist.lorenz(spec, d.u[:-1]) - d.s[:-1]
+
+
 def nls_fit(family, d, starts=None):
     """Least-squares fit of the Lorenz curve to the observed shares.
 
@@ -254,22 +267,9 @@ def nls_fit(family, d, starts=None):
     x, _, status = _least_squares_multistart(_residual_factory(family, u, s), starts)
     if x is None:
         raise EstimationError(f"every {family} run from the best of {len(starts)} starts failed")
-    shapes = np.exp(np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND))
-    spec = spec_from_shapes(family, shapes)
-    if lorenz_exists_margin(spec) <= 0.0:
-        raise EstimationError(
-            f"{family} optimum violates the moment-existence region: {shapes}"
-        )
-    residuals = dist.lorenz(spec, u) - s
-    return FitResult(
-        spec=spec,
-        method="nls",
-        objective=float(np.sum(residuals**2)),
-        residuals=residuals,
-        starts_tried=len(starts),
-        converged=status > 0,
-        k=k,
-    )
+    spec, residuals = _spec_at(family, d, x)
+    return FitResult(spec=spec, method="nls", objective=float(np.sum(residuals**2)),
+                     residuals=residuals, starts_tried=len(starts), converged=status > 0, k=k)
 
 
 def solve_scale(spec, sample_mean):
@@ -292,9 +292,10 @@ _COND_LIMIT = 1e12
 def weighting_matrix(spec, d):
     """Asymptotic covariance Omega = Psi W Psi' of the share moments.
 
-    Requires a finite second moment.  The last row/column of W uses the
-    analytically cancelled boundary forms (the top group income limit
-    drops out of the algebra).
+    Requires a finite second moment.  For i <= j, W_ij = A_i + B_i C_j
+    with A = mu2_partial - h mu s, B = u h - mu s and C = h (1 - u) + mu s.
+    The top group's income limit cancels from the algebra: taking h_J = 0
+    with mu2_partial_J = mu2 gives the boundary column and W_JJ = mu2 - mu^2.
     """
     if not dist.moment_exists(spec, 2.0):
         raise ExistenceError(
@@ -305,26 +306,16 @@ def weighting_matrix(spec, d):
     h = dist.quantile(spec, u[:-1])
     mu = dist.moment(spec, 1.0)
     mu2 = dist.moment(spec, 2.0)
-    mu2_partial = mu2 * np.asarray(
-        [dist.incomplete_moment_cdf(spec, 2.0, hi) for hi in h]
-    )
+    mu2_partial = mu2 * dist.incomplete_moment_cdf(spec, 2.0, h)
 
-    W = np.empty((J, J))
-    for i in range(J - 1):
-        for j in range(i, J - 1):
-            W[i, j] = (
-                mu2_partial[i]
-                + (u[i] * h[i] - mu * s[i]) * (h[j] - u[j] * h[j] + mu * s[j])
-                - h[i] * mu * s[i]
-            )
-    for i in range(J - 1):  # boundary column: h_J cancels to mu
-        W[i, J - 1] = mu2_partial[i] + (u[i] * h[i] - mu * s[i]) * mu - h[i] * mu * s[i]
-    W[J - 1, J - 1] = mu2 - mu**2
-    W = np.triu(W) + np.triu(W, 1).T
+    hz = np.append(h, 0.0)  # h_J = 0
+    A = np.append(mu2_partial, mu2) - hz * mu * s
+    B = u * hz - mu * s
+    C = hz * (1.0 - u) + mu * s
+    W = np.triu(A[:, None] + B[:, None] * C)
+    W = W + np.triu(W, 1).T
 
-    Psi = np.zeros((J - 1, J))
-    Psi[np.arange(J - 1), np.arange(J - 1)] = 1.0 / mu
-    Psi[:, J - 1] = -s[:-1] / mu
+    Psi = np.hstack([np.eye(J - 1), -s[:-1, None]]) / mu
     Omega = Psi @ W @ Psi.T
     Omega = (Omega + Omega.T) / 2.0
     return WeightingMatrix(
@@ -332,10 +323,10 @@ def weighting_matrix(spec, d):
     )
 
 
-def _omega_whitener(omega_matrix):
-    """Whitening closure m -> L^-1 m with Omega = L L', so that the
-    whitened vector's squared norm is m' Omega^-1 m; adds ridge jitter
-    when Omega is ill conditioned."""
+def _omega_cholesky(omega_matrix):
+    """Lower Cholesky factor L of Omega = L L', so that the whitened
+    vector L^-1 m has squared norm m' Omega^-1 m; adds ridge jitter when
+    Omega is ill conditioned."""
     Om = omega_matrix.Omega.copy()
     n = Om.shape[0]
     cond = np.linalg.cond(Om)
@@ -347,25 +338,26 @@ def _omega_whitener(omega_matrix):
             RuntimeWarning,
         )
         Om += ridge * np.eye(n)
-    chol = linalg.cholesky(Om, lower=True)
-    return lambda m: linalg.solve_triangular(chol, m, lower=True)
+    return linalg.cholesky(Om, lower=True)
 
 
 def gmm_quadratic(m, omega=None):
     """Quadratic-form objective M' Omega^-1 M; identity Omega reproduces RSS."""
     m = np.asarray(m, dtype=float)
     if omega is not None:
-        m = _omega_whitener(omega)(m)
+        m = linalg.solve_triangular(_omega_cholesky(omega), m, lower=True)
     return float(m @ m)
 
 
 def gmm_fit(family, d, nls=None):
     """Two-step GMM: NLS first stage, optimally weighted second stage.
 
-    Scale is recovered from the dataset mean and held fixed while the
-    second stage re-estimates the shapes.  Falls back to the first-stage
-    result (with a warning) when the weighting matrix cannot be built or
-    the second stage worsens the fit.
+    The second stage is NLS on the share residuals whitened by the Cholesky
+    factor of Omega, started from the first-stage shapes.  Scale is
+    recovered from the dataset mean and held fixed.  Falls back to the
+    first-stage result (with a warning and a note) when the weighting
+    matrix cannot be built, every second-stage run fails, or the optimum
+    leaves the moment-existence region.
     """
     if d.mean is None:
         raise EstimationError("sample mean required for GMM scale recovery")
@@ -376,41 +368,20 @@ def gmm_fit(family, d, nls=None):
 
     def fallback(reason):
         warnings.warn(f"GMM fell back to NLS for {family}: {reason}", RuntimeWarning)
-        return FitResult(
-            spec=scaled,
-            method="gmm",
-            objective=nls.objective,
-            residuals=nls.residuals,
-            starts_tried=nls.starts_tried,
-            converged=nls.converged,
-            k=nls.k,
-            note=f"second stage fell back to NLS: {reason}",
-        )
+        return replace(nls, spec=scaled, method="gmm",
+                       note=f"second stage fell back to NLS: {reason}")
 
     try:
-        wm = weighting_matrix(scaled, d)
-        whiten = _omega_whitener(wm)
+        chol = _omega_cholesky(weighting_matrix(scaled, d))
     except (ExistenceError, linalg.LinAlgError) as exc:
         return fallback(str(exc))
-
-    u, s = d.u[:-1], d.s[:-1]
-    residuals_fn = _residual_factory(family, u, s, whiten=whiten)
-    start_shapes = dist.shapes_of(nls.spec)
-    f_start = float(np.sum(residuals_fn(np.log(start_shapes)[None])[0] ** 2))
-    x, fval, status = _least_squares_multistart(residuals_fn, [start_shapes])
-    if x is None or fval > f_start:
-        x, fval = np.log(start_shapes), f_start
-    shapes = np.exp(np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND))
-    spec = spec_from_shapes(family, shapes, scale=eta)
-    if lorenz_exists_margin(spec) <= 0.0:
+    residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
+    x, fval, status = _least_squares_multistart(residuals_fn, [dist.shapes_of(nls.spec)])
+    if x is None:
+        return fallback("every second-stage run failed")
+    try:
+        spec, residuals = _spec_at(family, d, x, scale=eta)
+    except EstimationError:
         return fallback("second stage left the moment-existence region")
-    residuals = dist.lorenz(spec, u) - s
-    return FitResult(
-        spec=spec,
-        method="gmm",
-        objective=float(fval),
-        residuals=residuals,
-        starts_tried=nls.starts_tried,
-        converged=status > 0,
-        k=nls.k,
-    )
+    return replace(nls, spec=spec, method="gmm", objective=float(fval),
+                   residuals=residuals, converged=status > 0)

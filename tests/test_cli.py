@@ -206,6 +206,34 @@ class TestFit:
         assert all(r["error"].startswith("invalid record: ") for r in errors)
         assert [r for r in rows if not r.get("error")] == read_jsonl(tmp_path / "valid_out.jsonl")
 
+    def test_fallback_gmm_row_repeats_nls_row(self, tmp_path):
+        sim, out = tmp_path / "sim.jsonl", tmp_path / "out.jsonl"
+        assert main(["simulate", "--output", str(sim), "--preset", "5", "--seed", "3"]) == 0
+        assert main(["fit", "--input", str(sim), "--output", str(out), "--method", "both"]) == 0
+        rows = [r for r in read_jsonl(out) if r["method"] in ("nls", "gmm")]
+        assert len(rows) == 2 * len(d.FAMILIES)
+        for nls, gmm in zip(rows[::2], rows[1::2]):
+            assert (nls["method"], gmm["method"]) == ("nls", "gmm")
+            assert gmm["note"].startswith("second stage fell back to NLS: ")
+            family = nls["family"]
+            assert np.array_equal(
+                d.shapes_of(FamilySpec(family, tuple(gmm["params"]))),
+                d.shapes_of(FamilySpec(family, tuple(nls["params"]))),
+            )
+            assert gmm["gini"] == nls["gini"] and gmm["atkinson"] == nls["atkinson"]
+            same = set(nls) - {"method", "params", "note"}
+            assert {k: gmm[k] for k in same} == {k: nls[k] for k in same}
+
+    @pytest.mark.parametrize("epsilon", ["-0.5", "nan,inf", "0.5,inf", "1,-1"])
+    def test_bad_epsilon_is_usage_error(self, tmp_path, epsilon):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_dataset(inp, FamilySpec.fisk(2.5, 1.0), id="f")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", str(inp), "--output", str(out),
+                  "--families", "fisk", f"--epsilon={epsilon}"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_missing_input_exit_2(self, tmp_path):
         code = main(
             ["fit", "--input", str(tmp_path / "nope.jsonl"),
@@ -274,6 +302,22 @@ class TestGroupAndMeasures:
         out = json.loads(capsys.readouterr().out)
         assert set(out) == {"gini", "atkinson", "mean"}
         assert out["mean"] == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf", "0.5,-0.5"])
+    def test_measures_bad_epsilon_is_usage_error(self, tmp_path, capsys, epsilon):
+        micro = tmp_path / "m.csv"
+        micro.write_text("income\n1\n2\n3\n4\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["measures", "--input", str(micro), f"--epsilon={epsilon}"])
+        assert exc.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
+
+    def test_measures_zero_epsilon_accepted(self, tmp_path, capsys):
+        micro = tmp_path / "m.csv"
+        micro.write_text("income\n1\n2\n3\n4\n")
+        assert main(["measures", "--input", str(micro), "--epsilon", "0,2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out["atkinson"]) == {"0", "2"}
 
     def test_measures_equal_incomes(self, tmp_path):
         micro, out = tmp_path / "m.csv", tmp_path / "meas.json"

@@ -251,6 +251,34 @@ class TestWeightingMatrix:
             _, ds, _ = self.build()
             weighting_matrix(FamilySpec.sm(2.0, 1.0, 0.9), ds)
 
+    @pytest.mark.parametrize("family", sorted(TRUE_SPECS))
+    def test_w_matches_elementwise_loop(self, family):
+        ds = _sampled("gb2", seed=5)
+        spec = nls_fit(family, ds).spec
+        wm = weighting_matrix(spec, ds)
+        want = _w_double_loop(spec, ds)
+        assert np.max(np.abs(wm.W - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _w_double_loop(spec, ds):
+    """Reference W built element by element, with the boundary column and
+    W_JJ written out as their own cases."""
+    J, u, s = ds.n_groups, ds.u, ds.s
+    h = d.quantile(spec, u[:-1])
+    mu, mu2 = d.moment(spec, 1.0), d.moment(spec, 2.0)
+    mu2_partial = [mu2 * d.incomplete_moment_cdf(spec, 2.0, hi) for hi in h]
+    W = np.empty((J, J))
+    for i in range(J - 1):
+        for j in range(i, J - 1):
+            W[i, j] = (
+                mu2_partial[i]
+                + (u[i] * h[i] - mu * s[i]) * (h[j] - u[j] * h[j] + mu * s[j])
+                - h[i] * mu * s[i]
+            )
+        W[i, J - 1] = mu2_partial[i] + (u[i] * h[i] - mu * s[i]) * mu - h[i] * mu * s[i]
+    W[J - 1, J - 1] = mu2 - mu**2
+    return np.triu(W) + np.triu(W, 1).T
+
 
 class TestGmm:
     def test_identity_omega_equals_rss(self):
@@ -369,6 +397,43 @@ class TestStartScreening:
         f_start = gmm_quadratic(m, wm)
         assert f_start == pytest.approx(float(m @ np.linalg.solve(wm.Omega, m)), rel=1e-12)
         assert gmm.objective <= f_start
+
+    def test_whitening_in_one_solve_matches_rows(self):
+        from scipy import linalg
+
+        from gb2fit import estimate
+
+        ds = _sampled("gb2", seed=5)
+        nls = nls_fit("gb2", ds)
+        chol = estimate._omega_cholesky(
+            weighting_matrix(d.with_scale(nls.spec, solve_scale(nls.spec, ds.mean)), ds)
+        )
+        u, s = ds.u[:-1], ds.s[:-1]
+        x0s = np.log(np.asarray(starting_values("gb2", ds)))
+        x0s = np.vstack([x0s, [[0.0, 0.0, -1.0], [12.0, 0.0, 0.0]]])  # infeasible, clipped
+        got = estimate._residual_factory("gb2", u, s, chol)(x0s)
+        want = estimate._residual_factory("gb2", u, s)(x0s)
+        n = len(u)
+        want[:, :n] = [linalg.solve_triangular(chol, r, lower=True) for r in want[:, :n]]
+        assert np.array_equal(got[:, n:], want[:, n:])  # bound and barrier entries
+        assert np.max(np.abs(got[:, :n] - want[:, :n])) <= 1e-14 * np.max(np.abs(want[:, :n]))
+
+    def test_failed_second_stage_falls_back_with_note(self, monkeypatch):
+        from gb2fit import estimate
+
+        ds = _sampled("gb2", seed=5)
+        nls = nls_fit("gb2", ds)
+
+        def failing_run(residuals, x0):
+            raise FloatingPointError("injected failure")
+
+        monkeypatch.setattr(estimate, "_least_squares", failing_run)
+        with pytest.warns(RuntimeWarning, match="fell back"):
+            gmm = gmm_fit("gb2", ds, nls=nls)
+        assert gmm.method == "gmm"
+        assert gmm.note == "second stage fell back to NLS: every second-stage run failed"
+        assert np.array_equal(d.shapes_of(gmm.spec), d.shapes_of(nls.spec))
+        assert (gmm.objective, gmm.converged) == (nls.objective, nls.converged)
 
 
 class TestBroadcastJacobian:
