@@ -5,7 +5,6 @@ from .distributions import FamilySpec, GiniValue
 from .estimate import FitResult, WeightingMatrix, gmm_fit, nls_fit
 from .grouped import GroupedDataset, empirical_lorenz, from_shares, lower_bound_gini
 from .measures import McConfig, Microdata, atkinson_mc, gini_mc, sample_measures
-from .specfun import SeriesControl
 from .synth import MIXTURE_PRESETS, GroupingPolicy, MixtureSpec
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "Microdata",
     "MixtureSpec",
     "GroupingPolicy",
-    "SeriesControl",
     "MIXTURE_PRESETS",
     "from_shares",
     "empirical_lorenz",

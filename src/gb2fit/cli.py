@@ -15,9 +15,9 @@ import numpy as np
 from . import distributions as dist
 from . import io as gio
 from .estimate import gmm_fit, nls_fit
-from .exceptions import NonConvergenceError, ValidationError
+from .exceptions import ValidationError
 from .grouped import lower_bound_gini
-from .measures import McConfig, atkinson_closed, atkinson_exists, gini_mc, sample_measures
+from .measures import atkinson_closed, atkinson_exists, sample_measures
 from .select import GofScores, dominance_matrix, error_report, gof_scores
 from .synth import (
     MIXTURE_PRESETS,
@@ -60,12 +60,8 @@ def _derived_seed(seed, *tags):
     return (int(seed) ^ h) & 0x7FFFFFFF
 
 
-def _fit_gini(spec, mc_n, seed):
-    """Closed-form or series Gini, falling back to Monte Carlo."""
-    try:
-        g = dist.gini_closed(spec)
-    except NonConvergenceError:
-        g = gini_mc(spec, McConfig(n=mc_n, seed=seed))
+def _fit_gini(spec):
+    g = dist.gini_closed(spec)
     return g.value, g.method
 
 
@@ -78,12 +74,12 @@ def _fit_atkinson(spec, epsilons):
 
 def _fit_one_dataset(task):
     """Fit every requested family to one dataset; returns report rows."""
-    d, families, method, mc_n, seed, epsilons = task
+    d, families, method, epsilons = task
     lb = lower_bound_gini(d)
     rows = [{"id": d.id, "family": "lower_bound", "method": "lower_bound", "gini": lb,
              "survey_gini": d.survey_gini, "error": None}]
     for family in families:
-        nls = None
+        nls = nls_error = None
         # Gini, its method and the Atkinson set per fitted shape vector:
         # all are scale-free, so a GMM cell that fell back reuses its NLS ones
         measures = {}
@@ -92,6 +88,8 @@ def _fit_one_dataset(task):
             row = {"id": d.id, "family": family, "method": m, "survey_gini": d.survey_gini,
                    "lower_bound_gini": lb, "error": None}
             try:
+                if nls_error is not None and d.mean is not None:
+                    raise nls_error  # gmm_fit would fit NLS again and fail the same way
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     fit = nls_fit(family, d) if m == "nls" else gmm_fit(family, d, nls=nls)
@@ -100,8 +98,7 @@ def _fit_one_dataset(task):
                 scores = gof_scores(fit)
                 key = dist.shapes_of(fit.spec).tobytes()
                 if key not in measures:
-                    gini = _fit_gini(fit.spec, mc_n, _derived_seed(seed, d.id, family, m))
-                    measures[key] = (*gini, _fit_atkinson(fit.spec, epsilons))
+                    measures[key] = (*_fit_gini(fit.spec), _fit_atkinson(fit.spec, epsilons))
                 gini, gini_method, atkinson = measures[key]
                 row.update(converged=fit.converged, params=list(fit.spec.params),
                            objective=fit.objective, rss=fit.rss, k=fit.k,
@@ -109,6 +106,8 @@ def _fit_one_dataset(task):
                            gini=gini, gini_method=gini_method, atkinson=atkinson, note=fit.note)
             except Exception as exc:  # one error row per cell, never the batch
                 row["error"] = str(exc) or type(exc).__name__
+                if nls is None:
+                    nls_error = exc
             cells.append(row)
         if method == "both" and d.survey_gini is not None:
             closer = None
@@ -157,7 +156,7 @@ def cmd_fit(args):
             rows.append({"id": f"record-{i}", "family": None, "method": None,
                          "error": f"invalid record: {err}"})
             continue
-        tasks.append((d, families, args.method, args.mc_n, args.seed, epsilons))
+        tasks.append((d, families, args.method, epsilons))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             for result in pool.map(_fit_one_dataset, tasks):
@@ -312,8 +311,9 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--families", type=_parse_families, default=_parse_families(_DEFAULT_FAMILIES))
     p.add_argument("--method", choices=("nls", "gmm", "both"), default="nls")
-    p.add_argument("--mc-n", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    # accepted for compatibility; every fit's Gini is deterministic
+    p.add_argument("--mc-n", type=int, default=1_000_000, help="no effect")
+    p.add_argument("--seed", type=int, default=0, help="no effect")
     p.add_argument("--epsilon", type=_parse_epsilons, default=[0.5, 1.0, 1.5])
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--workers", type=int, default=1)

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
-from .exceptions import DomainError, ExistenceError, NonConvergenceError
+from .exceptions import DomainError, ExistenceError
 from .specfun import (
-    SeriesControl,
-    hyp3f2_unit,
     inc_beta_ratio,
     inc_gamma_ratio,
     inv_inc_beta_ratio,
@@ -174,7 +172,7 @@ class GiniValue:
     """A Gini index together with how it was computed."""
 
     value: float
-    method: str  # closed_form | hypergeometric | monte_carlo
+    method: str  # closed_form | quadrature | monte_carlo (gini_mc only)
     mc_std_error: Optional[float] = None
 
     def __post_init__(self):
@@ -425,12 +423,6 @@ def incomplete_moment_cdf(spec, k, x):
     return float(out) if out.ndim == 0 else out
 
 
-# above this estimated relative error on the hypergeometric sums the
-# series value is considered unusable and callers should fall back to
-# Monte Carlo
-_GINI_SERIES_MAX_ERR = 1e-5
-
-
 def _nested_gini(family, theta1, theta2):
     """Closed-form Gini of b2 (p, q), sm (a, q) or dagum (a, p) from its two
     shapes in the ``shapes_of`` order, clipped to [0, 1].  Nothing is
@@ -452,14 +444,11 @@ def _nested_gini(family, theta1, theta2):
     return min(max(g, 0.0), 1.0)
 
 
-def gini_closed(spec, ctl=None):
-    """Closed-form Gini index; the GB2 case sums two 3F2 series.
+def gini_closed(spec):
+    """Exact Gini index: closed forms, and one quadrature for the GB2.
 
     The nested families keep their own closed forms: they are cheap, and
-    ``estimate.starting_values`` solves them for shapes.  Raises
-    NonConvergenceError when the GB2 series cannot reach a usable
-    accuracy (slow convergence near the existence boundary); the caller
-    should then fall back to Monte Carlo.
+    ``estimate.starting_values`` solves them for shapes.
     """
     if lorenz_exists_margin(spec) <= 0.0:
         raise ExistenceError(
@@ -481,22 +470,98 @@ def gini_closed(spec, ctl=None):
         return GiniValue(min(max(g, 0.0), 1.0), "closed_form")
 
     a, _, p, q = par
-    if ctl is None:
-        ctl = SeriesControl()
-    j1 = hyp3f2_unit(1.0, p + q, 2.0 * p + 1.0 / a, p + 1.0, 2.0 * (p + q), ctl)
-    j2 = hyp3f2_unit(
-        1.0, p + q, 2.0 * p + 1.0 / a, p + 1.0 / a + 1.0, 2.0 * (p + q), ctl
-    )
-    for r in (j1, j2):
-        if not r.converged and r.est_rel_error > _GINI_SERIES_MAX_ERR:
-            raise NonConvergenceError(
-                "3F2 series too slow for gb2 Gini "
-                f"(margin q - 1/a = {q - 1.0/a:.4g}); use Monte Carlo instead"
-            )
-    ln_pref = (
-        _ln_beta(2.0 * q - 1.0 / a, 2.0 * p + 1.0 / a)
-        - _ln_beta(p, q)
-        - _ln_beta(p + 1.0 / a, q - 1.0 / a)
-    )
-    g = math.exp(ln_pref) * (j1.value / p - j2.value / (p + 1.0 / a))
-    return GiniValue(min(max(g, 0.0), 1.0), "hypergeometric")
+    return GiniValue(min(max(_gb2_gini(a, p, q), 0.0), 1.0), "quadrature")
+
+
+# The GB2 Gini quadrature: an endpoint power up to _JACOBI_POWER goes into
+# the weight of a Gauss-Jacobi rule, and each rule has _NODES nodes.  The
+# logit window ends where the tail probability of Z or of Beta(p, q) beyond
+# it is _WINDOW_TAIL.
+_JACOBI_POWER = 20.0
+_NODES = 60
+_LEGENDRE = special.roots_legendre(_NODES)
+_WINDOW_TAIL = 1e-18
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _ln_gamma_rest(x):
+    """ln Gamma(x) less its Stirling terms (x - 1/2) ln x - x + ln(2 pi) / 2."""
+    if x < 20.0:
+        return float(special.gammaln(x)) - (x - 0.5) * math.log(x) + x - _HALF_LN_2PI
+    y = 1.0 / (x * x)
+    return (1 / 12 + y * (-1 / 360 + y * (1 / 1260 + y * (-1 / 1680 + y / 1188)))) / x
+
+
+def _ln_mode_density(p, q):
+    """ln of the density of logit Z, Z ~ Beta(p, q), at its mode ln(p/q):
+    p ln(p/(p+q)) + q ln(q/(p+q)) - ln B(p, q).  Written out with Stirling's
+    formula its terms of size p and q cancel; summing gammaln leaves an
+    error of 1e-11 near p, q = 1e4 (scipy's betaln does the same)."""
+    return (0.5 * math.log(p * q / (p + q)) - _HALF_LN_2PI
+            - _ln_gamma_rest(p) - _ln_gamma_rest(q) + _ln_gamma_rest(p + q))
+
+
+def _jacobi(beta, end, smooth, ln_scale):
+    """exp(-ln_scale) * int_0^end x^beta smooth(x) dx by Gauss-Jacobi.
+
+    The rule for the weight (1 + y)^beta on [-1, 1] comes from the
+    eigenvectors of its Jacobi matrix (Golub & Welsch 1969): scipy's
+    ``roots_jacobi`` is off by up to 3e-8 near beta = -1 at 60 nodes.
+    """
+    k = np.arange(1.0, _NODES)
+    s = 2.0 * k + beta
+    diag = np.append(beta / (beta + 2.0), beta**2 / (s * (s + 2.0)))
+    y, v = linalg.eigh_tridiagonal(diag, 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0)))
+    log_mass = (beta + 1.0) * math.log(end) - math.log(beta + 1.0) - ln_scale
+    return math.exp(log_mass) * (v[0] ** 2 @ smooth(end * (1.0 + y) / 2.0))
+
+
+def _logit(z):
+    return math.log(z) - math.log1p(-z)
+
+
+def _gb2_gini(a, p, q):
+    """Gini of a GB2 with shapes (a, p, q), q > 1/a, as 1 - 2K.
+
+    K = E[1 - I_Z(p, q)] with Z ~ Beta(P, Q), P = p + 1/a, Q = q - 1/a: the
+    law of z = y / (1 + y), y = (x / b)^a, under the size-biased density
+    x f(x) / E[X].  Near z = 0 the integrand is z^(P-1) (1 - z^p h(z)) and
+    near z = 1 it is (1 - z)^(q+Q-1) g(z), with h and g smooth.  When such
+    an exponent is small, a Gauss-Jacobi rule takes its power into the
+    weight on [0, zl] or [1 - xr, 1]; a larger one leaves a thin tail that
+    the window takes.  The window is a Gauss-Legendre rule in t = logit z,
+    where the integrand is log-concave.  When both exponents are small,
+    zl = xr = 1/2 and the window is empty.
+    """
+    P, Q = p + 1.0 / a, q - 1.0 / a
+    ln_mode = _ln_mode_density(P, Q)
+    ln_b = -P * math.log1p(Q / P) - Q * math.log1p(P / Q) - ln_mode
+    k = 0.0
+    if P <= _JACOBI_POWER:
+        zl = min(0.5, _JACOBI_POWER / q)
+        lo = _logit(zl)
+        k += special.betainc(P, Q, zl) - _jacobi(
+            p + P - 1.0, zl,
+            lambda z: special.betainc(p, q, z) / z**p * (1.0 - z) ** (Q - 1.0), ln_b)
+    else:
+        lo = _logit(special.betaincinv(P, Q, _WINDOW_TAIL))
+    if q + Q <= _JACOBI_POWER:
+        xr = min(0.5, _JACOBI_POWER / P)
+        hi = -_logit(xr)
+        k += _jacobi(
+            q + Q - 1.0, xr,
+            lambda x: special.betainc(q, p, x) / x**q * (1.0 - x) ** (P - 1.0), ln_b)
+    else:
+        hi = -_logit(max(special.betaincinv(q, p, _WINDOW_TAIL),
+                         special.betaincinv(Q, P, _WINDOW_TAIL)))
+    if hi > lo:
+        x, w = _LEGENDRE
+        t = lo + (hi - lo) * (1.0 + x) / 2.0
+        survival = np.where(t < 0.0, 1.0 - special.betainc(p, q, special.expit(t)),
+                            special.betainc(q, p, special.expit(-t)))
+        # about the mode, where the terms P ln z and Q ln(1 - z) cancel
+        dt = t - math.log(P / Q)
+        density = np.exp(ln_mode - P * np.log1p(Q / (P + Q) * np.expm1(-dt))
+                         - Q * np.log1p(P / (P + Q) * np.expm1(dt)))
+        k += (hi - lo) / 2.0 * (w @ (survival * density))
+    return 1.0 - 2.0 * k

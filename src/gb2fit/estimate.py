@@ -5,6 +5,7 @@ is scale-free); the scale is recovered afterwards from the sample mean
 when one is available.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -98,6 +99,21 @@ def _solve_theta2(family, theta1, g, lo):
     return np.array(shapes(theta2))
 
 
+@functools.lru_cache(maxsize=16)
+def _nested_grid(family, g):
+    """The b2, sm or dagum start grid at Gini anchor g, as tuples: it
+    depends on the dataset only through g, and the GB2 grid pools all
+    three, so each is solved once per anchor."""
+    starts = []
+    for theta1 in _GRID:
+        # the mean needs q > 1 (b2), q > 1/a (sm) or a > 1 (dagum)
+        lo = 1.0 / theta1 if family == "sm" else 1.0
+        st = _solve_theta2(family, float(theta1), g, lo)
+        if st is not None:
+            starts.append(tuple(st))
+    return tuple(starts)
+
+
 def starting_values(family, d):
     """Starting shape vectors per family.
 
@@ -117,23 +133,13 @@ def starting_values(family, d):
 
         return [np.array([math.sqrt(2.0) * std_normal_quantile((1.0 + g) / 2.0)])]
 
-    starts = []
     if family in ("b2", "sm", "dagum"):
-        for theta1 in _GRID:
-            # the mean needs q > 1 (b2), q > 1/a (sm) or a > 1 (dagum)
-            lo = 1.0 / theta1 if family == "sm" else 1.0
-            st = _solve_theta2(family, float(theta1), g, lo)
-            if st is not None:
-                starts.append(st)
+        starts = [np.array(st) for st in _nested_grid(family, g)]
     elif family == "gb2":
         # reuse the three-parameter grids on the a = 1, p = 1 and q = 1
         # boundaries, mapped to GB2 shapes through the family table
-        for nested in ("b2", "sm", "dagum"):
-            try:
-                grid = starting_values(nested, d)
-            except EstimationError:
-                continue
-            starts += [dist.shapes_of(spec_from_shapes(nested, st).as_gb2()) for st in grid]
+        starts = [dist.shapes_of(spec_from_shapes(nested, st).as_gb2())
+                  for nested in ("b2", "sm", "dagum") for st in _nested_grid(nested, g)]
     else:
         raise EstimationError(f"unknown family {family!r}")
     if not starts:

@@ -165,7 +165,7 @@ def atkinson_closed(spec, epsilon):
     a = -math.expm1(
         dist.log_power_mean(spec, 1.0 - epsilon) - dist.log_power_mean(spec, 1.0)
     )
-    return min(max(a, 0.0), 1.0)
+    return min(max(0.0, a), 1.0)  # 0.0 first: max keeps it over the -0.0 of eps = 0
 
 
 def sample_measures(m, epsilons=(0.5, 1.0, 1.5)):

@@ -98,7 +98,7 @@ class TestAcceptance:
             a, _, p, q = spec.params
             assert q - 1.0 / a >= 0.3 - 1e-12
             g = d.gini_closed(spec)
-            assert g.method == "hypergeometric"
+            assert g.method == "quadrature"
             mc = gini_mc(spec, McConfig(n=1_000_000, seed=100 + i))
             worst_mc = max(worst_mc, abs(g.value - mc.value))
         # reductions: the series formula against the nested closed forms

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gb2fit import cli, distributions as d
+from gb2fit import cli, distributions as d, estimate
 from gb2fit.cli import main
 from gb2fit.distributions import FamilySpec
 from gb2fit.exceptions import DomainError, NonConvergenceError
@@ -223,6 +223,39 @@ class TestFit:
             assert gmm["gini"] == nls["gini"] and gmm["atkinson"] == nls["atkinson"]
             same = set(nls) - {"method", "params", "note"}
             assert {k: gmm[k] for k in same} == {k: nls[k] for k in same}
+
+    def test_failed_nls_fits_once_per_family(self, tmp_path, monkeypatch):
+        # equal shares admit no b2 or GB2 start; the GMM row repeats the
+        # NLS error without fitting NLS again
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        u = np.arange(1, 11) / 10
+        write_grouped_jsonl([GroupedDataset(id="eq", u=u, s=u.copy(), mean=2.0)], inp)
+        calls = []
+        real_nls_fit = estimate.nls_fit
+
+        def counting_nls_fit(family, ds, *args, **kwargs):
+            calls.append(family)
+            return real_nls_fit(family, ds, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "nls_fit", counting_nls_fit)
+        monkeypatch.setattr(estimate, "nls_fit", counting_nls_fit)
+        assert main(["fit", "--input", str(inp), "--output", str(out),
+                     "--families", "gb2,b2", "--method", "both"]) == 1
+        assert calls == ["gb2", "b2"]
+        rows = [r for r in read_jsonl(out) if r["method"] in ("nls", "gmm")]
+        assert [(r["family"], r["method"]) for r in rows] == [
+            ("gb2", "nls"), ("gb2", "gmm"), ("b2", "nls"), ("b2", "gmm")]
+        for nls, gmm in zip(rows[::2], rows[1::2]):
+            assert nls["error"].startswith("no admissible starting values")
+            assert gmm["error"] == nls["error"]
+
+    def test_zero_epsilon_writes_positive_zero(self, tmp_path):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_dataset(inp, FamilySpec.fisk(2.5, 1.0), id="f")
+        assert main(["fit", "--input", str(inp), "--output", str(out),
+                     "--families", "fisk", "--epsilon", "0,2"]) == 0
+        (row,) = [line for line in out.read_text().splitlines() if '"fisk"' in line]
+        assert '"atkinson": {"0": 0.0, "2": ' in row
 
     @pytest.mark.parametrize("epsilon", ["-0.5", "nan,inf", "0.5,inf", "1,-1"])
     def test_bad_epsilon_is_usage_error(self, tmp_path, epsilon):

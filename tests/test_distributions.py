@@ -247,7 +247,7 @@ class TestGiniClosed:
 
     def test_methods_tagged(self):
         assert d.gini_closed(SPECS["sm"]).method == "closed_form"
-        assert d.gini_closed(SPECS["gb2"]).method == "hypergeometric"
+        assert d.gini_closed(SPECS["gb2"]).method == "quadrature"
 
     def test_reduction_identities(self):
         cases = [

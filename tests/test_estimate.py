@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gb2fit import distributions as d
+from gb2fit import distributions as d, estimate
 from gb2fit.distributions import FamilySpec
 from gb2fit.estimate import (
     gmm_fit,
@@ -88,6 +88,29 @@ class TestStartingValues:
             for st in starting_values(family, ds):
                 got = d.gini_closed(d.spec_from_shapes(family, st)).value
                 assert got == pytest.approx(0.42, abs=1e-8), (family, st)
+
+    def test_cached_grids_equal_fresh_solves(self, monkeypatch):
+        datasets = [
+            GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([s, 1.0]), survey_gini=g)
+            for s, g in ((0.3, 0.42), (0.35, 0.3), (0.2, 0.6))
+        ]
+        families = ("gb2", "b2", "sm", "dagum")
+        estimate._nested_grid.cache_clear()
+        cached = [[starting_values(f, ds) for f in families] for ds in datasets * 2]
+        assert estimate._nested_grid.cache_info().hits > 0
+        monkeypatch.setattr(estimate, "_nested_grid", estimate._nested_grid.__wrapped__)
+        fresh = [[starting_values(f, ds) for f in families] for ds in datasets * 2]
+        for got, want in zip(sum(cached, []), sum(fresh, [])):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_cached_grid_returns_fresh_arrays(self):
+        ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]),
+                            survey_gini=0.42)
+        first = starting_values("sm", ds)
+        first[0][:] = -1.0
+        assert starting_values("sm", ds)[0][0] > 0.0
 
     def test_gb2_pools_nested_grids(self):
         ds = GroupedDataset(

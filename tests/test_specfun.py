@@ -1,4 +1,4 @@
-"""Special-function tests against quadrature and naive-summation oracles."""
+"""Special-function tests against quadrature oracles."""
 
 import math
 
@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gb2fit.exceptions import DomainError, NonConvergenceError
+from gb2fit.exceptions import DomainError
 from gb2fit.specfun import (
-    SeriesControl,
-    hyp3f2_unit,
     inc_beta_ratio,
     inc_gamma_ratio,
     inv_inc_beta_ratio,
@@ -17,22 +15,6 @@ from gb2fit.specfun import (
     std_normal_cdf,
     std_normal_quantile,
 )
-
-
-def naive_3f2(a1, a2, a3, b1, b2, n_terms):
-    """Independent partial sum via log-Pochhammer terms."""
-    total = 0.0
-    for k in range(n_terms):
-        lt = (
-            math.lgamma(a1 + k) - math.lgamma(a1)
-            + math.lgamma(a2 + k) - math.lgamma(a2)
-            + math.lgamma(a3 + k) - math.lgamma(a3)
-            - (math.lgamma(b1 + k) - math.lgamma(b1))
-            - (math.lgamma(b2 + k) - math.lgamma(b2))
-            - math.lgamma(k + 1.0)
-        )
-        total += math.exp(lt)
-    return total
 
 
 class TestLnGamma:
@@ -170,55 +152,3 @@ class TestNormal:
             std_normal_quantile(0.0)
         with pytest.raises(DomainError):
             std_normal_quantile(1.0)
-
-
-class TestHyp3f2:
-    def test_a1_zero(self):
-        r = hyp3f2_unit(0.0, 2.0, 3.0, 4.0, 5.0)
-        assert r.value == 1.0 and r.converged
-
-    def test_divergent_margin(self):
-        with pytest.raises(NonConvergenceError):
-            hyp3f2_unit(1.0, 2.0, 3.0, 2.0, 3.0)  # s = -1
-
-    def test_naive_summation_oracle(self):
-        # fast-converging arguments: margin s = 2.9
-        a = (1.0, 2.5, 3.4, 2.5, 6.8)
-        expected = naive_3f2(*a, n_terms=1_000_000)
-        r = hyp3f2_unit(*a)
-        assert r.converged
-        assert r.value == pytest.approx(expected, rel=1e-10)
-
-    def test_mpmath_cross_check(self):
-        mp = pytest.importorskip("mpmath")
-        cases = [
-            (1.0, 2.5, 3.4, 2.5, 6.8),
-            (1.0, 2.5, 5.0, 2.0, 7.0),  # Gini-style args for (a,p,q)=(2,1,1.5)
-            (1.0, 2.5, 5.0, 3.5, 7.0),
-            (1.0, 3.0, 2.2, 1.7, 6.0),
-        ]
-        for a1, a2, a3, b1, b2 in cases:
-            expected = float(mp.hyp3f2(a1, a2, a3, b1, b2, 1.0))
-            r = hyp3f2_unit(a1, a2, a3, b1, b2)
-            # small margins may exhaust max_terms before rel_tol, but the
-            # reported error estimate must then be honest and small
-            assert r.converged or r.est_rel_error < 1e-6
-            assert r.value == pytest.approx(expected, rel=1e-8)
-
-    def test_gini_precondition_example(self):
-        # (a,p,q) = (2, 1, 1.5): margin s = q - 1/a = 1 > 0
-        a, p, q = 2.0, 1.0, 1.5
-        r = hyp3f2_unit(1.0, p + q, 2 * p + 1 / a, p + 1.0, 2 * (p + q))
-        assert r.converged and math.isfinite(r.value)
-
-    def test_huge_parameters_flagged(self):
-        # far outside the asymptotic regime within max_terms: must not
-        # silently return a wrong sum
-        r = hyp3f2_unit(1.0, 1e8, 2e8, 1e8, 2e8 + 200.0, SeriesControl(max_terms=200_000))
-        assert not r.converged
-
-    def test_series_control_validation(self):
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=2.0)
