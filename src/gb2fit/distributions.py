@@ -62,6 +62,12 @@ def _inverse_beta_odds(u, p, q):
     return z / (1.0 - z)
 
 
+def _sm_z(u, p, q):
+    # 1 - (1 - u)^(1/q) in a form that keeps its digits at large q
+    with np.errstate(divide="ignore"):  # u = 1 gives z = 1
+        return -np.expm1(np.log1p(-u) / q)
+
+
 @dataclass(frozen=True)
 class _Family:
     """One row of the family table.  For the GB2-nested families ``to_gb2``
@@ -80,9 +86,8 @@ _TABLE = {
     "gb2": _Family(4, 1, lambda a, b, p, q: (a, b, p, q), _inverse_beta, _inverse_beta_odds),
     "b2": _Family(3, 0, lambda b, p, q: (1.0, b, p, q), _inverse_beta, _inverse_beta_odds),
     "sm": _Family(  # p = 1: I_z(1, q) = 1 - (1 - z)^q
-        3, 1, lambda a, b, q: (a, b, 1.0, q),
-        lambda u, p, q: 1.0 - (1.0 - u) ** (1.0 / q),
-        lambda u, p, q: (1.0 - u) ** (-1.0 / q) - 1.0,
+        3, 1, lambda a, b, q: (a, b, 1.0, q), _sm_z,
+        lambda u, p, q: np.expm1(-np.log1p(-u) / q),
     ),
     "dagum": _Family(  # q = 1: I_z(p, 1) = z^p
         3, 1, lambda a, b, p: (a, b, p, 1.0),
@@ -352,11 +357,6 @@ def lorenz(spec, u):
     return float(out) if out.ndim == 0 else out
 
 
-def _ln_beta(p, q):
-    lg = special.gammaln  # what specfun.ln_gamma computes, without its checks
-    return lg(p) + lg(q) - lg(p + q)
-
-
 def log_power_mean(spec, k):
     """log (E[X^k])^(1/k) at unit scale, for any real k with E[X^k] finite.
 
@@ -426,21 +426,33 @@ def incomplete_moment_cdf(spec, k, x):
 def _nested_gini(family, theta1, theta2):
     """Closed-form Gini of b2 (p, q), sm (a, q) or dagum (a, p) from its two
     shapes in the ``shapes_of`` order, clipped to [0, 1].  Nothing is
-    checked: the callers keep the shapes inside the existence region."""
-    lg = special.gammaln
-    if family == "b2":
+    checked: the callers keep the shapes inside the existence region.
+
+    Each ln Gamma is Stirling's formula plus ``_ln_gamma_rest``; the terms
+    (x - 1/2) ln x, of size p or q, are folded into log1p of the ratios of
+    the arguments, so that nothing of that size cancels.
+    """
+    r = _ln_gamma_rest
+    if family == "b2":  # 2 B(2p, 2q - 1) / (p B(p, q)^2)
         p, q = theta1, theta2
-        g = 2.0 * math.exp(_ln_beta(2.0 * p, 2.0 * q - 1.0) - 2.0 * _ln_beta(p, q)) / p
-    elif family == "sm":
-        a, q = theta1, theta2
-        g = 1.0 - math.exp(
-            lg(q) + lg(2.0 * q - 1.0 / a) - lg(q - 1.0 / a) - lg(2.0 * q)
-        )
-    else:  # dagum
-        a, p = theta1, theta2
-        g = math.exp(
-            lg(p) + lg(2.0 * p + 1.0 / a) - lg(2.0 * p) - lg(p + 1.0 / a)
-        ) - 1.0
+        g = 2.0 / p * math.exp(
+            0.5 * math.log(p * q / (p + q) / (4.0 * math.pi)) + math.log1p(2.0 * p / (2.0 * q - 1.0))
+            + r(2.0 * p) - 2.0 * r(p) + r(2.0 * q) - 2.0 * r(q) - r(2.0 * (p + q)) + 2.0 * r(p + q))
+    elif family == "sm":  # 1 - Gamma(q) Gamma(2q - c) / (Gamma(q - c) Gamma(2q)), c = 1/a
+        c = 1.0 / theta1
+        q = theta2
+        m = q - c
+        g = -math.expm1(
+            -c * math.log(2.0) + (m - 0.5) * math.log1p(c / m)
+            + (2.0 * q - c - 0.5) * math.log1p(-c / (2.0 * q))
+            + r(q) - r(m) + r(2.0 * q - c) - r(2.0 * q))
+    else:  # dagum: Gamma(p) Gamma(2p + c) / (Gamma(2p) Gamma(p + c)) - 1, c = 1/a
+        c = 1.0 / theta1
+        p = theta2
+        g = math.expm1(
+            c * math.log(2.0) + (2.0 * p + c - 0.5) * math.log1p(c / (2.0 * p))
+            - (p + c - 0.5) * math.log1p(c / p)
+            + r(2.0 * p + c) - r(2.0 * p) - r(p + c) + r(p))
     return min(max(g, 0.0), 1.0)
 
 

@@ -36,9 +36,6 @@ _THETA2_MAX = 1e3
 # where the Lorenz curve is flat in the parameters but the quantile
 # function is no longer numerically usable
 _LOG_SHAPE_BOUND = math.log(1e4)
-# Levenberg-Marquardt runs only from this many starts, those with the
-# lowest initial RSS
-_N_OPTIMIZED = 5
 
 
 @dataclass(frozen=True)
@@ -183,64 +180,85 @@ def _residual_factory(family, u, s, chol=None):
     return residuals
 
 
-# relative step of scipy's "2-point" finite differences, sqrt(machine eps)
-_FD_STEP = np.finfo(float).eps ** 0.5
+# Levenberg-Marquardt runs from the _N_OPTIMIZED starts of lowest initial RSS,
+# with forward differences of relative step _FD_STEP (sqrt of machine eps, as
+# scipy's "2-point").  A row converges when its relative step, its relative
+# decrease or the largest cosine between its residuals and a Jacobian column
+# falls below _XTOL, _FTOL or _GTOL; it stops unconverged after _MAX_ITER
+# iterations (the equal-shares limit of a one-shape family takes about 50).
+_N_OPTIMIZED, _FD_STEP = 5, np.finfo(float).eps ** 0.5
+_XTOL, _FTOL, _GTOL, _MAX_ITER = 1e-10, 1e-12, 1e-10, 200
 
 
-def _least_squares(residuals, x0):
-    """``least_squares(method="lm")`` from one start, with a Jacobian that
-    evaluates its k forward-difference rows in one call of ``residuals``.
-
-    The steps are those of scipy's default "2-point" Jacobian, and f(x) is
-    reused when x is the last point evaluated, so the run is the same,
-    bit for bit, as with the default.  That holds from scipy 1.16, where
-    "lm" always calls MINPACK's lmder with scipy's own finite differences;
-    earlier versions ran lmdif, which takes steps of its own.
-    """
-    last = [None, None]  # the last point evaluated and its residuals
-
-    def fun(x):
-        f = residuals(x[None])[0]
-        last[:] = x.copy(), f
-        return f
-
-    def jac(x):
-        f0 = last[1] if np.array_equal(x, last[0]) else fun(x)
-        h = _FD_STEP * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
-        steps = np.tile(x, (len(x), 1))
-        np.fill_diagonal(steps, x + h)
-        dx = (x + h) - x
-        return ((residuals(steps) - f0) / dx[:, None]).T
-
-    # scipy's default cap of 100 evaluations per shape stops short when
-    # the optimum sits on the log-shape bound (the equal-shares limit of
-    # the one-shape families takes about 220)
-    return optimize.least_squares(
-        fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-        max_nfev=1000 * len(x0),
-    )
+def _values_and_jacobians(residuals, x):
+    """Residuals f (m, n) at the rows of x (m, k) and the transposed
+    forward-difference Jacobians (m, k, n), from one call of ``residuals``."""
+    k = x.shape[1]
+    h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    points = x[:, None] + np.eye(k + 1, k, -1) * h[:, None]  # x, then x + h_j e_j
+    r = residuals(points.reshape(-1, k)).reshape(len(x), k + 1, -1)
+    dx = np.diagonal(points[:, 1:], axis1=1, axis2=2) - x
+    return r[:, 0], (r[:, 1:] - r[:, :1]) / dx[..., None]
 
 
-def _least_squares_multistart(residuals, starts):
-    """Levenberg-Marquardt from the starts with the lowest initial RSS.
+def _solve_rows(a, b):
+    """The solutions of a[j] y = b[j]; NaN for a singular row."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.full_like(b, np.nan) if len(a) == 1 else np.concatenate(
+            [_solve_rows(a[j:j + 1], b[j:j + 1]) for j in range(len(a))])
 
-    All starts are screened in one call of ``residuals``.  Returns the best
-    log-shapes, their objective and the solver status, or (None, inf, 0)
-    when every run failed.
-    """
+
+def _levenberg_marquardt(residuals, x0s):
+    """Levenberg-Marquardt from every row of x0s (m, k) in lockstep: an
+    iteration makes one ``residuals`` call, on the trial points and their
+    stencils, and solves every (J'J + lam D) step = -J'f at once, D the running
+    maximum of diag J'J (More 1978).  Rows accept, damp (Nielsen's rule) and
+    stop on their own and never mix, so a row ends the same bit for bit alone
+    or in a batch.  Returns the points, their sums of squares and whether
+    each row converged."""
+    x = np.array(x0s, dtype=float)
+    m, k = x.shape
+    lam, nu, d, done = np.full(m, 1e-3), np.full(m, 2.0), np.zeros((m, k)), np.zeros(m, bool)
+    with np.errstate(all="ignore"):
+        f, jt = _values_and_jacobians(residuals, x)
+        cost = np.sum(f * f, axis=1)
+        for _ in range(_MAX_ITER):
+            i = np.flatnonzero(~done)
+            jtj, g = jt[i] @ jt[i].transpose(0, 2, 1), np.sum(jt[i] * f[i, None], axis=2)
+            col = np.diagonal(jtj, axis1=1, axis2=2)
+            d[i] = np.maximum(d[i], col)
+            cosine = np.abs(g) / np.sqrt(col * cost[i, None])
+            stop = (cost[i] == 0.0) | np.all((col == 0.0) | (cosine <= _GTOL), axis=1)
+            done[i[stop]], i, jtj, g = True, i[~stop], jtj[~stop], g[~stop]
+            if not len(i):
+                break
+            damp = lam[i, None] * np.where(d[i] > 0.0, d[i], 1.0)
+            step = _solve_rows(jtj + damp[..., None] * np.eye(k), -g)
+            ft, jtt = _values_and_jacobians(residuals, x[i] + step)
+            cost_t = np.sum(ft * ft, axis=1)
+            drop, ok = cost[i] - cost_t, cost_t < cost[i]
+            small = np.linalg.norm(step, axis=1) <= _XTOL * (_XTOL + np.linalg.norm(x[i], axis=1))
+            done[i] = small | (ok & (drop <= _FTOL * cost[i]))
+            rho = drop / np.sum(step * (damp * step - g), axis=1)
+            lam[i] *= np.where(ok, np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), nu[i])
+            nu[i] = np.where(ok, 2.0, 2.0 * nu[i])
+            a = i[ok]
+            x[a], f[a], jt[a], cost[a] = x[a] + step[ok], ft[ok], jtt[ok], cost_t[ok]
+    return x, cost, done
+
+
+def _multistart(residuals, starts):
+    """Levenberg-Marquardt from the _N_OPTIMIZED starts of lowest initial RSS,
+    screened in one ``residuals`` call: the best run's log-shapes, objective
+    (inf when no run ends finite) and whether it converged."""
     x0s = np.log(np.asarray(starts, dtype=float))
-    rss0 = np.sum(residuals(x0s) ** 2, axis=1)
-    ranked = sorted(range(len(x0s)), key=rss0.__getitem__)[:_N_OPTIMIZED]
-    best_x, best_f, best_status = None, np.inf, 0
-    for i in ranked:
-        try:
-            res = _least_squares(residuals, x0s[i])
-        except (FloatingPointError, linalg.LinAlgError, ValueError):
-            continue
-        f = float(res.fun @ res.fun)
-        if np.isfinite(f) and f < best_f:
-            best_x, best_f, best_status = res.x, f, res.status
-    return best_x, best_f, best_status
+    ranked = np.argsort(np.sum(residuals(x0s) ** 2, axis=1), kind="stable")[:_N_OPTIMIZED]
+    x, rss, converged = _levenberg_marquardt(residuals, x0s[ranked])
+    rss = np.where(np.isfinite(rss), rss, np.inf)
+    best = int(np.argmin(rss))
+    return x[best], float(rss[best]), bool(converged[best])
 
 
 def _spec_at(family, d, x, scale=1.0):
@@ -270,12 +288,12 @@ def nls_fit(family, d, starts=None):
     u, s = d.u[:-1], d.s[:-1]
     if starts is None:
         starts = starting_values(family, d)
-    x, _, status = _least_squares_multistart(_residual_factory(family, u, s), starts)
-    if x is None:
+    x, fval, converged = _multistart(_residual_factory(family, u, s), starts)
+    if not np.isfinite(fval):
         raise EstimationError(f"every {family} run from the best of {len(starts)} starts failed")
     spec, residuals = _spec_at(family, d, x)
     return FitResult(spec=spec, method="nls", objective=float(np.sum(residuals**2)),
-                     residuals=residuals, starts_tried=len(starts), converged=status > 0, k=k)
+                     residuals=residuals, starts_tried=len(starts), converged=converged, k=k)
 
 
 def solve_scale(spec, sample_mean):
@@ -382,12 +400,12 @@ def gmm_fit(family, d, nls=None):
     except (ExistenceError, linalg.LinAlgError) as exc:
         return fallback(str(exc))
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
-    x, fval, status = _least_squares_multistart(residuals_fn, [dist.shapes_of(nls.spec)])
-    if x is None:
+    x, fval, converged = _multistart(residuals_fn, [dist.shapes_of(nls.spec)])
+    if not np.isfinite(fval):
         return fallback("every second-stage run failed")
     try:
         spec, residuals = _spec_at(family, d, x, scale=eta)
     except EstimationError:
         return fallback("second stage left the moment-existence region")
     return replace(nls, spec=spec, method="gmm", objective=float(fval),
-                   residuals=residuals, converged=status > 0)
+                   residuals=residuals, converged=converged)

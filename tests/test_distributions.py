@@ -378,3 +378,48 @@ class TestBroadcastKernels:
                 assert d._nested_gini(family, t1, t2) == d.gini_closed(spec).value, spec
                 checked += 1
         assert checked >= 30
+
+
+def _nested_gini_oracle(mp, family, t1, t2):
+    """The closed-form Gini of b2 (p, q), sm (a, q) or dagum (a, p), to 30
+    digits."""
+    with mp.workdps(30):
+        t1, t2, lg = mp.mpf(t1), mp.mpf(t2), mp.loggamma
+        if family == "b2":
+            p, q = t1, t2
+            return 2 * mp.exp(lg(2 * p) + lg(2 * q - 1) - lg(2 * p + 2 * q - 1)
+                              - 2 * (lg(p) + lg(q) - lg(p + q))) / p
+        c = 1 / t1
+        if family == "sm":
+            return 1 - mp.exp(lg(t2) + lg(2 * t2 - c) - lg(t2 - c) - lg(2 * t2))
+        return mp.exp(lg(t2) + lg(2 * t2 + c) - lg(2 * t2) - lg(t2 + c)) - 1
+
+
+class TestNestedGiniOracle:
+    """The b2, sm and dagum closed forms keep their digits up to the 1e4
+    shape bound, where summed log gammas of size 1e5 used to cancel."""
+
+    @pytest.mark.parametrize("spec", [FamilySpec.dagum(2.0, 1.0, 1e4),
+                                      FamilySpec.b2(1.0, 1e4, 2.0), FamilySpec.b2(1.0, 3.0, 1e4)])
+    def test_large_shapes(self, spec):
+        mp = pytest.importorskip("mpmath")
+        want = float(_nested_gini_oracle(mp, spec.family, *d.shapes_of(spec)))
+        assert abs(d.gini_closed(spec).value - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("family", ["b2", "sm", "dagum"])
+    def test_shape_box_sweep(self, family):
+        # the ranges of the GB2 Gini sweep: a free shape log-uniform in
+        # [1e-4, 1e4] and the existence margin (q - 1, q - 1/a or a - 1)
+        # log-uniform in [1e-4, 1e4]; the bound is absolute, as a Gini may
+        # be near 0
+        mp = pytest.importorskip("mpmath")
+        n = 0
+        for lt, lm in np.random.default_rng(7).uniform(-4.0, 4.0, size=(300, 2)):
+            t, m = 10.0**lt, 10.0**lm
+            t1, t2 = {"b2": (t, 1.0 + m), "sm": (t, 1.0 / t + m), "dagum": (1.0 + m, t)}[family]
+            if max(t1, t2) > 1e4:
+                continue
+            want = float(_nested_gini_oracle(mp, family, t1, t2))
+            assert abs(d._nested_gini(family, t1, t2) - want) <= 1e-13, (t1, t2, want)
+            n += 1
+        assert n > 200

@@ -447,10 +447,10 @@ class TestStartScreening:
         ds = _sampled("gb2", seed=5)
         nls = nls_fit("gb2", ds)
 
-        def failing_run(residuals, x0):
-            raise FloatingPointError("injected failure")
+        def failing_run(residuals, x0s):  # no row ends at a finite objective
+            return x0s, np.full(len(x0s), np.nan), np.zeros(len(x0s), dtype=bool)
 
-        monkeypatch.setattr(estimate, "_least_squares", failing_run)
+        monkeypatch.setattr(estimate, "_levenberg_marquardt", failing_run)
         with pytest.warns(RuntimeWarning, match="fell back"):
             gmm = gmm_fit("gb2", ds, nls=nls)
         assert gmm.method == "gmm"
@@ -458,29 +458,69 @@ class TestStartScreening:
         assert np.array_equal(d.shapes_of(gmm.spec), d.shapes_of(nls.spec))
         assert (gmm.objective, gmm.converged) == (nls.objective, nls.converged)
 
-
-class TestBroadcastJacobian:
-    """The one-call Jacobian takes the steps of scipy's default "2-point"
-    scheme, so a Levenberg-Marquardt run is the same bit for bit."""
-
-    @pytest.mark.parametrize("family", ["gb2", "b2", "sm", "dagum"])
-    def test_runs_match_default_two_point(self, family):
-        from scipy import optimize
-
+    def test_iteration_cap_reports_unconverged(self, monkeypatch):
         from gb2fit import estimate
 
         ds = _sampled("preset-5", seed=31)
+        full = nls_fit("sm", ds)
+        assert full.converged
+        monkeypatch.setattr(estimate, "_MAX_ITER", 2)
+        capped = nls_fit("sm", ds)
+        assert not capped.converged and capped.rss > full.rss
+
+    @pytest.mark.parametrize("family", ["fisk", "weibull", "lognormal"])
+    def test_equal_shares_limit_converges(self, family):
+        # the optimum is the equal-incomes limit, on the log-shape bound:
+        # shape 1e4 for fisk and weibull, sigma 1e-4 for the lognormal
+        u = np.arange(1, 11) / 10
+        fit = nls_fit(family, GroupedDataset(id="eq", u=u, s=u.copy()))
+        assert fit.converged
+        (shape,) = d.shapes_of(fit.spec)
+        want = 1e-4 if family == "lognormal" else 1e4
+        assert shape == pytest.approx(want, rel=1e-6)
+
+
+def _screened_starts(residuals, family, ds):
+    """The log-shape starts that the multistart optimizes, best first."""
+    x0s = np.log(np.asarray(starting_values(family, ds)))
+    rss0 = np.sum(residuals(x0s) ** 2, axis=1)
+    return x0s[np.argsort(rss0, kind="stable")[:estimate._N_OPTIMIZED]]
+
+
+class TestBroadcastJacobian:
+    """The lockstep Levenberg-Marquardt steps every screened start in one
+    call of the residual kernel per iteration; scipy's MINPACK
+    ``least_squares(method="lm")`` is the oracle for the minimum it reaches."""
+
+    @pytest.mark.parametrize("family", ["gb2", "b2", "sm", "dagum"])
+    @pytest.mark.parametrize("source", ["preset-5", "gb2"])
+    def test_rss_at_most_minpack(self, source, family):
+        from scipy import optimize
+
+        ds = _sampled(source, seed=31)
         residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
-        x0s = np.log(np.asarray(starting_values(family, ds)))
-        rss0 = np.sum(residuals(x0s) ** 2, axis=1)
-        for x0 in x0s[np.argsort(rss0, kind="stable")[:3]]:
-            got = estimate._least_squares(residuals, x0)
-            want = optimize.least_squares(
+        _, got, converged = estimate._multistart(residuals, starting_values(family, ds))
+        want = min(
+            float(np.sum(optimize.least_squares(
                 lambda x: residuals(x[None])[0], x0, method="lm",
                 xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=1000 * len(x0),
-            )
-            assert got.x.tobytes() == want.x.tobytes()
-            assert (got.cost, got.nfev, got.status) == (want.cost, want.nfev, want.status)
+            ).fun ** 2))
+            for x0 in _screened_starts(residuals, family, ds)
+        )
+        assert converged
+        assert got <= want * (1.0 + 1e-9), (got, want)
+
+    @pytest.mark.parametrize("family", ["gb2", "b2", "sm", "dagum", "weibull"])
+    def test_batch_rows_match_single_runs(self, family):
+        ds = _sampled("preset-5", seed=31)
+        residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
+        x0s = (_screened_starts(residuals, family, ds) if family != "weibull"
+               else np.log([[0.5], [1.0], [2.0]]))
+        batch = estimate._levenberg_marquardt(residuals, x0s)
+        for j, x0 in enumerate(x0s):
+            alone = estimate._levenberg_marquardt(residuals, x0[None])
+            for got, want in zip(alone, batch):
+                assert got[0].tobytes() == want[j].tobytes(), (j, got, want)
 
     def test_screening_rows_match_single_rows(self):
         from gb2fit import estimate
