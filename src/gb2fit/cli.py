@@ -15,7 +15,7 @@ import numpy as np
 from . import distributions as dist
 from . import io as gio
 from .estimate import gmm_fit, nls_fit
-from .exceptions import ValidationError
+from .exceptions import DomainError, ValidationError
 from .grouped import lower_bound_gini
 from .measures import atkinson_closed, atkinson_exists, sample_measures
 from .select import GofScores, dominance_matrix, error_report, gof_scores
@@ -53,6 +53,15 @@ def _parse_epsilons(text):
     if not all(0.0 <= e < math.inf for e in eps):
         raise argparse.ArgumentTypeError(f"each aversion must be finite and >= 0: {text!r}")
     return eps
+
+
+def _parse_mixture(text):
+    """beta,alpha,omega,mu,sigma: exactly five numbers."""
+    values = _parse_floats(text)
+    if len(values) != 5:
+        raise argparse.ArgumentTypeError(
+            f"expected five numbers beta,alpha,omega,mu,sigma: {text!r}")
+    return values
 
 
 def _derived_seed(seed, *tags):
@@ -178,9 +187,7 @@ def cmd_simulate(args):
         sources = [(label, micro)]
     else:
         if args.mixture:
-            mixtures = [("mixture-1", MixtureSpec(
-                beta=args.mixture[0], alpha=args.mixture[1], omega=args.mixture[2],
-                mu=args.mixture[3], sigma=args.mixture[4]))]
+            mixtures = [("mixture-1", MixtureSpec(*args.mixture))]
         elif args.preset:
             mixtures = [(f"preset-{args.preset}", MIXTURE_PRESETS[args.preset - 1])]
         else:
@@ -322,7 +329,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="generate synthetic grouped datasets")
     p.add_argument("--output", required=True)
     p.add_argument("--preset", type=int, choices=range(1, 7))
-    p.add_argument("--mixture", type=_parse_floats,
+    p.add_argument("--mixture", type=_parse_mixture,
                    help="beta,alpha,omega,mu,sigma")
     p.add_argument("--family", type=lambda t: _parse_families(t)[0])
     p.add_argument("--params", type=_parse_floats)
@@ -360,7 +367,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValidationError) as exc:
+    except (OSError, ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

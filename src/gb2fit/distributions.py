@@ -92,7 +92,7 @@ _TABLE = {
     "dagum": _Family(  # q = 1: I_z(p, 1) = z^p
         3, 1, lambda a, b, p: (a, b, p, 1.0),
         lambda u, p, q: u ** (1.0 / p),
-        lambda u, p, q: 1.0 / (u ** (-1.0 / p) - 1.0),
+        lambda u, p, q: 1.0 / np.expm1(-np.log(u) / p),
     ),
     "lognormal": _Family(2, 0),
     "fisk": _Family(  # p = q = 1: I_z(1, 1) = z
@@ -104,9 +104,6 @@ _TABLE = {
 }
 
 FAMILIES = tuple(_TABLE)
-
-# index of the scale parameter within the parameter vector
-_SCALE_INDEX = {family: row.scale_index for family, row in _TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ def shapes_of(spec):
     Orderings: gb2 (a, p, q); b2 (p, q); sm (a, q); dagum (a, p);
     lognormal (sigma,); fisk (a,); weibull (a,).
     """
-    i = _SCALE_INDEX[spec.family]
+    i = _TABLE[spec.family].scale_index
     return np.array([v for j, v in enumerate(spec.params) if j != i])
 
 
@@ -211,18 +208,13 @@ def spec_from_shapes(family, shapes, scale=1.0):
             f"got {len(shapes)}"
         )
     params = list(shapes)
-    params.insert(_SCALE_INDEX[family], float(scale))
+    params.insert(_TABLE[family].scale_index, float(scale))
     return FamilySpec(family, tuple(params))
 
 
 def with_scale(spec, scale):
     """Copy of ``spec`` with its scale parameter replaced."""
     return spec_from_shapes(spec.family, shapes_of(spec), scale)
-
-
-def mean_exists(spec):
-    """Whether E[X] is finite."""
-    return moment_exists(spec, 1.0)
 
 
 def moment_exists(spec, k):
@@ -238,30 +230,7 @@ def moment_exists(spec, k):
 
 def cdf(spec, x):
     """Cumulative distribution function."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("cdf requires x >= 0")
-    g = _gb2(spec)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if g is not None:
-            a, b, p, q = g
-            xa = (x / b) ** a
-            # 1 - I_(1-v)(q, p) above the median keeps a heavy upper tail
-            # (small q), where v = xa / (1 + xa) rounds to 1
-            out = np.where(xa <= 1.0, inc_beta_ratio(xa / (1.0 + xa), p, q),
-                           1.0 - inc_beta_ratio(1.0 / (1.0 + xa), q, p))
-        elif spec.family == "lognormal":
-            mu, sigma = spec.params
-            out = np.where(
-                x > 0.0,
-                std_normal_cdf((np.log(np.where(x > 0.0, x, 1.0)) - mu) / sigma),
-                0.0,
-            )
-        else:  # weibull
-            a, b = spec.params
-            out = 1.0 - np.exp(-((x / b) ** a))
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
+    return _moment_cdf(spec, 0.0, x)
 
 
 def quantile(spec, u):
@@ -389,7 +358,7 @@ def moment(spec, k):
         raise ExistenceError(
             f"moment of order {k} does not exist for {spec.family}{spec.params}"
         )
-    scale = spec.params[_SCALE_INDEX[spec.family]]
+    scale = spec.params[_TABLE[spec.family].scale_index]
     log_scale = scale if spec.family == "lognormal" else math.log(scale)
     return math.exp(k * (log_scale + log_power_mean(spec, k)))
 
@@ -397,8 +366,7 @@ def moment(spec, k):
 def incomplete_moment_cdf(spec, k, x):
     """Normalized k-th incomplete moment F_(k)(x) = int_0^x t^k dF / E[X^k].
 
-    Realized through the re-parameterized family member, so composing the
-    k = 1 case with the quantile reproduces the Lorenz curve.
+    Composing the k = 1 case with the quantile reproduces the Lorenz curve.
     """
     if k <= 0.0:
         raise DomainError("incomplete_moment_cdf requires k > 0")
@@ -406,21 +374,39 @@ def incomplete_moment_cdf(spec, k, x):
         raise ExistenceError(
             f"incomplete moment of order {k} undefined for {spec.family}{spec.params}"
         )
-    g = _gb2(spec)
-    if g is not None:
-        a, b, p, q = g
-        return cdf(FamilySpec.gb2(a, b, p + k / a, q - k / a), x)
-    if spec.family == "lognormal":
-        mu, sigma = spec.params
-        return cdf(FamilySpec.lognormal(mu + k * sigma**2, sigma), x)
-    # weibull: generalized gamma with shape 1 + k/a
-    a, b = spec.params
+    return _moment_cdf(spec, k, x)
+
+
+def _moment_cdf(spec, k, x):
+    """F_(k)(x), the cdf at k = 0: the cdf of the same family with shapes
+    shifted by k (GB2 p + k/a, q - k/a; lognormal mu + k sigma^2; Weibull
+    a generalized gamma of shape 1 + k/a).  Callers check existence."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
-        raise DomainError("incomplete_moment_cdf requires x >= 0")
-    out = inc_gamma_ratio((x / b) ** a, 1.0 + k / a)
+        raise DomainError("cdf requires x >= 0")
+    g = _gb2(spec)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if g is not None:
+            a, b, p, q = g
+            xa = (x / b) ** a
+            out = _beta_cdf(xa / (1.0 + xa), 1.0 / (1.0 + xa), p + k / a, q - k / a)
+        elif spec.family == "lognormal":
+            mu, sigma = spec.params
+            out = std_normal_cdf((np.log(x) - (mu + k * sigma**2)) / sigma)  # 0 at x = 0
+        else:  # weibull
+            a, b = spec.params
+            out = inc_gamma_ratio((x / b) ** a, 1.0 + k / a)
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
+
+
+def _beta_cdf(z, zc, p, q):
+    """I_z(p, q) from z and zc = 1 - z, each with its own digits, in one
+    betainc call: above z = 1/2 it is 1 - I_zc(q, p), which keeps a heavy
+    upper tail where z rounds to 1."""
+    lower = z <= 0.5
+    i = special.betainc(np.where(lower, p, q), np.where(lower, q, p), np.where(lower, z, zc))
+    return np.where(lower, i, 1.0 - i)
 
 
 def _nested_gini(family, theta1, theta2):
@@ -569,8 +555,7 @@ def _gb2_gini(a, p, q):
     if hi > lo:
         x, w = _LEGENDRE
         t = lo + (hi - lo) * (1.0 + x) / 2.0
-        survival = np.where(t < 0.0, 1.0 - special.betainc(p, q, special.expit(t)),
-                            special.betainc(q, p, special.expit(-t)))
+        survival = _beta_cdf(special.expit(-t), special.expit(t), q, p)  # I_(1-z)(q, p)
         # about the mode, where the terms P ln z and Q ln(1 - z) cancel
         dt = t - math.log(P / Q)
         density = np.exp(ln_mode - P * np.log1p(Q / (P + Q) * np.expm1(-dt))

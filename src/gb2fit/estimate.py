@@ -300,7 +300,7 @@ def solve_scale(spec, sample_mean):
     """Scale parameter matching the fitted shapes to the sample mean."""
     if sample_mean <= 0.0:
         raise EstimationError("sample mean must be positive")
-    if not dist.mean_exists(spec):
+    if not dist.moment_exists(spec, 1.0):
         raise ExistenceError(
             f"mean does not exist for {spec.family}{spec.params}; cannot recover scale"
         )
@@ -308,9 +308,6 @@ def solve_scale(spec, sample_mean):
     if spec.family == "lognormal":  # the scale parameter is the log-scale mu
         return math.log(sample_mean) - log_mean
     return sample_mean / math.exp(log_mean)
-
-
-_COND_LIMIT = 1e12
 
 
 def weighting_matrix(spec, d):
@@ -349,20 +346,8 @@ def weighting_matrix(spec, d):
 
 def _omega_cholesky(omega_matrix):
     """Lower Cholesky factor L of Omega = L L', so that the whitened
-    vector L^-1 m has squared norm m' Omega^-1 m; adds ridge jitter when
-    Omega is ill conditioned."""
-    Om = omega_matrix.Omega.copy()
-    n = Om.shape[0]
-    cond = np.linalg.cond(Om)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        ridge = 1e-10 * np.trace(Om) / n
-        warnings.warn(
-            f"weighting matrix condition number {cond:.3g} exceeds {_COND_LIMIT:.0e}; "
-            f"adding ridge {ridge:.3g}",
-            RuntimeWarning,
-        )
-        Om += ridge * np.eye(n)
-    return linalg.cholesky(Om, lower=True)
+    vector L^-1 m has squared norm m' Omega^-1 m."""
+    return linalg.cholesky(omega_matrix.Omega, lower=True)
 
 
 def gmm_quadratic(m, omega=None):

@@ -106,15 +106,17 @@ def from_shares(shares, proportions=None, id="dataset", mean=None, survey_gini=N
 
 
 def lower_bound_gini(d):
-    """Gini of the linearly interpolated Lorenz curve.
+    """Gini of the linearly interpolated Lorenz curve; 0 exactly when s = u."""
+    return _polygon_gini(d.u, d.s)
 
-    Equals 1 minus twice the trapezoid area under the chords; 0 exactly
-    when s = u.
-    """
-    u = np.concatenate(([0.0], d.u))
-    s = np.concatenate(([0.0], d.s))
+
+def _polygon_gini(u, s):
+    """Gini of the Lorenz polygon through (0, 0) and each (u_j, s_j): 1
+    minus twice the trapezoid area under its chords, clipped to [0, 1]."""
+    u = np.concatenate(([0.0], u))
+    s = np.concatenate(([0.0], s))
     g = float(np.sum(np.diff(s) * (u[1:] + u[:-1])) - 1.0)
-    return max(g, 0.0)
+    return min(max(g, 0.0), 1.0)
 
 
 def empirical_lorenz(d, u):

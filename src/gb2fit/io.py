@@ -56,7 +56,7 @@ def iter_grouped(path):
             for i, row in enumerate(csv.DictReader(fh)):
                 try:
                     yield i, _grouped_from_csv_row(row), None
-                except (ValidationError, ValueError, KeyError) as exc:
+                except (ValidationError, ValueError, KeyError, TypeError) as exc:
                     yield i, None, str(exc)
         return
     with open(path) as fh:
@@ -66,7 +66,7 @@ def iter_grouped(path):
                 continue
             try:
                 yield i, _grouped_from_json(json.loads(line)), None
-            except (ValidationError, ValueError, KeyError) as exc:
+            except (ValidationError, ValueError, KeyError, TypeError) as exc:
                 yield i, None, str(exc)
 
 

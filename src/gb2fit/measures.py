@@ -10,6 +10,7 @@ import numpy as np
 from . import distributions as dist
 from .distributions import GiniValue
 from .exceptions import DomainError, ExistenceError, ValidationError
+from .grouped import _polygon_gini
 
 __all__ = [
     "McConfig",
@@ -87,12 +88,7 @@ def weighted_gini(values, weights=None):
     w = weights[order]
     cw = np.cumsum(w)
     cx = np.cumsum(w * x)
-    cu = cw / cw[-1]
-    cs = cx / cx[-1]
-    u = np.concatenate(([0.0], cu))
-    s = np.concatenate(([0.0], cs))
-    g = float(np.sum(np.diff(s) * (u[1:] + u[:-1])) - 1.0)
-    return min(max(g, 0.0), 1.0)
+    return _polygon_gini(cw / cw[-1], cx / cx[-1])
 
 
 def weighted_atkinson(values, epsilon, weights=None):
@@ -120,7 +116,7 @@ def weighted_atkinson(values, epsilon, weights=None):
 
 def gini_mc(spec, cfg=McConfig()):
     """Monte Carlo Gini with a batch-means standard error."""
-    if not dist.mean_exists(spec):
+    if not dist.moment_exists(spec, 1.0):
         raise ExistenceError(
             f"Gini undefined for {spec.family}{spec.params}: mean does not exist"
         )
@@ -134,7 +130,7 @@ def gini_mc(spec, cfg=McConfig()):
 
 def atkinson_exists(spec, epsilon):
     """Whether A_eps is well defined: a finite mean and E[X^(1-eps)]."""
-    return dist.mean_exists(spec) and dist.moment_exists(spec, 1.0 - epsilon)
+    return dist.moment_exists(spec, 1.0) and dist.moment_exists(spec, 1.0 - epsilon)
 
 
 def atkinson_mc(spec, epsilon, cfg=McConfig()):

@@ -2,11 +2,9 @@
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .estimate import gmm_quadratic
 from .exceptions import DomainError
 
 __all__ = [
@@ -33,21 +31,19 @@ class GofScores:
     bic: float
     k: int
     n: int
-    wssr: Optional[float] = None
     rss_floored: bool = False
 
     def criterion(self, name):
-        value = getattr(self, name)
-        if value is None:
+        if name not in ("rss", "aic", "bic"):
             raise DomainError(f"criterion {name!r} not available")
-        return value
+        return getattr(self, name)
 
 
-def gof_scores(fit, omega=None):
+def gof_scores(fit):
     """AIC/BIC on the least-squares objective, n = J - 1 share residuals.
 
     These are comparable only within this toolkit (the shares model has
-    no likelihood).  ``wssr`` is filled when a weighting matrix is given.
+    no likelihood).
     """
     if not fit.converged:
         raise DomainError("goodness-of-fit scores require a converged fit")
@@ -58,10 +54,7 @@ def gof_scores(fit, omega=None):
     rss = max(rss, _RSS_FLOOR)
     aic = n * math.log(rss / n) + 2.0 * k
     bic = n * math.log(rss / n) + k * math.log(n)
-    wssr = None
-    if omega is not None:
-        wssr = gmm_quadratic(fit.residuals, omega)
-    return GofScores(rss=rss, aic=aic, bic=bic, k=k, n=n, wssr=wssr, rss_floored=floored)
+    return GofScores(rss=rss, aic=aic, bic=bic, k=k, n=n, rss_floored=floored)
 
 
 def dominance_matrix(scores_by_dataset, models, criterion="aic"):

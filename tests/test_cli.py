@@ -206,6 +206,21 @@ class TestFit:
         assert all(r["error"].startswith("invalid record: ") for r in errors)
         assert [r for r in rows if not r.get("error")] == read_jsonl(tmp_path / "valid_out.jsonl")
 
+    @pytest.mark.parametrize("name, text", [
+        ("in.jsonl", '{"id": "bad", "u": {"a": 1}, "s": [0.5, 1.0]}\n'
+                     '{"id": "ok", "u": [0.5, 1.0], "s": [0.3, 1.0]}\n'),
+        ("in.csv", "id,share1,share2\nbad,0.3\nok,0.3,0.7\n"),
+    ])
+    def test_wrong_typed_record_is_one_invalid_record_row(self, tmp_path, name, text):
+        inp, out = tmp_path / name, tmp_path / "out.jsonl"
+        inp.write_text(text)
+        code = main(["fit", "--input", str(inp), "--output", str(out), "--families", "fisk"])
+        assert code == 1
+        rows = read_jsonl(out)
+        assert [r["id"] for r in rows if r.get("error")] == ["record-0"]
+        assert rows[0]["error"].startswith("invalid record: ")
+        assert [r["id"] for r in rows if r.get("family") == "fisk"] == ["ok"]
+
     def test_fallback_gmm_row_repeats_nls_row(self, tmp_path):
         sim, out = tmp_path / "sim.jsonl", tmp_path / "out.jsonl"
         assert main(["simulate", "--output", str(sim), "--preset", "5", "--seed", "3"]) == 0
@@ -309,6 +324,21 @@ class TestSimulate:
         m, _ = read_microdata_csv(micro)
         assert len(m.values) == 3000
 
+    @pytest.mark.parametrize("mixture", ["1,2", "1,2,0.5,3,1,9"])
+    def test_mixture_needs_five_numbers(self, tmp_path, mixture):
+        out = tmp_path / "s.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--output", str(out), f"--mixture={mixture}"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--family", "sm", "--params", "1"], ["--n", "0"]])
+    def test_bad_source_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.jsonl"
+        assert main(["simulate", "--output", str(out)] + argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_microdata_out_needs_single_source(self, tmp_path):
         code = main(
             ["simulate", "--output", str(tmp_path / "s.jsonl"),
@@ -326,6 +356,13 @@ class TestGroupAndMeasures:
         rows = read_jsonl(out)
         assert len(rows) == 1 and len(rows[0]["u"]) == 5
         assert rows[0]["gini"] > 0.0
+
+    def test_group_one_group_is_usage_error(self, tmp_path, capsys):
+        micro, out = tmp_path / "m.csv", tmp_path / "g.jsonl"
+        micro.write_text("income\n1.0\n2.0\n")
+        assert main(["group", "--input", str(micro), "--output", str(out), "--groups", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_measures_stdout_json(self, tmp_path, capsys):
         micro = tmp_path / "m.csv"

@@ -97,6 +97,15 @@ class TestCdfQuantile:
             assert np.all(np.diff(vals) >= -1e-15)
             assert vals[0] <= 1e-12 and vals[-1] <= 1.0
 
+    @pytest.mark.parametrize("p", [100.0, 1e3, 1e4])
+    def test_dagum_quantile_keeps_digits_at_large_p(self, p):
+        # x = b (u^(-1/p) - 1)^(-1/a), where u^(-1/p) - 1 cancels at large p
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            want = float((mp.mpf(0.9) ** (-1 / mp.mpf(p)) - 1) ** (-1 / mp.mpf(2)))
+        got = d.quantile(FamilySpec.dagum(2.0, 1.0, p), 0.9)
+        assert abs(got - want) <= 1e-15 * want
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             d.cdf(SPECS["gb2"], -1.0)
@@ -129,7 +138,7 @@ class TestLorenz:
             if spec.family == "lognormal":
                 other = FamilySpec.lognormal(spec.params[0] + math.log(7.0), spec.params[1])
             else:
-                other = d.with_scale(spec, 7.0 * spec.params[d._SCALE_INDEX[spec.family]])
+                other = d.with_scale(spec, 7.0 * spec.params[d._TABLE[spec.family].scale_index])
             assert np.array_equal(d.lorenz(spec, us), d.lorenz(other, us)), spec.family
 
     def test_existence_errors(self):

@@ -54,6 +54,14 @@ class TestJsonl:
         with pytest.raises(ValidationError):
             gio.read_grouped(path)
 
+    def test_mapping_for_a_vector_is_one_bad_record(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        path.write_text('{"id": "bad", "u": {"a": 1}, "s": [0.3, 1.0]}\n'
+                        '{"id": "ok", "u": [0.5, 1.0], "s": [0.3, 1.0]}\n')
+        rows = list(gio.iter_grouped(path))
+        assert rows[0][:2] == (0, None) and rows[0][2]
+        assert rows[1][1].id == "ok" and rows[1][2] is None
+
     def test_readme_record_example(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Grouped datasets, JSON lines")[1].split("```json")[1]
@@ -84,6 +92,13 @@ class TestCsv:
         assert np.allclose(back[0].u, [0.2, 0.4, 0.6, 0.8, 1.0])
         assert back[0].mean == 12.5 and back[0].survey_gini == 0.35
         assert back[1].mean is None and back[1].survey_gini is None
+
+    def test_row_short_of_a_share_cell_is_one_bad_record(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("id,share1,share2,share3\nshort,0.2,0.3\nok,0.2,0.3,0.5\n")
+        rows = list(gio.iter_grouped(path))
+        assert rows[0][:2] == (0, None) and rows[0][2]
+        assert rows[1][1].id == "ok" and rows[1][2] is None
 
     def test_missing_share_columns(self, tmp_path):
         path = tmp_path / "ds.csv"

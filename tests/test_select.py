@@ -7,7 +7,7 @@ import pytest
 
 from gb2fit import distributions as d
 from gb2fit.distributions import FamilySpec
-from gb2fit.estimate import nls_fit, weighting_matrix, FitResult
+from gb2fit.estimate import nls_fit, FitResult
 from gb2fit.exceptions import DomainError
 from gb2fit.grouped import GroupedDataset
 from gb2fit.select import (
@@ -48,19 +48,6 @@ class TestGofScores:
     def test_zero_rss_floored(self):
         s = gof_scores(fake_fit(0.0, 2))
         assert s.rss_floored and math.isfinite(s.aic)
-
-    def test_wssr_identity_omega(self):
-        # wssr with the fitted Omega vs identity: identity must equal rss
-        spec = FamilySpec.lognormal(0.0, 0.8)
-        u = np.arange(1, 11) / 10
-        ds = GroupedDataset(id="x", u=u, s=d.lorenz(spec, u), mean=1.0)
-        fit = nls_fit("lognormal", ds)
-        s_id = gof_scores(fit, omega=None)
-        assert s_id.wssr is None
-        scaled = d.with_scale(fit.spec, 1.0)
-        wm = weighting_matrix(scaled, ds)
-        s_w = gof_scores(fit, omega=wm)
-        assert s_w.wssr is not None and s_w.wssr >= 0.0
 
     def test_unconverged_rejected(self):
         fit = FitResult(
