@@ -238,10 +238,13 @@ def cmd_measures(args):
 def cmd_report(args):
     rows = []
     with open(args.input) as fh:
-        for line in fh:
+        for i, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                rows.append(json.loads(line))
+                try:
+                    rows.append(json.loads(line))
+                except ValueError as exc:
+                    raise ValidationError(f"{args.input} line {i}: {exc}") from None
     fitted = [r for r in rows if r.get("gini") is not None and not r.get("error")]
     if not fitted:
         print("report: no usable rows in input", file=sys.stderr)

@@ -40,6 +40,7 @@ __all__ = [
     "GiniValue",
     "cdf",
     "quantile",
+    "sample",
     "lorenz",
     "lorenz_exists_margin",
     "moment",
@@ -58,8 +59,11 @@ def _inverse_beta(u, p, q):  # looked up per call: perfbench's tracer rebinds th
 
 
 def _inverse_beta_odds(u, p, q):
-    z = inv_inc_beta_ratio(u, p, q)
-    return z / (1.0 - z)
+    # above the median invert the complement, w = 1 - z from I_w(q, p) = 1 - u
+    upper = u > 0.5
+    z = inv_inc_beta_ratio(np.where(upper, 1.0 - u, u), np.where(upper, q, p), np.where(upper, p, q))
+    with np.errstate(divide="ignore"):  # a zero z divides in the branch np.where drops
+        return np.where(upper, (1.0 - z) / z, z / (1.0 - z))
 
 
 def _sm_z(u, p, q):
@@ -250,6 +254,21 @@ def quantile(spec, u):
         out = b * (-np.log1p(-u)) ** (1.0 / a)
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
+
+
+def sample(spec, n, seed=0):
+    """``n`` draws, deterministic given the seed: gb2 and b2 (z has no closed
+    form) as the beta-prime ratio b (G_p / G_q)^(1/a) of two standard gamma
+    variates (McDonald 1984), the rest by the inverse transform."""
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
+    rng = np.random.default_rng(seed)
+    if _TABLE[spec.family].z is _inverse_beta:
+        a, b, p, q = _gb2(spec)
+        return b * (rng.standard_gamma(p, n) / rng.standard_gamma(q, n)) ** (1.0 / a)
+    u = rng.random(n)
+    np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16, out=u)
+    return quantile(spec, u)
 
 
 def lorenz_exists_margin(spec):

@@ -95,11 +95,15 @@ def read_microdata_csv(path):
     """Microdata CSV with columns income, weight[, household_size]."""
     incomes, weights, sizes = [], [], []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            incomes.append(float(row["income"]))
-            weights.append(float(row.get("weight") or 1.0))
-            if row.get("household_size") not in (None, ""):
-                sizes.append(float(row["household_size"]))
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                incomes.append(float(row["income"]))
+                weights.append(float(row.get("weight") or 1.0))
+                if row.get("household_size") not in (None, ""):
+                    sizes.append(float(row["household_size"]))
+            except (ValueError, TypeError) as exc:  # an empty or short cell
+                raise ValidationError(f"{path} line {reader.line_num}: {exc}") from None
     m = Microdata(values=np.asarray(incomes), weights=np.asarray(weights))
     household_sizes = np.asarray(sizes) if sizes else None
     if household_sizes is not None and len(household_sizes) != len(incomes):

@@ -1,5 +1,6 @@
-"""Inequality measures: Monte Carlo Gini/Atkinson for fitted distributions
-and weighted sample measures for microdata."""
+"""Inequality measures: closed-form and Monte Carlo Gini/Atkinson for
+fitted distributions (drawn by ``distributions.sample``), and weighted
+sample measures for microdata."""
 
 import math
 from dataclasses import dataclass
@@ -65,11 +66,8 @@ class Microdata:
 
 
 def _draw(spec, cfg):
-    """Inverse-transform sample, deterministic given the seed."""
-    rng = np.random.default_rng(cfg.seed)
-    u = rng.random(cfg.n)
-    np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16, out=u)
-    return dist.quantile(spec, u)
+    """``distributions.sample``: gamma ratios for gb2 and b2, else inverse transform."""
+    return dist.sample(spec, cfg.n, seed=cfg.seed)
 
 
 def weighted_gini(values, weights=None):

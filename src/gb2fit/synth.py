@@ -104,13 +104,9 @@ def sample_mixture(spec, n, seed=0):
 
 
 def sample_family(spec, n, seed=0):
-    """Inverse-transform sample from a GB2-family member."""
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16, out=u)
-    return Microdata(values=dist.quantile(spec, u))
+    """Microdata from a family member by ``distributions.sample``: gamma
+    ratios for gb2 and b2, the inverse transform otherwise."""
+    return Microdata(values=dist.sample(spec, n, seed=seed))
 
 
 def weighted_quantile(values, weights, q):

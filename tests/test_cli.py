@@ -364,6 +364,15 @@ class TestGroupAndMeasures:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["measures", "group"])
+    def test_empty_income_cell_is_input_error(self, tmp_path, capsys, command):
+        micro, out = tmp_path / "m.csv", tmp_path / "out"
+        micro.write_text("income,weight\n5,1\n,1\n")
+        assert main([command, "--input", str(micro), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_measures_stdout_json(self, tmp_path, capsys):
         micro = tmp_path / "m.csv"
         micro.write_text("income\n1\n2\n3\n4\n")
@@ -447,6 +456,14 @@ class TestReport:
         assert code == 0
         text = rep.read_text()
         assert "gini_errors" in text and "dominance" in text
+
+    def test_malformed_line_is_input_error(self, tmp_path, capsys):
+        inp, rep = tmp_path / "fit.jsonl", tmp_path / "rep.json"
+        inp.write_text('{"id": 1\n')
+        assert main(["report", "--input", str(inp), "--output", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 1" in err
+        assert not rep.exists()
 
     def test_empty_input(self, tmp_path):
         inp, rep = tmp_path / "empty.jsonl", tmp_path / "rep.json"

@@ -106,11 +106,58 @@ class TestCdfQuantile:
         got = d.quantile(FamilySpec.dagum(2.0, 1.0, p), 0.9)
         assert abs(got - want) <= 1e-15 * want
 
+    @pytest.mark.parametrize("spec", [FamilySpec.gb2(3.0, 1.0, 0.8, 0.3383),
+                                      FamilySpec.b2(2.0, 2.5, 1.005)])
+    @pytest.mark.parametrize("tail", [1e-6, 1e-10, 1e-15])
+    def test_gb2_quantile_keeps_the_upper_tail(self, spec, tail):
+        # above the median the odds come from the complement 1 - z, which
+        # does not round to 0; 1 - u is exact in floating point
+        mp = pytest.importorskip("mpmath")
+        u = 1.0 - tail
+        x = d.quantile(spec, u)
+        assert math.isfinite(x)
+        a, b, p, q = d._gb2(spec)
+        with mp.workdps(30):
+            y = (mp.mpf(x) / mp.mpf(b)) ** mp.mpf(a)
+            survival = mp.betainc(mp.mpf(q), mp.mpf(p), 0, 1 / (1 + y), regularized=True)
+            want = 1 - mp.mpf(u)
+            assert abs(survival - want) <= 2e-15 * want
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             d.cdf(SPECS["gb2"], -1.0)
         with pytest.raises(DomainError):
             d.quantile(SPECS["gb2"], 1.0)
+
+
+# gb2(5, 1, 0.5, 0.205) has q - 1/a = 0.005: its upper tail is heavy
+# enough that incomplete-beta inversion rounded draws to inf
+_HEAVY_TAIL = FamilySpec.gb2(5.0, 1.0, 0.5, 0.205)
+
+
+class TestSample:
+    @pytest.mark.parametrize("spec", [_HEAVY_TAIL, SPECS["gb2"], SPECS["b2"],
+                                      FamilySpec.b2(1.0, 2.5, 1.005)])
+    def test_gamma_ratio_ks_against_cdf(self, spec):
+        from scipy.stats import kstest
+
+        x = d.sample(spec, 50_000, seed=12)
+        assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+        stat = kstest(x, lambda t: d.cdf(spec, t)).statistic
+        assert stat < 1.63 / math.sqrt(50_000)
+
+    @pytest.mark.parametrize("family", list(SPECS))
+    def test_deterministic_per_seed(self, family):
+        a = d.sample(SPECS[family], 1_000, seed=5)
+        assert a.tobytes() == d.sample(SPECS[family], 1_000, seed=5).tobytes()
+        assert a.tobytes() != d.sample(SPECS[family], 1_000, seed=6).tobytes()
+
+    @pytest.mark.parametrize("family", ["sm", "dagum", "fisk", "lognormal", "weibull"])
+    def test_closed_forms_keep_the_inverse_transform(self, family):
+        u = np.random.default_rng(3).random(10_000)
+        np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16, out=u)
+        want = d.quantile(SPECS[family], u)
+        assert d.sample(SPECS[family], 10_000, seed=3).tobytes() == want.tobytes()
 
 
 class TestLorenz:

@@ -129,3 +129,9 @@ class TestMicrodataCsv:
         path.write_text("income\n5\n6\n")
         m, _ = gio.read_microdata_csv(path)
         assert np.array_equal(m.weights, [1.0, 1.0])
+
+    def test_empty_income_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("income,weight\n5,1\n,1\n")
+        with pytest.raises(ValidationError, match="line 3"):
+            gio.read_microdata_csv(path)

@@ -171,6 +171,13 @@ class TestAtkinsonMc:
         for eps in (0.5, 1.0, 1.5):
             assert atkinson_mc(FamilySpec.fisk(100.0, 1.0), eps, McConfig(n=50_000, seed=1)) < 0.01
 
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5])
+    def test_finite_at_a_heavy_tail(self, eps):
+        # q - 1/a = 0.005: draws by incomplete-beta inversion rounded to inf here
+        spec = FamilySpec.gb2(5.0, 1.0, 0.5, 0.205)
+        for seed in range(3):
+            assert math.isfinite(atkinson_mc(spec, eps, McConfig(n=100_000, seed=seed)))
+
     def test_monotone_in_eps(self):
         cfg = McConfig(n=100_000, seed=5)
         spec = FamilySpec.sm(2.0, 1.0, 2.0)
