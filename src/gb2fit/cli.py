@@ -235,43 +235,61 @@ def cmd_measures(args):
     return 0
 
 
-def cmd_report(args):
+def _read_fit_rows(path):
+    """(line number, row) of each fit row; a line that is not a JSON object
+    is an input error that names the line."""
     rows = []
-    with open(args.input) as fh:
+    with open(path) as fh:
         for i, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                try:
-                    rows.append(json.loads(line))
-                except ValueError as exc:
-                    raise ValidationError(f"{args.input} line {i}: {exc}") from None
-    fitted = [r for r in rows if r.get("gini") is not None and not r.get("error")]
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise ValidationError(f"{path} line {i}: {exc}") from None
+            if not isinstance(row, dict):
+                raise ValidationError(
+                    f"{path} line {i}: a fit row is a JSON object, got {type(row).__name__}")
+            rows.append((i, row))
+    return rows
+
+
+def cmd_report(args):
+    fitted = [(i, r) for i, r in _read_fit_rows(args.input)
+              if r.get("gini") is not None and not r.get("error")]
     if not fitted:
         print("report: no usable rows in input", file=sys.stderr)
         _emit_report({}, {}, args)
         return 0
 
-    # Gini error bins against the survey benchmark
-    with_bench = [r for r in fitted if r.get("survey_gini")]
-    estimates, benchmarks = {}, {}
-    for r in with_bench:
-        key = r["family"] if r["family"] == "lower_bound" else f"{r['family']}/{r['method']}"
-        estimates.setdefault(key, []).append(r["gini"])
-        benchmarks.setdefault(key, []).append(r["survey_gini"])
+    try:
+        # Gini error bins against the survey benchmark
+        estimates, benchmarks = {}, {}
+        for i, r in fitted:
+            if not r.get("survey_gini"):
+                continue
+            key = r["family"] if r["family"] == "lower_bound" else f"{r['family']}/{r['method']}"
+            estimates.setdefault(key, []).append(r["gini"])
+            benchmarks.setdefault(key, []).append(r["survey_gini"])
+
+        # AIC/BIC scores per estimation method and dataset
+        scores = {"nls": {}, "gmm": {}}
+        for i, r in fitted:
+            if r.get("method") not in scores or r.get("aic") is None:
+                continue
+            scores[r["method"]].setdefault(r["id"], {})[r["family"]] = GofScores(
+                rss=r["rss"], aic=r["aic"], bic=r["bic"], k=r["k"], n=r["n_moments"]
+            )
+    except KeyError as exc:
+        raise ValidationError(f"{args.input} line {i}: fit row has no {exc} field") from None
     errors = {
         k: error_report({k: v}, benchmarks[k])[k] for k, v in estimates.items()
     }
 
     # AIC/BIC dominance across families, per estimation method
     dominance = {}
-    for method in ("nls", "gmm"):
-        per_dataset = {}
-        for r in fitted:
-            if r.get("method") != method or r.get("aic") is None:
-                continue
-            per_dataset.setdefault(r["id"], {})[r["family"]] = GofScores(
-                rss=r["rss"], aic=r["aic"], bic=r["bic"], k=r["k"], n=r["n_moments"]
-            )
+    for method, per_dataset in scores.items():
         if not per_dataset:
             continue
         models = sorted({f for d in per_dataset.values() for f in d})

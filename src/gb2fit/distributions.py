@@ -316,7 +316,14 @@ def _lorenz_rows(family, shapes, u):
     cols = _shape_columns(shapes, u.ndim)
     if row.to_gb2 is not None:
         a, p, q = _gb2_columns(row, cols)
-        return inc_beta_ratio(row.z(u, p, q), p + 1.0 / a, q - 1.0 / a)
+        if row.z is not _inverse_beta:
+            return inc_beta_ratio(row.z(u, p, q), p + 1.0 / a, q - 1.0 / a)
+        # invert on the side of z = 1/2 that u falls on, so z and 1 - z each
+        # keep their digits: above it, 1 - z comes from I_(1-z)(q, p) = 1 - u
+        upper = u > special.betainc(p, q, 0.5)
+        w = _inverse_beta(np.where(upper, 1.0 - u, u), np.where(upper, q, p), np.where(upper, p, q))
+        return _beta_cdf(np.where(upper, 1.0 - w, w), np.where(upper, w, 1.0 - w),
+                         p + 1.0 / a, q - 1.0 / a)
     if family == "lognormal":
         (sigma,) = cols
         return np.where(

@@ -31,10 +31,9 @@ __all__ = [
 
 _GRID = range(1, 21)
 _THETA2_MAX = 1e3
-# |log shape| beyond this is penalized, not evaluated; shapes past 1e4
-# only arise in degenerate limits (e.g. the lognormal corner of GB2)
-# where the Lorenz curve is flat in the parameters but the quantile
-# function is no longer numerically usable
+# |log shape| is bounded by this; shapes past 1e4 only arise in degenerate
+# limits (e.g. the lognormal corner of GB2) where the Lorenz curve is flat
+# in the parameters but the quantile function is no longer numerically usable
 _LOG_SHAPE_BOUND = math.log(1e4)
 
 
@@ -154,7 +153,10 @@ def _residual_factory(family, u, s, chol=None):
     one entry per shape for the excess beyond the log-shape bound, then one
     entry for the infeasibility barrier, so the row's sum of squares is the
     objective with its penalties.  Infeasible rows zero the share entries
-    and put a sloped barrier in the last one.
+    and put a sloped barrier in the last one.  ``_levenberg_marquardt``
+    never leaves the bound, but a general least-squares solver run on these
+    rows (the MINPACK oracle of the tests) does, and the excess entries
+    steer it back.
     """
     n = len(u)
 
@@ -182,19 +184,26 @@ def _residual_factory(family, u, s, chol=None):
 
 # Levenberg-Marquardt runs from the _N_OPTIMIZED starts of lowest initial RSS,
 # with forward differences of relative step _FD_STEP (sqrt of machine eps, as
-# scipy's "2-point").  A row converges when its relative step, its relative
-# decrease or the largest cosine between its residuals and a Jacobian column
-# falls below _XTOL, _FTOL or _GTOL; it stops unconverged after _MAX_ITER
-# iterations (the equal-shares limit of a one-shape family takes about 50).
+# scipy's "2-point").  The box |x| <= _LOG_SHAPE_BOUND is a hard bound, as in
+# a projected Levenberg-Marquardt (Kanzow, Yamashita & Fukushima 2004): each
+# step is projected onto it, a difference that would leave it is taken
+# inward, and a coordinate on its edge whose descent direction points out is
+# held, its Jacobian column zeroed.  Inside the box all three are no-ops.  A
+# row converges when its relative step, its relative decrease or the largest
+# cosine between its residuals and a free Jacobian column falls below _XTOL,
+# _FTOL or _GTOL; it stops unconverged after _MAX_ITER iterations (the
+# equal-shares limit of a one-shape family takes about 50).
 _N_OPTIMIZED, _FD_STEP = 5, np.finfo(float).eps ** 0.5
 _XTOL, _FTOL, _GTOL, _MAX_ITER = 1e-10, 1e-12, 1e-10, 200
 
 
 def _values_and_jacobians(residuals, x):
     """Residuals f (m, n) at the rows of x (m, k) and the transposed
-    forward-difference Jacobians (m, k, n), from one call of ``residuals``."""
+    forward-difference Jacobians (m, k, n), from one call of ``residuals``;
+    every stencil point stays inside the log-shape box."""
     k = x.shape[1]
     h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    h = np.where(np.abs(x + h) > _LOG_SHAPE_BOUND, -h, h)  # difference inward at the edge
     points = x[:, None] + np.eye(k + 1, k, -1) * h[:, None]  # x, then x + h_j e_j
     r = residuals(points.reshape(-1, k)).reshape(len(x), k + 1, -1)
     dx = np.diagonal(points[:, 1:], axis1=1, axis2=2) - x
@@ -227,6 +236,9 @@ def _levenberg_marquardt(residuals, x0s):
         for _ in range(_MAX_ITER):
             i = np.flatnonzero(~done)
             jtj, g = jt[i] @ jt[i].transpose(0, 2, 1), np.sum(jt[i] * f[i, None], axis=2)
+            # hold an edge coordinate whose descent direction -g leaves the box
+            free = (np.abs(x[i]) < _LOG_SHAPE_BOUND) | (g * x[i] > 0.0)
+            g, jtj = g * free, jtj * free[:, :, None] * free[:, None, :]
             col = np.diagonal(jtj, axis1=1, axis2=2)
             d[i] = np.maximum(d[i], col)
             cosine = np.abs(g) / np.sqrt(col * cost[i, None])
@@ -236,7 +248,9 @@ def _levenberg_marquardt(residuals, x0s):
                 break
             damp = lam[i, None] * np.where(d[i] > 0.0, d[i], 1.0)
             step = _solve_rows(jtj + damp[..., None] * np.eye(k), -g)
-            ft, jtt = _values_and_jacobians(residuals, x[i] + step)
+            trial = np.clip(x[i] + step, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND)  # onto the box
+            step = np.where(trial == x[i] + step, step, trial - x[i])  # its bits kept inside
+            ft, jtt = _values_and_jacobians(residuals, trial)
             cost_t = np.sum(ft * ft, axis=1)
             drop, ok = cost[i] - cost_t, cost_t < cost[i]
             small = np.linalg.norm(step, axis=1) <= _XTOL * (_XTOL + np.linalg.norm(x[i], axis=1))
@@ -245,7 +259,7 @@ def _levenberg_marquardt(residuals, x0s):
             lam[i] *= np.where(ok, np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), nu[i])
             nu[i] = np.where(ok, 2.0, 2.0 * nu[i])
             a = i[ok]
-            x[a], f[a], jt[a], cost[a] = x[a] + step[ok], ft[ok], jtt[ok], cost_t[ok]
+            x[a], f[a], jt[a], cost[a] = trial[ok], ft[ok], jtt[ok], cost_t[ok]
     return x, cost, done
 
 

@@ -96,6 +96,8 @@ def read_microdata_csv(path):
     incomes, weights, sizes = [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        if "income" not in (reader.fieldnames or ()):
+            raise ValidationError(f"{path}: no income column")
         for row in reader:
             try:
                 incomes.append(float(row["income"]))

@@ -373,6 +373,15 @@ class TestGroupAndMeasures:
         assert err.startswith("error: ") and "line 3" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["measures", "group"])
+    def test_missing_income_column_is_input_error(self, tmp_path, capsys, command):
+        micro, out = tmp_path / "m.csv", tmp_path / "out"
+        micro.write_text("weight\n1\n")
+        assert main([command, "--input", str(micro), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "income" in err and str(micro) in err
+        assert not out.exists()
+
     def test_measures_stdout_json(self, tmp_path, capsys):
         micro = tmp_path / "m.csv"
         micro.write_text("income\n1\n2\n3\n4\n")
@@ -463,6 +472,19 @@ class TestReport:
         assert main(["report", "--input", str(inp), "--output", str(rep)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 1" in err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("lines, line_no", [
+        ('[1]\n', 1),  # not an object
+        ('{"gini": 0.3, "survey_gini": 0.31, "method": "nls"}\n', 1),  # no family
+        ('\n{"family": "lower_bound", "gini": 0.3}\n{"gini": 0.3, "survey_gini": 0.3}\n', 3),
+    ], ids=["list", "no-family", "third-line"])
+    def test_line_that_is_not_a_fit_row_is_input_error(self, tmp_path, capsys, lines, line_no):
+        inp, rep = tmp_path / "fit.jsonl", tmp_path / "rep.json"
+        inp.write_text(lines)
+        assert main(["report", "--input", str(inp), "--output", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"line {line_no}" in err
         assert not rep.exists()
 
     def test_empty_input(self, tmp_path):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from gb2fit import distributions as d
@@ -195,6 +196,27 @@ class TestLorenz:
             d.lorenz(FamilySpec.gb2(2.0, 1.0, 1.0, 0.4), 0.5)  # q <= 1/a
         with pytest.raises(ExistenceError):
             d.lorenz(FamilySpec.b2(1.0, 2.0, 0.9), 0.5)
+
+    @pytest.mark.parametrize("a, q", [(0.0688, 177.35), (0.105, 79.8)])
+    def test_gb2_kernel_on_the_shape_bound(self, a, q):
+        # p = 1e4 is the log-shape bound that GB2 fits end on; z(u) is near 1
+        # there, so the kernel inverts for 1 - z, which keeps its digits.
+        # The floor is one ulp of 1 - z times the condition of L in it (~24
+        # at u = 0.4), plus the error of betainc: 1.01e-14 at a = 0.0688
+        mp = pytest.importorskip("mpmath")
+        p, us = 1e4, np.arange(1, 10) / 10
+        got = d.lorenz(FamilySpec.gb2(a, 1.0, p, q), us)
+        with mp.workdps(40):
+            A, P, Q = mp.mpf(a), mp.mpf(p), mp.mpf(q)
+            ln_beta = mp.log(mp.beta(Q, P))
+            for g, u in zip(got, us):
+                # w = 1 - z(u) solves I_w(q, p) = 1 - u
+                w = mp.findroot(
+                    lambda w: mp.betainc(Q, P, 0, w, regularized=True) - (1 - mp.mpf(u)),
+                    mp.mpf(special.betaincinv(q, p, 1.0 - u)), solver="newton",
+                    df=lambda w: mp.exp((Q - 1) * mp.log(w) + (P - 1) * mp.log1p(-w) - ln_beta))
+                want = 1 - mp.betainc(Q - 1 / A, P + 1 / A, 0, w, regularized=True)
+                assert abs(g - want) <= 2e-14 * want, (u, float((g - want) / want))
 
     def test_quadrature_oracle(self):
         # L(u) = (1/mu) int_0^u quantile(t) dt

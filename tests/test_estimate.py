@@ -533,3 +533,66 @@ class TestBroadcastJacobian:
         for x0, row in zip(x0s, rows):
             assert row.tobytes() == residuals(x0[None])[0].tobytes()
         assert rows[-2, -1] > 0.0 and rows[-1, -4] == 12.0 - math.log(1e4)
+
+
+def _presets():
+    """The six mixture presets as sampled for the ``presets-both`` benchmark."""
+    from gb2fit.synth import MIXTURE_PRESETS, GroupingPolicy, microdata_to_grouped, sample_mixture
+
+    return tuple(
+        microdata_to_grouped(sample_mixture(mx, 10_000, seed=20180828 + i),
+                             GroupingPolicy(n_groups=10), id=f"preset-{i + 1}")
+        for i, mx in enumerate(MIXTURE_PRESETS))
+
+
+class _Recording:
+    """``_residual_factory`` that counts the calls of the residual functions
+    it makes and records the largest |log shape| they are called at."""
+
+    def __init__(self):
+        self.factory, self.calls, self.max_abs_x = estimate._residual_factory, 0, 0.0
+
+    def __call__(self, *args, **kwargs):
+        residuals = self.factory(*args, **kwargs)
+
+        def recorded(x):
+            self.calls += 1
+            self.max_abs_x = max(self.max_abs_x, float(np.max(np.abs(x))))
+            return residuals(x)
+
+        return recorded
+
+
+class TestShapeBox:
+    """|log shape| <= _LOG_SHAPE_BOUND is a hard bound of the
+    Levenberg-Marquardt: steps are projected onto the box, differences at
+    its edge point inward, and an edge coordinate whose descent direction
+    leaves the box is held."""
+
+    def test_no_evaluated_point_leaves_the_box(self, monkeypatch):
+        record = _Recording()
+        monkeypatch.setattr(estimate, "_residual_factory", record)
+        for ds in _presets():
+            nls_fit("gb2", ds)
+        u = np.arange(1, 11) / 10
+        equal = GroupedDataset(id="eq", u=u, s=u.copy())
+        for family in ("fisk", "weibull", "lognormal"):
+            nls_fit(family, equal)
+        assert record.calls > 0
+        assert record.max_abs_x <= estimate._LOG_SHAPE_BOUND
+
+    def test_row_started_on_the_edge_leaves_it(self):
+        ds = _sampled("gb2", seed=31)
+        interior = nls_fit("gb2", ds)
+        edge = nls_fit("gb2", ds, starts=[np.array([3.0, 1e4, 1.5])])
+        assert edge.converged
+        assert np.all(np.abs(np.log(d.shapes_of(edge.spec))) < estimate._LOG_SHAPE_BOUND)
+        assert edge.rss <= interior.rss * (1.0 + 1e-9), (edge.rss, interior.rss)
+
+    def test_preset_gb2_residual_calls(self, monkeypatch):
+        # 560, screening included, when the steps could overshoot the bound
+        record = _Recording()
+        monkeypatch.setattr(estimate, "_residual_factory", record)
+        for ds in _presets():
+            assert nls_fit("gb2", ds).converged
+        assert record.calls <= 400, record.calls

@@ -135,3 +135,10 @@ class TestMicrodataCsv:
         path.write_text("income,weight\n5,1\n,1\n")
         with pytest.raises(ValidationError, match="line 3"):
             gio.read_microdata_csv(path)
+
+    def test_missing_income_column_names_file_and_column(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("weight\n1\n")
+        with pytest.raises(ValidationError, match="income") as exc:
+            gio.read_microdata_csv(path)
+        assert str(path) in str(exc.value)
