@@ -156,6 +156,8 @@ def _write_rows(rows, path, fmt, epsilons=()):
 
 
 def cmd_fit(args):
+    if args.workers < 1:
+        raise DomainError(f"--workers must be at least 1, got {args.workers}")
     families = args.families
     epsilons = args.epsilon
     tasks = []
@@ -255,9 +257,21 @@ def _read_fit_rows(path):
     return rows
 
 
+# the JSON types of the fields that report reads from a fitted row
+_NUMBER = (int, float)
+_FIELD_TYPES = {"id": str, "family": str, "method": (str, type(None)), "gini": _NUMBER,
+                "survey_gini": _NUMBER + (type(None),), "rss": _NUMBER,
+                "aic": _NUMBER + (type(None),), "bic": _NUMBER, "k": int, "n_moments": int}
+
+
 def cmd_report(args):
     fitted = [(i, r) for i, r in _read_fit_rows(args.input)
               if r.get("gini") is not None and not r.get("error")]
+    for i, r in fitted:
+        for name, kinds in _FIELD_TYPES.items():
+            if name in r and (isinstance(r[name], bool) or not isinstance(r[name], kinds)):
+                raise ValidationError(f"{args.input} line {i}: fit row field '{name}' "
+                                      f"has the wrong type {type(r[name]).__name__}")
     if not fitted:
         print("report: no usable rows in input", file=sys.stderr)
         _emit_report({}, {}, args)

@@ -27,7 +27,6 @@ from scipy import linalg, special
 
 from .exceptions import DomainError, ExistenceError
 from .specfun import (
-    inc_beta_ratio,
     inc_gamma_ratio,
     inv_inc_beta_ratio,
     std_normal_cdf,
@@ -42,7 +41,6 @@ __all__ = [
     "quantile",
     "sample",
     "lorenz",
-    "lorenz_exists_margin",
     "moment",
     "log_power_mean",
     "incomplete_moment_cdf",
@@ -54,30 +52,36 @@ __all__ = [
 ]
 
 
-def _inverse_beta(u, p, q):  # looked up per call: perfbench's tracer rebinds the name
-    return inv_inc_beta_ratio(u, p, q)
+def _inverse_beta_pair(u, p, q):
+    """z = I_u^-1(p, q) and 1 - z, each with its own digits: above
+    u = I_1/2(p, q), where z > 1/2, 1 - z comes from I_(1-z)(q, p) = 1 - u."""
+    upper = u > special.betainc(p, q, 0.5)
+    w = inv_inc_beta_ratio(np.where(upper, 1.0 - u, u), np.where(upper, q, p), np.where(upper, p, q))
+    return np.where(upper, 1.0 - w, w), np.where(upper, w, 1.0 - w)
 
 
 def _inverse_beta_odds(u, p, q):
-    # above the median invert the complement, w = 1 - z from I_w(q, p) = 1 - u
-    upper = u > 0.5
-    z = inv_inc_beta_ratio(np.where(upper, 1.0 - u, u), np.where(upper, q, p), np.where(upper, p, q))
-    with np.errstate(divide="ignore"):  # a zero z divides in the branch np.where drops
-        return np.where(upper, (1.0 - z) / z, z / (1.0 - z))
+    z, zc = _inverse_beta_pair(u, p, q)
+    with np.errstate(divide="ignore"):  # zc underflows to 0 in a heavy upper tail
+        return z / zc
 
 
-def _sm_z(u, p, q):
-    # 1 - (1 - u)^(1/q) in a form that keeps its digits at large q
-    with np.errstate(divide="ignore"):  # u = 1 gives z = 1
-        return -np.expm1(np.log1p(-u) / q)
+def _sm_pair(u, p, q):
+    t = np.log1p(-u) / q  # (1 - u)^(1/q) = exp(t)
+    return -np.expm1(t), np.exp(t)
+
+
+def _dagum_pair(u, p, q):
+    t = np.log(u) / p  # u^(1/p) = exp(t)
+    return np.exp(t), -np.expm1(t)
 
 
 @dataclass(frozen=True)
 class _Family:
     """One row of the family table.  For the GB2-nested families ``to_gb2``
-    maps the parameters to GB2 (a, b, p, q), ``z`` is the beta-space
-    quantile z(u) = I_u^-1(p, q) and ``odds`` is z / (1 - z), in a form that
-    keeps the upper tail where 1 - z would round to 0."""
+    maps the parameters to GB2 (a, b, p, q), ``z`` is the pair z(u) =
+    I_u^-1(p, q) and 1 - z, each with its own digits, and ``odds`` is
+    z / (1 - z), in a form that keeps the upper tail where 1 - z is 0."""
 
     n_params: int
     scale_index: int
@@ -87,21 +91,20 @@ class _Family:
 
 
 _TABLE = {
-    "gb2": _Family(4, 1, lambda a, b, p, q: (a, b, p, q), _inverse_beta, _inverse_beta_odds),
-    "b2": _Family(3, 0, lambda b, p, q: (1.0, b, p, q), _inverse_beta, _inverse_beta_odds),
+    "gb2": _Family(4, 1, lambda a, b, p, q: (a, b, p, q), _inverse_beta_pair, _inverse_beta_odds),
+    "b2": _Family(3, 0, lambda b, p, q: (1.0, b, p, q), _inverse_beta_pair, _inverse_beta_odds),
     "sm": _Family(  # p = 1: I_z(1, q) = 1 - (1 - z)^q
-        3, 1, lambda a, b, q: (a, b, 1.0, q), _sm_z,
+        3, 1, lambda a, b, q: (a, b, 1.0, q), _sm_pair,
         lambda u, p, q: np.expm1(-np.log1p(-u) / q),
     ),
     "dagum": _Family(  # q = 1: I_z(p, 1) = z^p
-        3, 1, lambda a, b, p: (a, b, p, 1.0),
-        lambda u, p, q: u ** (1.0 / p),
+        3, 1, lambda a, b, p: (a, b, p, 1.0), _dagum_pair,
         lambda u, p, q: 1.0 / np.expm1(-np.log(u) / p),
     ),
     "lognormal": _Family(2, 0),
     "fisk": _Family(  # p = q = 1: I_z(1, 1) = z
         2, 1, lambda a, b: (a, b, 1.0, 1.0),
-        lambda u, p, q: u,
+        lambda u, p, q: (u, 1.0 - u),
         lambda u, p, q: u / (1.0 - u),
     ),
     "weibull": _Family(2, 1),
@@ -263,21 +266,12 @@ def sample(spec, n, seed=0):
     if n < 1:
         raise DomainError("sample size must be >= 1")
     rng = np.random.default_rng(seed)
-    if _TABLE[spec.family].z is _inverse_beta:
+    if _TABLE[spec.family].z is _inverse_beta_pair:
         a, b, p, q = _gb2(spec)
         return b * (rng.standard_gamma(p, n) / rng.standard_gamma(q, n)) ** (1.0 / a)
     u = rng.random(n)
     np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16, out=u)
     return quantile(spec, u)
-
-
-def lorenz_exists_margin(spec):
-    """Positive when the Lorenz curve exists (the mean is finite).
-
-    The magnitude is the distance q - 1/a to the existence boundary, which
-    the fitting code uses to steer optimizers back into the feasible region.
-    """
-    return float(_margin_rows(spec.family, shapes_of(spec)[None])[0])
 
 
 def _shape_columns(shapes, ndim=0):
@@ -296,7 +290,8 @@ def _gb2_columns(row, cols):
 
 
 def _margin_rows(family, shapes):
-    """``lorenz_exists_margin`` of each shape row (m, k), as an (m,) array."""
+    """The distance q - 1/a of each shape row (m, k) to the boundary where
+    the mean stops existing, as an (m,) array; its sign is the existence."""
     row = _TABLE[family]
     if row.to_gb2 is None:
         return np.ones(len(shapes))  # lognormal, weibull
@@ -316,14 +311,8 @@ def _lorenz_rows(family, shapes, u):
     cols = _shape_columns(shapes, u.ndim)
     if row.to_gb2 is not None:
         a, p, q = _gb2_columns(row, cols)
-        if row.z is not _inverse_beta:
-            return inc_beta_ratio(row.z(u, p, q), p + 1.0 / a, q - 1.0 / a)
-        # invert on the side of z = 1/2 that u falls on, so z and 1 - z each
-        # keep their digits: above it, 1 - z comes from I_(1-z)(q, p) = 1 - u
-        upper = u > special.betainc(p, q, 0.5)
-        w = _inverse_beta(np.where(upper, 1.0 - u, u), np.where(upper, q, p), np.where(upper, p, q))
-        return _beta_cdf(np.where(upper, 1.0 - w, w), np.where(upper, w, 1.0 - w),
-                         p + 1.0 / a, q - 1.0 / a)
+        with np.errstate(divide="ignore"):  # log 0 at u = 0 or 1 gives z = 0 or 1
+            return _beta_cdf(*row.z(u, p, q), p + 1.0 / a, q - 1.0 / a)
     if family == "lognormal":
         (sigma,) = cols
         return np.where(
@@ -341,7 +330,7 @@ def _lorenz_rows(family, shapes, u):
 
 def lorenz(spec, u):
     """Lorenz curve L(u) on [0, 1]; scale-free."""
-    if lorenz_exists_margin(spec) <= 0.0:
+    if not moment_exists(spec, 1.0):
         raise ExistenceError(
             f"Lorenz curve undefined for {spec.family}{spec.params}: mean does not exist"
         )
@@ -428,11 +417,13 @@ def _moment_cdf(spec, k, x):
 
 def _beta_cdf(z, zc, p, q):
     """I_z(p, q) from z and zc = 1 - z, each with its own digits, in one
-    betainc call: above z = 1/2 it is 1 - I_zc(q, p), which keeps a heavy
-    upper tail where z rounds to 1."""
-    lower = z <= 0.5
-    i = special.betainc(np.where(lower, p, q), np.where(lower, q, p), np.where(lower, z, zc))
-    return np.where(lower, i, 1.0 - i)
+    betainc call: 1 - I_zc(q, p) where z > 1/2 and the Beta(p, q) density,
+    which scales the argument's rounding, exceeds 1 (zc has the smaller
+    ulp); elsewhere I_z(p, q), whose relative digits the complement loses."""
+    ln_density = special.xlogy(p - 1.0, z) + special.xlogy(q - 1.0, zc) - special.betaln(p, q)
+    upper = (z > 0.5) & (ln_density > 0.0)
+    i = special.betainc(np.where(upper, q, p), np.where(upper, p, q), np.where(upper, zc, z))
+    return np.where(upper, 1.0 - i, i)
 
 
 def _nested_gini(family, theta1, theta2):
@@ -474,7 +465,7 @@ def gini_closed(spec):
     The nested families keep their own closed forms: they are cheap, and
     ``estimate.starting_values`` solves them for shapes.
     """
-    if lorenz_exists_margin(spec) <= 0.0:
+    if not moment_exists(spec, 1.0):
         raise ExistenceError(
             f"Gini undefined for {spec.family}{spec.params}: mean does not exist"
         )

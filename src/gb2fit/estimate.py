@@ -14,7 +14,7 @@ import numpy as np
 from scipy import linalg, optimize
 
 from . import distributions as dist
-from .distributions import FamilySpec, lorenz_exists_margin, spec_from_shapes
+from .distributions import FamilySpec, spec_from_shapes
 from .exceptions import EstimationError, ExistenceError
 from .grouped import lower_bound_gini
 
@@ -280,7 +280,7 @@ def _spec_at(family, d, x, scale=1.0):
     residuals; raises EstimationError outside the moment-existence region."""
     shapes = np.exp(np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND))
     spec = spec_from_shapes(family, shapes, scale=scale)
-    if lorenz_exists_margin(spec) <= 0.0:
+    if not dist.moment_exists(spec, 1.0):
         raise EstimationError(
             f"{family} optimum violates the moment-existence region: {shapes}"
         )

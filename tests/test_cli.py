@@ -282,6 +282,16 @@ class TestFit:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_dataset(inp, FamilySpec.fisk(2.5, 1.0), id="f")
+        assert main(["fit", "--input", str(inp), "--output", str(out),
+                     "--families", "fisk", f"--workers={workers}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--workers" in err
+        assert not out.exists()
+
     def test_missing_input_exit_2(self, tmp_path):
         code = main(
             ["fit", "--input", str(tmp_path / "nope.jsonl"),
@@ -485,6 +495,18 @@ class TestReport:
         assert main(["report", "--input", str(inp), "--output", str(rep)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"line {line_no}" in err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("line, name", [
+        ('{"id": "d", "family": "fisk", "method": ["nls"], "gini": 0.3, "survey_gini": 0.31}', "method"),
+        ('{"id": "d", "family": "fisk", "method": "nls", "gini": "x", "survey_gini": 0.31}', "gini"),
+    ], ids=["method-list", "gini-text"])
+    def test_wrong_typed_field_is_input_error(self, tmp_path, capsys, line, name):
+        inp, rep = tmp_path / "fit.jsonl", tmp_path / "rep.json"
+        inp.write_text('{"family": "lower_bound", "gini": 0.3}\n' + line + "\n")
+        assert main(["report", "--input", str(inp), "--output", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(inp) in err and "line 2" in err and name in err
         assert not rep.exists()
 
     def test_empty_input(self, tmp_path):

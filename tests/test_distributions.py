@@ -29,6 +29,19 @@ def numeric_pdf(spec, x, dx=1e-6):
     return (d.cdf(spec, x + dx) - d.cdf(spec, x - dx)) / (2 * dx)
 
 
+def _beta_quantile_pair(mp, u, p, q):
+    """z and 1 - z with I_z(p, q) = u, at the working precision of ``mp``:
+    Newton from scipy's inverse on the side of z = 1/2 that u falls on."""
+    u, ln_beta = mp.mpf(u), mp.log(mp.beta(p, q))
+    upper = u > mp.betainc(p, q, 0, mp.mpf(0.5), regularized=True)
+    p, q, y = (q, p, 1 - u) if upper else (p, q, u)
+    w = mp.findroot(
+        lambda w: mp.betainc(p, q, 0, w, regularized=True) - y,
+        mp.mpf(special.betaincinv(float(p), float(q), float(y))), solver="newton",
+        df=lambda w: mp.exp((p - 1) * mp.log(w) + (q - 1) * mp.log1p(-w) - ln_beta))
+    return (1 - w, w) if upper else (w, 1 - w)
+
+
 class TestFamilySpec:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
@@ -124,6 +137,21 @@ class TestCdfQuantile:
             want = 1 - mp.mpf(u)
             assert abs(survival - want) <= 2e-15 * want
 
+    @pytest.mark.parametrize("spec", [FamilySpec.b2(1.0, 0.05, 1e4), FamilySpec.b2(1.0, 1.0, 1e4),
+                                      FamilySpec.gb2(3.0, 1.0, 0.05, 1e4)])
+    def test_gb2_quantile_inverts_on_the_side_of_the_beta_median(self, spec):
+        # with q = 1e4, z(u) stays far below 1/2 while u passes 1/2: the
+        # inversion for 1 - z must start at u = I_1/2(p, q), not at u = 1/2
+        mp = pytest.importorskip("mpmath")
+        us = [0.3, 0.5, 0.6, 0.7, 0.9, 0.99]
+        got = d.quantile(spec, np.array(us))
+        with mp.workdps(80):
+            a, b, p, q = (mp.mpf(v) for v in d._gb2(spec))
+            for x, u in zip(got, us):
+                z, zc = _beta_quantile_pair(mp, u, p, q)
+                want = b * (z / zc) ** (1 / a)
+                assert abs(x - want) <= 1e-14 * want, (u, float((x - want) / want))
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             d.cdf(SPECS["gb2"], -1.0)
@@ -217,6 +245,28 @@ class TestLorenz:
                     df=lambda w: mp.exp((Q - 1) * mp.log(w) + (P - 1) * mp.log1p(-w) - ln_beta))
                 want = 1 - mp.betainc(Q - 1 / A, P + 1 / A, 0, w, regularized=True)
                 assert abs(g - want) <= 2e-14 * want, (u, float((g - want) / want))
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec.sm(20.0, 1.0, 0.051), FamilySpec.sm(20.0, 1.0, 0.0668),
+        FamilySpec.sm(3.0, 1.0, 0.3343), FamilySpec.dagum(1.05, 1.0, 1e4),
+        FamilySpec.dagum(2.0, 1.0, 1e4), FamilySpec.dagum(1.0005, 1.0, 100.0),
+        FamilySpec.fisk(1.0005, 1.0), FamilySpec.b2(1.0, 10.0, 1.0005),
+        FamilySpec.gb2(2.0, 1.0, 3.0, 0.5005),
+    ], ids=lambda s: f"{s.family}{s.params}")
+    def test_nested_kernel_against_mpmath(self, spec):
+        # one kernel for every nested family: I_z(p + 1/a, q - 1/a) from the
+        # pair (z, 1 - z), near the edges of the shape box and of the region
+        # where the mean exists; sm(20, 1, 0.0668) is about the start that
+        # starting_values builds for sm at Gini 0.6
+        mp = pytest.importorskip("mpmath")
+        us = [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999]
+        got = d.lorenz(spec, np.array(us))
+        with mp.workdps(80):
+            a, _, p, q = (mp.mpf(v) for v in d._gb2(spec))
+            for g, u in zip(got, us):
+                z, _ = _beta_quantile_pair(mp, u, p, q)
+                want = mp.betainc(p + 1 / a, q - 1 / a, 0, z, regularized=True)
+                assert abs(g - want) <= 5e-13 * want, (u, float((g - want) / want))
 
     def test_quadrature_oracle(self):
         # L(u) = (1/mu) int_0^u quantile(t) dt
@@ -394,9 +444,10 @@ class TestReductionIdentitiesFull:
             assert d.moment_exists(gb2_spec, k) == d.moment_exists(nested, k), k
         for eps in (0.5, 1.5, 2.5):
             assert atkinson_exists(gb2_spec, eps) == atkinson_exists(nested, eps), eps
-        margin = d.lorenz_exists_margin(nested)
-        assert (d.lorenz_exists_margin(gb2_spec) > 0.0) == (margin > 0.0)
-        if margin <= 0.0:
+        exists = d.moment_exists(nested, 1.0)
+        assert (d._margin_rows("gb2", d.shapes_of(gb2_spec)[None])[0] > 0.0) == exists
+        assert (d._margin_rows(nested.family, d.shapes_of(nested)[None])[0] > 0.0) == exists
+        if not exists:
             with pytest.raises(ExistenceError):
                 d.lorenz(nested, us)
             return
@@ -416,7 +467,7 @@ def _random_specs(family, n, rng):
     while len(specs) < n:
         shapes = np.exp(rng.uniform(math.log(0.05), math.log(50.0), d.n_shape_params(family)))
         spec = d.spec_from_shapes(family, shapes, scale=rng.uniform(0.5, 5.0))
-        if d.lorenz_exists_margin(spec) > 0.0:
+        if d.moment_exists(spec, 1.0):
             specs.append(spec)
     return specs
 
@@ -440,9 +491,12 @@ class TestBroadcastKernels:
 
     @pytest.mark.parametrize("family", d.FAMILIES)
     def test_margin_rows_equal_margin(self, family):
-        specs = _random_specs(family, 20, np.random.default_rng(7))
-        margins = d._margin_rows(family, np.array([d.shapes_of(s) for s in specs]))
-        assert margins.tolist() == [d.lorenz_exists_margin(s) for s in specs]
+        # the sign of the barrier's margin is the existence of the mean
+        rng = np.random.default_rng(7)
+        shapes = np.exp(rng.uniform(math.log(0.05), math.log(50.0), (40, d.n_shape_params(family))))
+        margins = d._margin_rows(family, shapes)
+        assert (margins > 0.0).tolist() == [
+            d.moment_exists(d.spec_from_shapes(family, s), 1.0) for s in shapes]
 
     @pytest.mark.parametrize("family", ["b2", "sm", "dagum"])
     def test_nested_gini_equals_gini_closed(self, family):
@@ -451,7 +505,7 @@ class TestBroadcastKernels:
         for t1 in grid:
             for t2 in grid:
                 spec = d.spec_from_shapes(family, [t1, t2], scale=2.0)
-                if d.lorenz_exists_margin(spec) <= 0.0:
+                if not d.moment_exists(spec, 1.0):
                     continue
                 assert d._nested_gini(family, t1, t2) == d.gini_closed(spec).value, spec
                 checked += 1

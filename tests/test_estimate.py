@@ -175,6 +175,16 @@ class TestNlsFit:
             single = nls_fit("sm", ds, starts=[st])
             assert full.rss <= single.rss + 1e-15
 
+    def test_sm_heavy_tail_reaches_lower_rss(self):
+        # at q = 0.12, z(u) = 1 - (1 - u)^(1/q) is close to 1; taking I_z from
+        # z alone loses the digits of 1 - z, and the fit then stops at RSS
+        # 4.664144490849429e-07
+        from gb2fit.synth import GroupingPolicy, microdata_to_grouped, sample_family
+
+        m = sample_family(FamilySpec.sm(20.0, 1.0, 0.12), 20000, seed=77)
+        fit = nls_fit("sm", microdata_to_grouped(m, GroupingPolicy(n_groups=10)))
+        assert fit.rss <= (1.0 - 0.004) * 4.664144490849429e-07
+
     def test_too_few_groups(self):
         ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]))
         with pytest.raises(EstimationError):
