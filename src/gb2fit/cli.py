@@ -18,7 +18,7 @@ from .estimate import gmm_fit, nls_fit
 from .exceptions import DomainError, ValidationError
 from .grouped import lower_bound_gini
 from .measures import atkinson_closed, atkinson_exists, sample_measures
-from .select import GofScores, dominance_matrix, error_report, gof_scores
+from .select import dominance_matrix, error_report, gof_scores
 from .synth import (
     MIXTURE_PRESETS,
     GroupingPolicy,
@@ -104,14 +104,14 @@ def _fit_one_dataset(task):
                     fit = nls_fit(family, d) if m == "nls" else gmm_fit(family, d, nls=nls)
                 if m == "nls":
                     nls = fit
-                scores = gof_scores(fit)
+                aic, bic = gof_scores(fit)
                 key = dist.shapes_of(fit.spec).tobytes()
                 if key not in measures:
                     measures[key] = (*_fit_gini(fit.spec), _fit_atkinson(fit.spec, epsilons))
                 gini, gini_method, atkinson = measures[key]
                 row.update(converged=fit.converged, params=list(fit.spec.params),
                            objective=fit.objective, rss=fit.rss, k=fit.k,
-                           n_moments=len(fit.residuals), aic=scores.aic, bic=scores.bic,
+                           n_moments=len(fit.residuals), aic=aic, bic=bic,
                            gini=gini, gini_method=gini_method, atkinson=atkinson, note=fit.note)
             except Exception as exc:  # one error row per cell, never the batch
                 row["error"] = str(exc) or type(exc).__name__
@@ -262,6 +262,11 @@ _NUMBER = (int, float)
 _FIELD_TYPES = {"id": str, "family": str, "method": (str, type(None)), "gini": _NUMBER,
                 "survey_gini": _NUMBER + (type(None),), "rss": _NUMBER,
                 "aic": _NUMBER + (type(None),), "bic": _NUMBER, "k": int, "n_moments": int}
+# a scored row needs these, in this order, although rss, k and n_moments go unread
+_SCORED_FIELDS = ("rss", "bic", "k", "n_moments", "id", "family")
+# the accepted values of the numbers that report reads: NaN and inf lie outside every range
+_FINITE = (-sys.float_info.max, sys.float_info.max)
+_VALUE_RANGES = {"gini": (0.0, 1.0), "survey_gini": (0.0, 1.0), "aic": _FINITE, "bic": _FINITE}
 
 
 def cmd_report(args):
@@ -277,40 +282,38 @@ def cmd_report(args):
         _emit_report({}, {}, args)
         return 0
 
+    ginis, scores = {}, {"nls": {}, "gmm": {}}
     try:
-        # Gini error bins against the survey benchmark
-        estimates, benchmarks = {}, {}
-        for i, r in fitted:
-            if not r.get("survey_gini"):
-                continue
-            key = r["family"] if r["family"] == "lower_bound" else f"{r['family']}/{r['method']}"
-            estimates.setdefault(key, []).append(r["gini"])
-            benchmarks.setdefault(key, []).append(r["survey_gini"])
-
-        # AIC/BIC scores per estimation method and dataset
-        scores = {"nls": {}, "gmm": {}}
-        for i, r in fitted:
-            if r.get("method") not in scores or r.get("aic") is None:
-                continue
-            scores[r["method"]].setdefault(r["id"], {})[r["family"]] = GofScores(
-                rss=r["rss"], aic=r["aic"], bic=r["bic"], k=r["k"], n=r["n_moments"]
-            )
+        for i, r in fitted:  # (gini, survey_gini) per family and method
+            if r.get("survey_gini"):
+                key = r["family"] if r["family"] == "lower_bound" else f"{r['family']}/{r['method']}"
+                ginis.setdefault(key, []).append((r["gini"], r["survey_gini"]))
+        for i, r in fitted:  # (aic, bic) per method, dataset and family; the last row wins
+            if r.get("method") in scores and r.get("aic") is not None:
+                if missing := [name for name in _SCORED_FIELDS if name not in r]:
+                    raise KeyError(missing[0])
+                scores[r["method"]][r["id"], r["family"]] = r["aic"], r["bic"]
     except KeyError as exc:
         raise ValidationError(f"{args.input} line {i}: fit row has no {exc} field") from None
-    errors = {
-        k: error_report({k: v}, benchmarks[k])[k] for k, v in estimates.items()
-    }
+    for i, r in fitted:  # after the missing-field checks, whose messages come first
+        for name, (lo, hi) in _VALUE_RANGES.items():
+            if r.get(name) is not None and not lo <= r[name] <= hi:
+                raise ValidationError(f"{args.input} line {i}: fit row field '{name}' is {r[name]}, "
+                                      f"not a finite number{' in [0, 1]' if hi == 1.0 else ''}")
+    errors = {k: error_report(*zip(*pairs)) for k, pairs in ginis.items()}
 
     # AIC/BIC dominance across families, per estimation method
     dominance = {}
-    for method, per_dataset in scores.items():
-        if not per_dataset:
+    for method, cells in scores.items():
+        if not cells:
             continue
-        models = sorted({f for d in per_dataset.values() for f in d})
-        for criterion in ("aic", "bic"):
-            mat = dominance_matrix(per_dataset.values(), models, criterion)
+        (ids, rows), (models, cols) = (np.unique(k, return_inverse=True) for k in zip(*cells))
+        table = np.full((len(ids), len(models), 2), np.nan)
+        table[rows, cols] = list(cells.values())
+        for j, criterion in enumerate(("aic", "bic")):
+            mat = dominance_matrix(table[:, :, j])
             dominance[f"{method}_{criterion}"] = {
-                "models": models,
+                "models": models.tolist(),
                 "matrix": [[None if np.isnan(v) else float(v) for v in row] for row in mat],
             }
     _emit_report(errors, dominance, args)

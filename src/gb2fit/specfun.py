@@ -8,34 +8,11 @@ from scipy import special
 from .exceptions import DomainError
 
 __all__ = [
-    "ln_gamma",
-    "inc_beta_ratio",
     "inv_inc_beta_ratio",
     "inc_gamma_ratio",
     "std_normal_cdf",
     "std_normal_quantile",
 ]
-
-
-def ln_gamma(x):
-    """Natural log of the gamma function for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("ln_gamma requires x > 0")
-    out = special.gammaln(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def inc_beta_ratio(x, p, q):
-    """Incomplete beta function ratio B(x; p, q) on [0, 1]; x, p and q
-    broadcast."""
-    if np.less_equal(p, 0.0).any() or np.less_equal(q, 0.0).any():
-        raise DomainError("inc_beta_ratio requires p, q > 0")
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise DomainError("inc_beta_ratio requires 0 <= x <= 1")
-    out = special.betainc(p, q, x)
-    return float(out) if out.ndim == 0 else out
 
 
 def inv_inc_beta_ratio(y, p, q):

@@ -1,6 +1,7 @@
 """End-to-end command-line tests via main(argv)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -508,6 +509,47 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(inp) in err and "line 2" in err and name in err
         assert not rep.exists()
+
+    SCORED = {"id": "d", "family": "fisk", "method": "nls", "gini": 0.3, "survey_gini": 0.31,
+              "rss": 1e-5, "aic": -90.0, "bic": -89.0, "k": 2, "n_moments": 9}
+
+    @pytest.mark.parametrize("name", ["id", "rss", "bic", "k", "n_moments"])
+    def test_scored_row_without_field_is_input_error(self, tmp_path, capsys, name):
+        # rss, k and n_moments are not read, but a scored row needs them
+        row = {k: v for k, v in self.SCORED.items() if k != name}
+        inp, rep = tmp_path / "fit.jsonl", tmp_path / "rep.json"
+        inp.write_text(json.dumps(self.SCORED) + "\n" + json.dumps(row) + "\n")
+        assert main(["report", "--input", str(inp), "--output", str(rep)]) == 2
+        assert capsys.readouterr().err == f"error: {inp} line 2: fit row has no '{name}' field\n"
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("name, value", [
+        ("survey_gini", math.nan), ("survey_gini", -0.2), ("survey_gini", 1.5),
+        ("gini", math.nan), ("gini", math.inf), ("gini", -0.01),
+        ("aic", math.nan), ("aic", -math.inf), ("bic", math.inf),
+    ])
+    def test_value_out_of_range_is_input_error(self, tmp_path, capsys, name, value):
+        inp, rep = tmp_path / "fit.jsonl", tmp_path / "rep.json"
+        inp.write_text(json.dumps(self.SCORED) + "\n" + json.dumps({**self.SCORED, name: value}) + "\n")
+        assert main(["report", "--input", str(inp), "--output", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {inp} line 2: fit row field '{name}' ") and "finite" in err
+        assert not rep.exists()
+
+    def test_missing_field_is_reported_before_a_value_out_of_range(self, tmp_path, capsys):
+        inp, rep = tmp_path / "fit.jsonl", tmp_path / "rep.json"
+        no_rss = {k: v for k, v in self.SCORED.items() if k != "rss"}
+        inp.write_text(json.dumps({**self.SCORED, "survey_gini": math.nan}) + "\n"
+                       + json.dumps(no_rss) + "\n")
+        assert main(["report", "--input", str(inp), "--output", str(rep)]) == 2
+        assert capsys.readouterr().err == f"error: {inp} line 2: fit row has no 'rss' field\n"
+
+    def test_gini_at_the_ends_of_the_unit_interval(self, tmp_path):
+        inp, rep = tmp_path / "fit.jsonl", tmp_path / "rep.json"
+        inp.write_text(json.dumps({**self.SCORED, "gini": 0.0}) + "\n"
+                       + json.dumps({**self.SCORED, "id": "e", "gini": 1, "survey_gini": 1.0}) + "\n")
+        assert main(["report", "--input", str(inp), "--output", str(rep)]) == 0
+        assert json.loads(rep.read_text())["gini_errors"]["fisk/nls"]["n"] == 2
 
     def test_empty_input(self, tmp_path):
         inp, rep = tmp_path / "empty.jsonl", tmp_path / "rep.json"

@@ -4,81 +4,55 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
+from gb2fit.distributions import _beta_cdf
 from gb2fit.exceptions import DomainError
 from gb2fit.specfun import (
-    inc_beta_ratio,
     inc_gamma_ratio,
     inv_inc_beta_ratio,
-    ln_gamma,
     std_normal_cdf,
     std_normal_quantile,
 )
 
 
-class TestLnGamma:
-    def test_trivial_integers(self):
-        assert ln_gamma(1.0) == 0.0
-        assert ln_gamma(2.0) == 0.0
-
-    def test_half(self):
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-12)
-
-    def test_recurrence(self):
-        for x in np.linspace(0.1, 50.0, 97):
-            lhs = ln_gamma(x + 1.0)
-            rhs = ln_gamma(x) + math.log(x)
-            assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
-        with pytest.raises(DomainError):
-            ln_gamma(-1.5)
-
-
 class TestIncBeta:
+    """The incomplete beta ratio I_x(p, q) as the kernel computes it, from x
+    and 1 - x."""
+
     def test_uniform_case(self):
         for x in (0.0, 0.25, 0.5, 0.99, 1.0):
-            assert inc_beta_ratio(x, 1.0, 1.0) == pytest.approx(x, abs=1e-12)
+            assert _beta_cdf(x, 1.0 - x, 1.0, 1.0) == pytest.approx(x, abs=1e-12)
 
     def test_symmetry(self):
-        assert inc_beta_ratio(0.5, 2.0, 2.0) == pytest.approx(0.5, abs=1e-12)
+        assert _beta_cdf(0.5, 0.5, 2.0, 2.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_quadrature_oracle(self):
         p, q, x = 3.0, 1.5, 0.25
         num, _ = quad(lambda t: t ** (p - 1) * (1 - t) ** (q - 1), 0.0, x)
         den, _ = quad(lambda t: t ** (p - 1) * (1 - t) ** (q - 1), 0.0, 1.0)
-        assert inc_beta_ratio(x, p, q) == pytest.approx(num / den, abs=1e-9)
+        assert _beta_cdf(x, 1.0 - x, p, q) == pytest.approx(num / den, abs=1e-9)
 
     def test_monotone_and_bounded(self):
         xs = np.linspace(0.0, 1.0, 201)
         for p, q in [(0.5, 0.5), (2.0, 5.0), (5.0, 0.5)]:
-            vals = inc_beta_ratio(xs, p, q)
+            vals = _beta_cdf(xs, 1.0 - xs, p, q)
             assert np.all(np.diff(vals) >= 0.0)
             assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            inc_beta_ratio(1.5, 2.0, 2.0)
-        with pytest.raises(DomainError):
-            inc_beta_ratio(0.5, -1.0, 2.0)
 
     def test_broadcast_shapes(self):
         x = np.array([0.0, 0.3, 1.0])
         p, q = np.array([[0.5], [2.0]]), np.array([[3.0], [1.5]])
-        got = inc_beta_ratio(x, p, q)
+        got = _beta_cdf(x, 1.0 - x, p, q)
         assert got.shape == (2, 3)
         for i in range(2):
-            assert got[i].tobytes() == inc_beta_ratio(x, float(p[i, 0]), float(q[i, 0])).tobytes()
+            assert got[i].tobytes() == _beta_cdf(x, 1.0 - x, float(p[i, 0]), float(q[i, 0])).tobytes()
 
     @pytest.mark.parametrize("bad", ["p", "q"])
     def test_broadcast_domain(self, bad):
         shapes = {"p": np.array([[2.0], [1.0]]), "q": np.array([[1.5], [3.0]])}
         shapes[bad] = np.array([[2.0], [0.0]])  # one row out of the domain
-        with pytest.raises(DomainError):
-            inc_beta_ratio(np.array([0.2, 0.7]), shapes["p"], shapes["q"])
         with pytest.raises(DomainError):
             inv_inc_beta_ratio(np.array([0.2, 0.7]), shapes["p"], shapes["q"])
 
@@ -96,7 +70,7 @@ class TestInvIncBeta:
         for p in (0.5, 1.0, 2.0, 5.0):
             for q in (0.5, 1.0, 2.0, 5.0):
                 x = inv_inc_beta_ratio(ys, p, q)
-                back = inc_beta_ratio(x, p, q)
+                back = special.betainc(p, q, x)
                 assert np.max(np.abs(back - ys)) < 1e-9
 
     def test_endpoints(self):
