@@ -26,12 +26,7 @@ import numpy as np
 from scipy import linalg, special
 
 from .exceptions import DomainError, ExistenceError
-from .specfun import (
-    inc_gamma_ratio,
-    inv_inc_beta_ratio,
-    std_normal_cdf,
-    std_normal_quantile,
-)
+from .specfun import inv_inc_beta_ratio
 
 __all__ = [
     "FAMILIES",
@@ -251,7 +246,7 @@ def quantile(spec, u):
         out = b * _TABLE[spec.family].odds(u, p, q) ** (1.0 / a)
     elif spec.family == "lognormal":
         mu, sigma = spec.params
-        out = np.exp(mu + sigma * std_normal_quantile(u))
+        out = np.exp(mu + sigma * special.ndtri(u))
     else:  # weibull
         a, b = spec.params
         out = b * (-np.log1p(-u)) ** (1.0 / a)
@@ -313,19 +308,12 @@ def _lorenz_rows(family, shapes, u):
         a, p, q = _gb2_columns(row, cols)
         with np.errstate(divide="ignore"):  # log 0 at u = 0 or 1 gives z = 0 or 1
             return _beta_cdf(*row.z(u, p, q), p + 1.0 / a, q - 1.0 / a)
-    if family == "lognormal":
+    if family == "lognormal":  # ndtri(0) = -inf and ndtri(1) = inf give L = 0 and 1
         (sigma,) = cols
-        return np.where(
-            (u > 0.0) & (u < 1.0),
-            std_normal_cdf(special.ndtri(np.clip(u, 1e-300, 1.0 - 1e-16)) - sigma),
-            u,
-        )
+        return special.ndtr(special.ndtri(u) - sigma)
     (a,) = cols  # weibull
-    return np.where(
-        u < 1.0,
-        inc_gamma_ratio(-np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16)), 1.0 + 1.0 / a),
-        1.0,
-    )
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives L(1) = 1
+        return special.gammainc(1.0 + 1.0 / a, -np.log1p(-u))
 
 
 def lorenz(spec, u):
@@ -407,10 +395,10 @@ def _moment_cdf(spec, k, x):
             out = _beta_cdf(xa / (1.0 + xa), 1.0 / (1.0 + xa), p + k / a, q - k / a)
         elif spec.family == "lognormal":
             mu, sigma = spec.params
-            out = std_normal_cdf((np.log(x) - (mu + k * sigma**2)) / sigma)  # 0 at x = 0
+            out = special.ndtr((np.log(x) - (mu + k * sigma**2)) / sigma)  # 0 at x = 0
         else:  # weibull
             a, b = spec.params
-            out = inc_gamma_ratio((x / b) ** a, 1.0 + k / a)
+            out = special.gammainc(1.0 + k / a, (x / b) ** a)
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
 
@@ -475,7 +463,7 @@ def gini_closed(spec):
     if fam != "gb2":
         if fam == "lognormal":
             _, sigma = par
-            g = 2.0 * std_normal_cdf(sigma / math.sqrt(2.0)) - 1.0
+            g = 2.0 * float(special.ndtr(sigma / math.sqrt(2.0))) - 1.0
         elif fam == "fisk":
             a, _ = par
             g = 1.0 / a

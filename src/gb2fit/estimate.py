@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg, optimize, special
 
 from . import distributions as dist
 from .distributions import FamilySpec, spec_from_shapes
@@ -125,9 +125,7 @@ def starting_values(family, d):
     if family == "weibull":
         return [np.array([math.log(2.0) / (-math.log1p(-g))])]
     if family == "lognormal":
-        from .specfun import std_normal_quantile
-
-        return [np.array([math.sqrt(2.0) * std_normal_quantile((1.0 + g) / 2.0)])]
+        return [np.array([math.sqrt(2.0) * special.ndtri((1.0 + g) / 2.0)])]
 
     if family in ("b2", "sm", "dagum"):
         starts = [np.array(st) for st in _nested_grid(family, g)]
@@ -358,17 +356,11 @@ def weighting_matrix(spec, d):
     )
 
 
-def _omega_cholesky(omega_matrix):
-    """Lower Cholesky factor L of Omega = L L', so that the whitened
-    vector L^-1 m has squared norm m' Omega^-1 m."""
-    return linalg.cholesky(omega_matrix.Omega, lower=True)
-
-
 def gmm_quadratic(m, omega=None):
     """Quadratic-form objective M' Omega^-1 M; identity Omega reproduces RSS."""
     m = np.asarray(m, dtype=float)
     if omega is not None:
-        m = linalg.solve_triangular(_omega_cholesky(omega), m, lower=True)
+        m = linalg.solve_triangular(linalg.cholesky(omega.Omega, lower=True), m, lower=True)
     return float(m @ m)
 
 
@@ -395,7 +387,7 @@ def gmm_fit(family, d, nls=None):
                        note=f"second stage fell back to NLS: {reason}")
 
     try:
-        chol = _omega_cholesky(weighting_matrix(scaled, d))
+        chol = linalg.cholesky(weighting_matrix(scaled, d).Omega, lower=True)
     except (ExistenceError, linalg.LinAlgError) as exc:
         return fallback(str(exc))
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)

@@ -61,13 +61,12 @@ class Microdata:
             raise ValidationError("all incomes must be positive")
         if np.any(weights <= 0.0):
             raise ValidationError("all weights must be positive")
+        with np.errstate(over="ignore"):
+            total = np.sum(weights * values)
+        if not np.isfinite(total):
+            raise ValidationError("incomes and weights must be finite, with a finite weighted total")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
-
-
-def _draw(spec, cfg):
-    """``distributions.sample``: gamma ratios for gb2 and b2, else inverse transform."""
-    return dist.sample(spec, cfg.n, seed=cfg.seed)
 
 
 def weighted_gini(values, weights=None):
@@ -118,7 +117,7 @@ def gini_mc(spec, cfg=McConfig()):
         raise ExistenceError(
             f"Gini undefined for {spec.family}{spec.params}: mean does not exist"
         )
-    x = _draw(spec, cfg)
+    x = dist.sample(spec, cfg.n, seed=cfg.seed)
     value = weighted_gini(x)
     batches = np.array_split(x, _MC_BATCHES)
     bg = np.array([weighted_gini(b) for b in batches])
@@ -139,7 +138,7 @@ def atkinson_mc(spec, epsilon, cfg=McConfig()):
         raise ExistenceError(
             f"Atkinson index (eps={epsilon}) undefined for {spec.family}{spec.params}"
         )
-    x = _draw(spec, cfg)
+    x = dist.sample(spec, cfg.n, seed=cfg.seed)
     return weighted_atkinson(x, epsilon)
 
 

@@ -5,12 +5,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import distributions as dist
 from .exceptions import DomainError, ValidationError
 from .grouped import GroupedDataset
 from .measures import Microdata, weighted_gini
-from .specfun import std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "MixtureSpec",
@@ -39,6 +39,8 @@ class MixtureSpec:
             raise DomainError("beta, alpha and sigma must be positive")
         if not 0.0 <= self.omega <= 1.0:
             raise DomainError("mixing weight must lie in [0, 1]")
+        if not all(map(math.isfinite, (self.beta, self.alpha, self.mu, self.sigma))):
+            raise DomainError("mixture parameters must be finite")
 
 
 # cross-country income estimates with shapes ranging from heavy-tailed
@@ -80,7 +82,7 @@ def mixture_pdf(spec, x):
     weib = (b / al**b) * x ** (b - 1.0) * np.exp(-((x / al) ** b))
     z = (x - spec.mu) / spec.sigma
     norm = np.exp(-0.5 * z**2) / (spec.sigma * math.sqrt(2.0 * math.pi))
-    trunc = norm / std_normal_cdf(spec.mu / spec.sigma)
+    trunc = norm / special.ndtr(spec.mu / spec.sigma)
     out = spec.omega * weib + (1.0 - spec.omega) * trunc
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
@@ -94,12 +96,17 @@ def sample_mixture(spec, n, seed=0):
     pick_weibull = rng.random(n) < spec.omega
     u = rng.random(n)
     np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16, out=u)
-    x = np.empty(n)
-    x[pick_weibull] = spec.alpha * (-np.log1p(-u[pick_weibull])) ** (1.0 / spec.beta)
     # truncated normal: map uniforms onto [Phi(-mu/sigma), 1)
-    lo = std_normal_cdf(-spec.mu / spec.sigma)
+    lo = special.ndtr(-spec.mu / spec.sigma)
     v = lo + (1.0 - lo) * u[~pick_weibull]
-    x[~pick_weibull] = spec.mu + spec.sigma * std_normal_quantile(v)
+    if np.any(v >= 1.0):  # the normal quantile would be inf
+        raise DomainError(
+            f"truncated normal with mu={spec.mu}, sigma={spec.sigma} has too little "
+            "mass above 0 to sample")
+    x = np.empty(n)
+    with np.errstate(over="ignore"):  # Microdata rejects what overflows
+        x[pick_weibull] = spec.alpha * (-np.log1p(-u[pick_weibull])) ** (1.0 / spec.beta)
+        x[~pick_weibull] = spec.mu + spec.sigma * special.ndtri(v)
     return Microdata(values=x)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,24 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mixture, message", [
+        ("1,1,0.5,-100,1", "mu=-100.0, sigma=1.0"),  # no normal mass above 0
+        ("1,1,0.5,-9,1", "mu=-9.0, sigma=1.0"),
+        ("1,1,0.5,inf,1", "finite"),
+        ("1,1,0.5,5,nan", "finite"),
+        ("1,1,0.5,1e308,1", "finite"),  # the incomes' total overflows
+        ("1,1,0.5,5,1e308", "finite"),
+        ("1e-300,1,0.5,5,1", "positive"),  # Weibull draws underflow to 0
+    ])
+    def test_mixture_that_cannot_be_sampled_is_input_error(self, tmp_path, capsys, mixture, message):
+        out = tmp_path / "s.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--output", str(out), f"--mixture={mixture}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_microdata_out_needs_single_source(self, tmp_path):
         code = main(
             ["simulate", "--output", str(tmp_path / "s.jsonl"),
@@ -382,6 +401,18 @@ class TestGroupAndMeasures:
         assert main([command, "--input", str(micro), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 3" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["measures", "group"])
+    @pytest.mark.parametrize("cells", ["1e308,1\n1e308,1\n5,1", "5,1\nnan,1", "5,inf"])
+    def test_non_finite_total_is_input_error(self, tmp_path, capsys, command, cells):
+        micro, out = tmp_path / "m.csv", tmp_path / "out"
+        micro.write_text(f"income,weight\n{cells}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--input", str(micro), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["measures", "group"])

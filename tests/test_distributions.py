@@ -2,6 +2,7 @@
 reduction identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,11 +82,23 @@ class TestCdfQuantile:
         assert d.cdf(FamilySpec.weibull(1.7, 2.0), 2.0) == pytest.approx(
             1.0 - math.exp(-1.0), abs=1e-12
         )
+        # F(x) = 1 - exp(-(x/b)^a), and F(0) = 0 exactly
+        for a, b in [(1.0, 1.0), (1.7, 2.0), (0.4, 3.0)]:
+            spec = FamilySpec.weibull(a, b)
+            for x in (0.1, 1.0, 3.0, 10.0):
+                assert d.cdf(spec, x) == pytest.approx(-math.expm1(-((x / b) ** a)), abs=1e-12)
+            assert d.cdf(spec, 0.0) == 0.0
 
     def test_lognormal_median(self):
         assert d.quantile(FamilySpec.lognormal(0.3, 1.2), 0.5) == pytest.approx(
             math.exp(0.3), rel=1e-10
         )
+        assert d.cdf(FamilySpec.lognormal(0.3, 1.2), math.exp(0.3)) == pytest.approx(0.5, abs=1e-14)
+
+    def test_lognormal_round_trip(self):
+        spec = FamilySpec.lognormal(-0.4, 0.9)
+        for u in np.linspace(0.001, 0.999, 41):
+            assert d.cdf(spec, d.quantile(spec, u)) == pytest.approx(u, abs=1e-10)
 
     def test_gb2_cdf_quadrature(self):
         spec = FamilySpec.gb2(2.0, 1.0, 1.5, 2.5)
@@ -155,6 +168,9 @@ class TestCdfQuantile:
             d.cdf(SPECS["gb2"], -1.0)
         with pytest.raises(DomainError):
             d.quantile(SPECS["gb2"], 1.0)
+        for u in (0.0, 1.0):  # the lognormal's normal quantile is infinite there
+            with pytest.raises(DomainError):
+                d.quantile(SPECS["lognormal"], u)
 
 
 # gb2(5, 1, 0.5, 0.205) has q - 1/a = 0.005: its upper tail is heavy
@@ -197,6 +213,7 @@ class TestLorenz:
         # L(0.5) = Phi(Phi^-1(0.5) - 1) = Phi(-1)
         got = d.lorenz(FamilySpec.lognormal(0.0, 1.0), 0.5)
         assert got == pytest.approx(0.15865525393145707, abs=1e-10)
+        assert got == pytest.approx(0.5 * math.erfc(1.0 / math.sqrt(2.0)), abs=1e-12)
 
     def test_below_diagonal_and_convex(self):
         us = np.linspace(0.0, 1.0, 1000)
@@ -265,6 +282,35 @@ class TestLorenz:
                 z, _ = _beta_quantile_pair(mp, u, p, q)
                 want = mp.betainc(p + 1 / a, q - 1 / a, 0, z, regularized=True)
                 assert abs(g - want) <= 5e-13 * want, (u, float((g - want) / want))
+
+    @pytest.mark.parametrize("spec", [FamilySpec.lognormal(0.0, 0.8), FamilySpec.lognormal(0.0, 3.0),
+                                      FamilySpec.weibull(1.6, 1.0), FamilySpec.weibull(0.2, 1.0)],
+                             ids=lambda s: f"{s.family}{s.params}")
+    def test_closed_kernels_at_the_ends(self, spec):
+        # the kernels take u = 0 and 1 without clipping: ndtri(0) = -inf and
+        # -log1p(-1) = inf.  The reference is the clipped form, bit for bit
+        us = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-20, 0.3, 0.5, 1.0 - 2.0**-53, 1.0])
+        shape = spec.params[1] if spec.family == "lognormal" else spec.params[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if spec.family == "lognormal":
+                want = np.where((us > 0.0) & (us < 1.0), special.ndtr(
+                    special.ndtri(np.clip(us, 1e-300, 1.0 - 1e-16)) - shape), us)
+            else:
+                want = np.where(us < 1.0, special.gammainc(
+                    1.0 + 1.0 / shape, -np.log1p(-np.clip(us, 0.0, 1.0 - 1e-16))), 1.0)
+            assert d.lorenz(spec, us).tobytes() == want.tobytes()
+            for u, w in zip(us, want):
+                got = d.lorenz(spec, float(u))
+                assert type(got) is float and got == w, u
+
+    def test_lognormal_kernel_below_the_diagonal_at_tiny_u(self):
+        # at small sigma, L(u) is of the order of u: clipping u at 1e-300
+        # would put L(1e-310) near 1e-300, above the diagonal
+        us = np.array([5e-324, 1e-310, 1e-300])
+        for sigma in (0.01, 0.1):
+            got = d.lorenz(FamilySpec.lognormal(0.0, sigma), us)
+            assert np.all(got <= us), sigma
 
     def test_quadrature_oracle(self):
         # L(u) = (1/mu) int_0^u quantile(t) dt
@@ -350,6 +396,17 @@ class TestIncompleteMoment:
         den = d.moment(spec, 2.0)
         assert d.incomplete_moment_cdf(spec, 2.0, x) == pytest.approx(num / den, abs=1e-5)
 
+    @pytest.mark.parametrize("a, k, x", [(2.0 / 3.0, 1.0, 2.0), (1.5, 2.0, 0.7), (0.5, 1.0, 30.0)])
+    def test_weibull_quadrature(self, a, k, x):
+        spec, b = FamilySpec.weibull(a, 2.0), 2.0
+
+        def pdf(t):
+            return (a / b) * (t / b) ** (a - 1.0) * math.exp(-((t / b) ** a))
+
+        num, _ = quad(lambda t: t**k * pdf(t), 0.0, x, limit=200)
+        assert d.incomplete_moment_cdf(spec, k, x) == pytest.approx(num / d.moment(spec, k), abs=1e-9)
+        assert d.incomplete_moment_cdf(spec, k, 0.0) == 0.0
+
     def test_existence_error(self):
         with pytest.raises(ExistenceError):
             d.incomplete_moment_cdf(FamilySpec.sm(2.0, 1.0, 0.9), 2.0, 1.0)
@@ -365,10 +422,9 @@ class TestGiniClosed:
         assert 0.0 < d.gini_closed(FamilySpec.weibull(0.5, 1.0)).value < 1.0
 
     def test_lognormal(self):
-        from gb2fit.specfun import std_normal_cdf
-
+        # 2 Phi(sigma / sqrt 2) - 1 = erf(sigma / 2)
         got = d.gini_closed(FamilySpec.lognormal(0.0, 1.0)).value
-        assert got == pytest.approx(2 * std_normal_cdf(1 / math.sqrt(2)) - 1, abs=1e-12)
+        assert got == pytest.approx(math.erf(0.5), abs=1e-12)
         assert got == pytest.approx(0.5205, abs=1e-4)
 
     def test_methods_tagged(self):

@@ -438,9 +438,8 @@ class TestStartScreening:
 
         ds = _sampled("gb2", seed=5)
         nls = nls_fit("gb2", ds)
-        chol = estimate._omega_cholesky(
-            weighting_matrix(d.with_scale(nls.spec, solve_scale(nls.spec, ds.mean)), ds)
-        )
+        wm = weighting_matrix(d.with_scale(nls.spec, solve_scale(nls.spec, ds.mean)), ds)
+        chol = linalg.cholesky(wm.Omega, lower=True)
         u, s = ds.u[:-1], ds.s[:-1]
         x0s = np.log(np.asarray(starting_values("gb2", ds)))
         x0s = np.vstack([x0s, [[0.0, 0.0, -1.0], [12.0, 0.0, 0.0]]])  # infeasible, clipped

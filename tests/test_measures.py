@@ -1,6 +1,7 @@
 """Monte Carlo and weighted-sample inequality measure tests."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -47,6 +48,16 @@ class TestMicrodata:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             Microdata(values=np.array([]))
+
+    @pytest.mark.parametrize("values, weights", [
+        ([1.0, np.nan], None), ([1.0, np.inf], None), ([1e308, 1e308], None),
+        ([1.0, 2.0], [1.0, np.inf]), ([1e200, 2.0], [1e200, 1.0]),
+    ])
+    def test_rejects_non_finite_total(self, values, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                Microdata(values=np.array(values), weights=None if weights is None else np.array(weights))
 
 
 class TestMcConfig:

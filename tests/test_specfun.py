@@ -1,7 +1,5 @@
 """Special-function tests against quadrature oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy import special
@@ -9,12 +7,7 @@ from scipy.integrate import quad
 
 from gb2fit.distributions import _beta_cdf
 from gb2fit.exceptions import DomainError
-from gb2fit.specfun import (
-    inc_gamma_ratio,
-    inv_inc_beta_ratio,
-    std_normal_cdf,
-    std_normal_quantile,
-)
+from gb2fit.specfun import inv_inc_beta_ratio
 
 
 class TestIncBeta:
@@ -77,52 +70,3 @@ class TestInvIncBeta:
         assert inv_inc_beta_ratio(0.0, 2.0, 3.0) == 0.0
         assert inv_inc_beta_ratio(1.0, 2.0, 3.0) == 1.0
 
-
-class TestIncGamma:
-    def test_exponential_case(self):
-        for x in (0.1, 1.0, 3.0):
-            assert inc_gamma_ratio(x, 1.0) == pytest.approx(1.0 - math.exp(-x), abs=1e-12)
-
-    def test_zero(self):
-        assert inc_gamma_ratio(0.0, 2.5) == 0.0
-
-    def test_quadrature_oracle(self):
-        x, nu = 2.0, 2.5
-        num, _ = quad(lambda t: t ** (nu - 1) * math.exp(-t), 0.0, x)
-        expected = num / math.gamma(nu)
-        assert inc_gamma_ratio(x, nu) == pytest.approx(expected, abs=1e-9)
-
-    def test_monotone(self):
-        xs = np.linspace(0.0, 20.0, 301)
-        vals = inc_gamma_ratio(xs, 3.3)
-        assert np.all(np.diff(vals) >= 0.0)
-        assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-    def test_broadcast_domain(self):
-        assert inc_gamma_ratio(np.array([0.5, 2.0]), np.array([[1.0], [2.5]])).shape == (2, 2)
-        with pytest.raises(DomainError):
-            inc_gamma_ratio(np.array([0.5, 2.0]), np.array([[1.0], [0.0]]))
-
-
-class TestNormal:
-    def test_cdf_zero(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-14)
-
-    def test_quantile_half(self):
-        assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-14)
-
-    def test_cdf_minus_one(self):
-        # 1 - Phi(1) from the erf series
-        expected = 0.5 * (1.0 + math.erf(-1.0 / math.sqrt(2.0)))
-        assert std_normal_cdf(-1.0) == pytest.approx(expected, abs=1e-12)
-        assert std_normal_cdf(-1.0) == pytest.approx(0.158655, abs=1e-6)
-
-    def test_mutually_inverse(self):
-        for u in np.linspace(0.001, 0.999, 41):
-            assert std_normal_cdf(std_normal_quantile(u)) == pytest.approx(u, abs=1e-10)
-
-    def test_quantile_domain(self):
-        with pytest.raises(DomainError):
-            std_normal_quantile(0.0)
-        with pytest.raises(DomainError):
-            std_normal_quantile(1.0)

@@ -1,6 +1,7 @@
 """Synthetic-data generation and the microdata-to-grouped pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,10 @@ class TestMixtureSpec:
             MixtureSpec(beta=-1.0, alpha=1.0, omega=0.5, mu=0.0, sigma=1.0)
         with pytest.raises(DomainError):
             MixtureSpec(beta=1.0, alpha=1.0, omega=1.5, mu=0.0, sigma=1.0)
+        for field in ("beta", "alpha", "mu", "sigma"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    MixtureSpec(**{**dict(beta=1.0, alpha=1.0, omega=0.5, mu=5.0, sigma=1.0), field: value})
 
 
 class TestMixturePdf:
@@ -94,6 +99,18 @@ class TestSampleMixture:
     def test_presets_positive(self, i):
         m = sample_mixture(MIXTURE_PRESETS[i], 5_000, seed=i)
         assert np.all(m.values > 0.0)
+
+    @pytest.mark.parametrize("mu", [-100.0, -9.0])
+    def test_no_normal_mass_above_zero_is_domain_error(self, mu):
+        # Phi(-mu/sigma) rounds to 1, so the normal quantile of the mapped
+        # uniforms would be inf; a pure Weibull never draws from the normal
+        spec = MixtureSpec(beta=1.0, alpha=1.0, omega=0.5, mu=mu, sigma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"mu={mu}, sigma=1\.0"):
+                sample_mixture(spec, 1_000, seed=0)
+            pure = MixtureSpec(beta=1.0, alpha=1.0, omega=1.0, mu=mu, sigma=1.0)
+            assert np.all(np.isfinite(sample_mixture(pure, 1_000, seed=0).values))
 
     def test_deterministic(self):
         a = sample_mixture(MIXTURE_PRESETS[2], 1_000, seed=9)
