@@ -1,11 +1,14 @@
 """Special-function tests against quadrature oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from gb2fit.distributions import _beta_cdf
+from gb2fit import distributions as d
+from gb2fit.distributions import FamilySpec, _beta_cdf
 from gb2fit.exceptions import DomainError
 from gb2fit.specfun import inv_inc_beta_ratio
 
@@ -70,3 +73,58 @@ class TestInvIncBeta:
         assert inv_inc_beta_ratio(0.0, 2.0, 3.0) == 0.0
         assert inv_inc_beta_ratio(1.0, 2.0, 3.0) == 1.0
 
+
+
+# weibull(1, 1) has cdf P(1, x) and k-th incomplete moment P(1 + k, x)
+_EXP = FamilySpec.weibull(1.0, 1.0)
+
+
+class TestIncGamma:
+    """The regularized incomplete gamma ratio P(nu, x), as the Weibull cdf
+    and incomplete moments compute it."""
+
+    def test_exponential_case(self):
+        for x in (0.1, 1.0, 3.0):
+            assert d.cdf(_EXP, x) == pytest.approx(1.0 - math.exp(-x), abs=1e-12)
+
+    def test_zero(self):
+        assert d.incomplete_moment_cdf(_EXP, 1.5, 0.0) == 0.0
+
+    def test_quadrature_oracle(self):
+        x, nu = 2.0, 2.5
+        num, _ = quad(lambda t: t ** (nu - 1) * math.exp(-t), 0.0, x)
+        expected = num / math.gamma(nu)
+        assert d.incomplete_moment_cdf(_EXP, nu - 1.0, x) == pytest.approx(expected, abs=1e-9)
+
+    def test_monotone(self):
+        xs = np.linspace(0.0, 20.0, 301)
+        vals = d.incomplete_moment_cdf(_EXP, 2.3, xs)
+        assert np.all(np.diff(vals) >= 0.0)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+# lognormal(0, 1) has cdf Phi(log x) and quantile exp(Phi^-1(u))
+_STD_LOG = FamilySpec.lognormal(0.0, 1.0)
+
+
+class TestNormal:
+    """The standard normal cdf and quantile, as the lognormal computes them."""
+
+    def test_cdf_zero(self):
+        assert d.cdf(_STD_LOG, 1.0) == pytest.approx(0.5, abs=1e-14)
+
+    def test_quantile_half(self):
+        assert math.log(d.quantile(_STD_LOG, 0.5)) == pytest.approx(0.0, abs=1e-14)
+
+    def test_cdf_minus_one(self):
+        # 1 - Phi(1) from the erf series
+        expected = 0.5 * (1.0 + math.erf(-1.0 / math.sqrt(2.0)))
+        got = d.cdf(_STD_LOG, math.exp(-1.0))
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert got == pytest.approx(0.158655, abs=1e-6)
+
+    def test_quantile_domain(self):
+        with pytest.raises(DomainError):
+            d.quantile(_STD_LOG, 0.0)
+        with pytest.raises(DomainError):
+            d.quantile(_STD_LOG, 1.0)
