@@ -3,7 +3,7 @@ with the GB2 family of distributions."""
 
 from .distributions import FamilySpec, GiniValue
 from .estimate import FitResult, WeightingMatrix, gmm_fit, nls_fit
-from .grouped import GroupedDataset, empirical_lorenz, from_shares, lower_bound_gini
+from .grouped import GroupedDataset, from_shares, lower_bound_gini
 from .measures import McConfig, Microdata, atkinson_mc, gini_mc, sample_measures
 from .synth import MIXTURE_PRESETS, GroupingPolicy, MixtureSpec
 
@@ -19,7 +19,6 @@ __all__ = [
     "GroupingPolicy",
     "MIXTURE_PRESETS",
     "from_shares",
-    "empirical_lorenz",
     "lower_bound_gini",
     "nls_fit",
     "gmm_fit",

@@ -97,7 +97,7 @@ def _fit_one_dataset(task):
             row = {"id": d.id, "family": family, "method": m, "survey_gini": d.survey_gini,
                    "lower_bound_gini": lb, "error": None}
             try:
-                if nls_error is not None and d.mean is not None:
+                if nls_error is not None:
                     raise nls_error  # gmm_fit would fit NLS again and fail the same way
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -284,10 +284,10 @@ def cmd_report(args):
 
     ginis, scores = {}, {"nls": {}, "gmm": {}}
     try:
-        for i, r in fitted:  # (gini, survey_gini) per family and method
+        for i, r in fitted:  # (gini, survey_gini) per family, method and dataset; the last row wins
             if r.get("survey_gini"):
                 key = r["family"] if r["family"] == "lower_bound" else f"{r['family']}/{r['method']}"
-                ginis.setdefault(key, []).append((r["gini"], r["survey_gini"]))
+                ginis.setdefault(key, {})[r.get("id")] = r["gini"], r["survey_gini"]
         for i, r in fitted:  # (aic, bic) per method, dataset and family; the last row wins
             if r.get("method") in scores and r.get("aic") is not None:
                 if missing := [name for name in _SCORED_FIELDS if name not in r]:
@@ -300,7 +300,7 @@ def cmd_report(args):
             if r.get(name) is not None and not lo <= r[name] <= hi:
                 raise ValidationError(f"{args.input} line {i}: fit row field '{name}' is {r[name]}, "
                                       f"not a finite number{' in [0, 1]' if hi == 1.0 else ''}")
-    errors = {k: error_report(*zip(*pairs)) for k, pairs in ginis.items()}
+    errors = {k: error_report(*zip(*cells.values())) for k, cells in ginis.items()}
 
     # AIC/BIC dominance across families, per estimation method
     dominance = {}

@@ -43,7 +43,6 @@ __all__ = [
     "n_shape_params",
     "shapes_of",
     "spec_from_shapes",
-    "with_scale",
 ]
 
 
@@ -212,11 +211,6 @@ def spec_from_shapes(family, shapes, scale=1.0):
     params = list(shapes)
     params.insert(_TABLE[family].scale_index, float(scale))
     return FamilySpec(family, tuple(params))
-
-
-def with_scale(spec, scale):
-    """Copy of ``spec`` with its scale parameter replaced."""
-    return spec_from_shapes(spec.family, shapes_of(spec), scale)
 
 
 def moment_exists(spec, k):

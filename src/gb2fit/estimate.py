@@ -2,7 +2,7 @@
 
 Only shape parameters enter the share-fitting objective (the Lorenz curve
 is scale-free); the scale is recovered afterwards from the sample mean
-when one is available.
+when one is available, and is 1 otherwise.
 """
 
 import functools
@@ -273,15 +273,19 @@ def _multistart(residuals, starts):
     return x[best], float(rss[best]), bool(converged[best])
 
 
-def _spec_at(family, d, x, scale=1.0):
+def _spec_at(family, d, x):
     """The spec at log-shapes x, clipped to the bound, and its share
-    residuals; raises EstimationError outside the moment-existence region."""
+    residuals; raises EstimationError outside the moment-existence region.
+    The shares fix only the shapes: the scale matches the dataset's mean,
+    and is 1 when the dataset has none."""
     shapes = np.exp(np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND))
-    spec = spec_from_shapes(family, shapes, scale=scale)
+    spec = spec_from_shapes(family, shapes)
     if not dist.moment_exists(spec, 1.0):
         raise EstimationError(
             f"{family} optimum violates the moment-existence region: {shapes}"
         )
+    if d.mean is not None:
+        spec = spec_from_shapes(family, shapes, scale=solve_scale(spec, d.mean))
     return spec, dist.lorenz(spec, d.u[:-1]) - d.s[:-1]
 
 
@@ -368,26 +372,23 @@ def gmm_fit(family, d, nls=None):
     """Two-step GMM: NLS first stage, optimally weighted second stage.
 
     The second stage is NLS on the share residuals whitened by the Cholesky
-    factor of Omega, started from the first-stage shapes.  Scale is
-    recovered from the dataset mean and held fixed.  Falls back to the
-    first-stage result (with a warning and a note) when the weighting
-    matrix cannot be built, every second-stage run fails, or the optimum
-    leaves the moment-existence region.
+    factor of Omega, started from the first-stage shapes.  Omega is
+    scale-free (W grows as b^2 and Psi as 1/b), so it is built at the
+    first-stage spec as it is, and the dataset needs no mean; the fitted
+    scale is set as for NLS.  Falls back to the first-stage result (with a
+    warning and a note) when the weighting matrix cannot be built, every
+    second-stage run fails, or the optimum leaves the moment-existence
+    region.
     """
-    if d.mean is None:
-        raise EstimationError("sample mean required for GMM scale recovery")
     if nls is None:
         nls = nls_fit(family, d)
-    eta = solve_scale(nls.spec, d.mean)
-    scaled = dist.with_scale(nls.spec, eta)
 
     def fallback(reason):
         warnings.warn(f"GMM fell back to NLS for {family}: {reason}", RuntimeWarning)
-        return replace(nls, spec=scaled, method="gmm",
-                       note=f"second stage fell back to NLS: {reason}")
+        return replace(nls, method="gmm", note=f"second stage fell back to NLS: {reason}")
 
     try:
-        chol = linalg.cholesky(weighting_matrix(scaled, d).Omega, lower=True)
+        chol = linalg.cholesky(weighting_matrix(nls.spec, d).Omega, lower=True)
     except (ExistenceError, linalg.LinAlgError) as exc:
         return fallback(str(exc))
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
@@ -395,7 +396,7 @@ def gmm_fit(family, d, nls=None):
     if not np.isfinite(fval):
         return fallback("every second-stage run failed")
     try:
-        spec, residuals = _spec_at(family, d, x, scale=eta)
+        spec, residuals = _spec_at(family, d, x)
     except EstimationError:
         return fallback("second stage left the moment-existence region")
     return replace(nls, spec=spec, method="gmm", objective=float(fval),

@@ -9,7 +9,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 
-__all__ = ["GroupedDataset", "from_shares", "lower_bound_gini", "empirical_lorenz"]
+__all__ = ["GroupedDataset", "from_shares", "lower_bound_gini"]
 
 
 def _is_number(v):
@@ -71,14 +71,6 @@ class GroupedDataset:
     def n_groups(self):
         return len(self.u)
 
-    def group_shares(self):
-        """Non-cumulative income shares c_j."""
-        return np.diff(self.s, prepend=0.0)
-
-    def group_proportions(self):
-        """Non-cumulative population proportions p_j."""
-        return np.diff(self.u, prepend=0.0)
-
 
 def from_shares(shares, proportions=None, id="dataset", mean=None, survey_gini=None):
     """Build a GroupedDataset from non-cumulative income shares.
@@ -117,12 +109,3 @@ def _polygon_gini(u, s):
     s = np.concatenate(([0.0], s))
     g = float(np.sum(np.diff(s) * (u[1:] + u[:-1])) - 1.0)
     return min(max(g, 0.0), 1.0)
-
-
-def empirical_lorenz(d, u):
-    """Piecewise-linear Lorenz curve through (0, 0) and every (u_j, s_j)."""
-    u = np.asarray(u, dtype=float)
-    knots_u = np.concatenate(([0.0], d.u))
-    knots_s = np.concatenate(([0.0], d.s))
-    out = np.interp(u, knots_u, knots_s)
-    return float(out) if out.ndim == 0 else out

@@ -13,7 +13,6 @@ from .measures import Microdata
 
 __all__ = [
     "iter_grouped",
-    "read_grouped",
     "write_grouped_jsonl",
     "read_microdata_csv",
     "write_microdata_csv",
@@ -68,16 +67,6 @@ def iter_grouped(path):
                 yield i, _grouped_from_json(json.loads(line)), None
             except (ValidationError, ValueError, KeyError, TypeError) as exc:
                 yield i, None, str(exc)
-
-
-def read_grouped(path):
-    """Read all valid datasets, raising on the first bad record."""
-    out = []
-    for i, d, err in iter_grouped(path):
-        if err is not None:
-            raise ValidationError(f"record {i}: {err}")
-        out.append(d)
-    return out
 
 
 def write_grouped_jsonl(datasets, path):

@@ -16,7 +16,6 @@ __all__ = [
     "MixtureSpec",
     "GroupingPolicy",
     "MIXTURE_PRESETS",
-    "mixture_pdf",
     "sample_mixture",
     "sample_family",
     "microdata_to_grouped",
@@ -73,21 +72,6 @@ class GroupingPolicy:
             raise DomainError("at least 2 groups required")
 
 
-def mixture_pdf(spec, x):
-    """Density of the Weibull / zero-truncated-normal mixture for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("mixture density defined for x > 0 only")
-    b, al = spec.beta, spec.alpha
-    weib = (b / al**b) * x ** (b - 1.0) * np.exp(-((x / al) ** b))
-    z = (x - spec.mu) / spec.sigma
-    norm = np.exp(-0.5 * z**2) / (spec.sigma * math.sqrt(2.0 * math.pi))
-    trunc = norm / special.ndtr(spec.mu / spec.sigma)
-    out = spec.omega * weib + (1.0 - spec.omega) * trunc
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
-
-
 def sample_mixture(spec, n, seed=0):
     """Inverse-transform sample of the mixture; deterministic given seed."""
     if n < 1:
@@ -113,7 +97,9 @@ def sample_mixture(spec, n, seed=0):
 def sample_family(spec, n, seed=0):
     """Microdata from a family member by ``distributions.sample``: gamma
     ratios for gb2 and b2, the inverse transform otherwise."""
-    return Microdata(values=dist.sample(spec, n, seed=seed))
+    with np.errstate(over="ignore"):  # Microdata rejects what overflows
+        values = dist.sample(spec, n, seed=seed)
+    return Microdata(values=values)
 
 
 def weighted_quantile(values, weights, q):

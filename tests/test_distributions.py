@@ -229,7 +229,8 @@ class TestLorenz:
             if spec.family == "lognormal":
                 other = FamilySpec.lognormal(spec.params[0] + math.log(7.0), spec.params[1])
             else:
-                other = d.with_scale(spec, 7.0 * spec.params[d._TABLE[spec.family].scale_index])
+                scale = spec.params[d._TABLE[spec.family].scale_index]
+                other = d.spec_from_shapes(spec.family, d.shapes_of(spec), 7.0 * scale)
             assert np.array_equal(d.lorenz(spec, us), d.lorenz(other, us)), spec.family
 
     def test_existence_errors(self):
@@ -355,7 +356,7 @@ class TestMoment:
 
     def test_homogeneity(self):
         spec = SPECS["sm"]
-        scaled = d.with_scale(spec, 3.0 * spec.params[1])
+        scaled = d.spec_from_shapes(spec.family, d.shapes_of(spec), 3.0 * spec.params[1])
         assert d.moment(scaled, 2.0) == pytest.approx(9.0 * d.moment(spec, 2.0), rel=1e-12)
 
     def test_existence_error(self):
@@ -453,7 +454,7 @@ class TestGiniClosed:
             if spec.family == "lognormal":
                 other = FamilySpec.lognormal(spec.params[0] + 2.0, spec.params[1])
             else:
-                other = d.with_scale(spec, 13.0)
+                other = d.spec_from_shapes(spec.family, d.shapes_of(spec), 13.0)
             assert d.gini_closed(spec).value == d.gini_closed(other).value, spec.family
 
     def test_existence_error(self):

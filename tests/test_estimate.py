@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from gb2fit import distributions as d, estimate
-from gb2fit.distributions import FamilySpec
+from gb2fit.distributions import FamilySpec, spec_from_shapes
 from gb2fit.estimate import (
     gmm_fit,
     gmm_quadratic,
@@ -209,7 +209,8 @@ class TestSolveScale:
         spec = FamilySpec.gb2(2.0, 1.0, 1.5, 2.5)
         eta = solve_scale(spec, 10.0)
         mean, _ = quad(
-            lambda u: d.quantile(d.with_scale(spec, eta), u), 0.0, 1.0, limit=400
+            lambda u: d.quantile(spec_from_shapes(spec.family, d.shapes_of(spec), eta), u),
+            0.0, 1.0, limit=400,
         )
         assert mean == pytest.approx(10.0, rel=1e-8)
 
@@ -341,10 +342,14 @@ class TestGmm:
         move = np.max(np.abs(d.shapes_of(gmm.spec) - d.shapes_of(nls.spec)))
         assert move < 1e-3, family
 
-    def test_requires_mean(self):
+    def test_without_mean_unit_scale(self):
+        # Omega is scale-free, so GMM needs no mean; the scale is then 1
         ds = deciles_from(TRUE_SPECS["weibull"])
-        with pytest.raises(EstimationError):
-            gmm_fit("weibull", ds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gmm = gmm_fit("weibull", ds)
+        assert gmm.method == "gmm" and gmm.spec.params[1] == 1.0
+        assert gmm.spec.params[0] == pytest.approx(1.4, rel=1e-4)
 
     def test_second_stage_never_worse(self):
         # noisy dataset: second stage objective <= objective at the NLS start
@@ -358,7 +363,7 @@ class TestGmm:
             nls = nls_fit("b2", ds)
             gmm = gmm_fit("b2", ds, nls=nls)
         eta = solve_scale(nls.spec, ds.mean)
-        scaled = d.with_scale(nls.spec, eta)
+        scaled = spec_from_shapes("b2", d.shapes_of(nls.spec), eta)
         wm = weighting_matrix(scaled, ds)
         f_start = gmm_quadratic(nls.residuals, wm)
         assert gmm.objective <= f_start + 1e-12
@@ -400,6 +405,22 @@ def _sampled(source, seed):
     return microdata_to_grouped(m, GroupingPolicy(n_groups=10), id=source)
 
 
+class TestFittedScale:
+    @pytest.mark.parametrize("source", ["gb2", "preset-5"])
+    def test_every_fit_matches_the_mean(self, source):
+        # the shares fix the shapes; the scale of every NLS and GMM fit,
+        # second stage (gb2 on the gb2 source) or fallback, reproduces the
+        # dataset's mean
+        ds = _sampled(source, seed=5)
+        for family in d.FAMILIES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                nls = nls_fit(family, ds)
+                gmm = gmm_fit(family, ds, nls=nls)
+            for fit in (nls, gmm):
+                assert d.moment(fit.spec, 1.0) == pytest.approx(ds.mean, rel=1e-12), (family, fit.method)
+
+
 class TestStartScreening:
     """Levenberg-Marquardt from the lowest-RSS starts only reaches the
     minimum that a run from every start reaches."""
@@ -424,7 +445,8 @@ class TestStartScreening:
         nls = nls_fit("gb2", ds)
         gmm = gmm_fit("gb2", ds, nls=nls)
         assert gmm.note == "" and gmm.converged  # the second stage ran
-        wm = weighting_matrix(d.with_scale(nls.spec, solve_scale(nls.spec, ds.mean)), ds)
+        wm = weighting_matrix(
+            spec_from_shapes("gb2", d.shapes_of(nls.spec), solve_scale(nls.spec, ds.mean)), ds)
         assert np.linalg.cond(wm.Omega) < 1e12  # no ridge: the plain solve applies
         m = nls.residuals
         f_start = gmm_quadratic(m, wm)
@@ -438,7 +460,8 @@ class TestStartScreening:
 
         ds = _sampled("gb2", seed=5)
         nls = nls_fit("gb2", ds)
-        wm = weighting_matrix(d.with_scale(nls.spec, solve_scale(nls.spec, ds.mean)), ds)
+        wm = weighting_matrix(
+            spec_from_shapes("gb2", d.shapes_of(nls.spec), solve_scale(nls.spec, ds.mean)), ds)
         chol = linalg.cholesky(wm.Omega, lower=True)
         u, s = ds.u[:-1], ds.s[:-1]
         x0s = np.log(np.asarray(starting_values("gb2", ds)))

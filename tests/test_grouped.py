@@ -6,7 +6,7 @@ import pytest
 from gb2fit import distributions as d
 from gb2fit.distributions import FamilySpec
 from gb2fit.exceptions import ValidationError
-from gb2fit.grouped import GroupedDataset, empirical_lorenz, from_shares, lower_bound_gini
+from gb2fit.grouped import GroupedDataset, from_shares, lower_bound_gini
 
 
 def dataset_from_spec(spec, n_groups, id="gen"):
@@ -99,8 +99,6 @@ class TestFromShares:
 
     def test_group_accessors(self):
         ds = from_shares([0.1, 0.3, 0.6])
-        assert np.allclose(ds.group_shares(), [0.1, 0.3, 0.6])
-        assert np.allclose(ds.group_proportions(), [1 / 3] * 3)
         assert ds.n_groups == 3
 
 
@@ -163,23 +161,3 @@ class TestLowerBoundGini:
             id="x2", u=np.array([0.25, 0.5, 1.0]), s=np.array([0.1, 0.2, 1.0])
         )
         assert lower_bound_gini(split) == pytest.approx(lower_bound_gini(ds), abs=1e-14)
-
-
-class TestEmpiricalLorenz:
-    def test_knot_exactness(self):
-        ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.2, 1.0]))
-        assert empirical_lorenz(ds, 0.5) == 0.2
-        assert empirical_lorenz(ds, 1.0) == 1.0
-        assert empirical_lorenz(ds, 0.0) == 0.0
-
-    def test_midpoint_linearity(self):
-        ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.2, 1.0]))
-        assert empirical_lorenz(ds, 0.75) == pytest.approx(0.6, abs=1e-14)
-        assert empirical_lorenz(ds, 0.25) == pytest.approx(0.1, abs=1e-14)
-
-    def test_vectorized(self):
-        ds = dataset_from_spec(FamilySpec.lognormal(0.0, 0.8), 10)
-        us = np.linspace(0.0, 1.0, 50)
-        vals = empirical_lorenz(ds, us)
-        assert vals.shape == us.shape
-        assert np.all(np.diff(vals) >= -1e-15)
