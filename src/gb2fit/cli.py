@@ -182,6 +182,8 @@ def cmd_fit(args):
 
 
 def cmd_simulate(args):
+    if args.microdata_out and not (args.family or args.mixture or args.preset):
+        raise DomainError("--microdata-out requires a single source: --family, --mixture or --preset")
     if args.family:
         spec = dist.FamilySpec(args.family, tuple(args.params or ()))
         label = f"{args.family}-{args.seed}"
@@ -202,9 +204,6 @@ def cmd_simulate(args):
     datasets = [microdata_to_grouped(m, policy, id=name) for name, m in sources]
     gio.write_grouped_jsonl(datasets, args.output)
     if args.microdata_out:
-        if len(sources) != 1:
-            print("simulate: --microdata-out requires a single source", file=sys.stderr)
-            return 2
         gio.write_microdata_csv(sources[0][1], args.microdata_out)
     print(f"simulate: {len(datasets)} datasets (n={args.n}, seed={args.seed}) -> {args.output}")
     return 0

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg, optimize, special
+from scipy import linalg, special
 
 from . import distributions as dist
 from .distributions import FamilySpec, spec_from_shapes
@@ -91,8 +91,63 @@ def _solve_theta2(family, theta1, g, lo):
         return None
     if not np.isfinite(flo) or not np.isfinite(fhi) or flo * fhi > 0.0:
         return None
-    theta2 = optimize.brentq(f, lo, _THETA2_MAX, xtol=1e-10, rtol=1e-12)
-    return np.array(shapes(theta2))
+    return np.array(shapes(_brentq(f, lo, _THETA2_MAX, flo, fhi)))
+
+
+def _brentq(f, xpre, xcur, fpre, fcur):
+    """Root of f between xpre and xcur, where f takes the values fpre and
+    fcur of opposite signs (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4).
+
+    A step-for-step port of scipy's ``brentq.c`` at xtol 1e-10, rtol 1e-12
+    and at most 100 iterations, so each root is bit-identical to
+    ``scipy.optimize.brentq``'s, without importing ``scipy.optimize``.  As
+    there, a NaN value of f raises ValueError and no convergence raises
+    RuntimeError.
+    """
+    xtol, rtol, maxiter = 1e-10, 1e-12, 100
+    xpre, xcur, fpre, fcur = float(xpre), float(xcur), float(fpre), float(fcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gives inf or NaN, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 @functools.lru_cache(maxsize=16)

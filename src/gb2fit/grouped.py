@@ -75,14 +75,16 @@ class GroupedDataset:
 def from_shares(shares, proportions=None, id="dataset", mean=None, survey_gini=None):
     """Build a GroupedDataset from non-cumulative income shares.
 
-    ``proportions`` defaults to equal-population groups.  Shares must sum
-    to 1 within 1e-6 and are renormalized to exactly 1.
+    ``proportions`` defaults to equal-population groups.  Shares are
+    fractions that sum to 1 within 0.005, or percentages that sum to 100
+    within 0.5, as published tables rounded to 0.1 percentage point do;
+    either way they are divided by their sum.
     """
     shares = np.asarray(shares, dtype=float)
     total = shares.sum()
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > 0.005 and abs(total - 100.0) > 0.5:
         raise ValidationError(
-            f"invalid grouped dataset {id!r}: shares sum to {total:.8f}, not 1"
+            f"invalid grouped dataset {id!r}: shares sum to {total:.8f}, not 1 or 100"
         )
     shares = shares / total
     if proportions is None:

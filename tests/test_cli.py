@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gb2fit
 from gb2fit import cli, distributions as d, estimate
 from gb2fit.cli import main
 from gb2fit.distributions import FamilySpec
@@ -384,12 +389,15 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    def test_microdata_out_needs_single_source(self, tmp_path):
+    def test_microdata_out_needs_single_source(self, tmp_path, capsys):
+        out, micro = tmp_path / "s.jsonl", tmp_path / "m.csv"
         code = main(
-            ["simulate", "--output", str(tmp_path / "s.jsonl"),
-             "--n", "1000", "--microdata-out", str(tmp_path / "m.csv")]
+            ["simulate", "--output", str(out),
+             "--n", "1000", "--microdata-out", str(micro)]
         )
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not micro.exists()
 
 
 class TestGroupAndMeasures:
@@ -651,3 +659,27 @@ class TestDeterminismAndOrdering:
                  "--families", "fisk", "--mc-n", "2000", "--workers", workers]
             ) == 0
         assert seq.read_bytes() == par.read_bytes()
+
+
+class TestImportFootprint:
+    def test_fit_leaves_scipy_optimize_unimported(self, tmp_path):
+        # a fresh interpreter, so that no import made by another test counts
+        script = """
+import sys
+import gb2fit.cli
+assert "scipy.optimize" not in sys.modules
+sim, fit = sys.argv[1:]
+assert gb2fit.cli.main(["simulate", "--preset", "1", "--n", "2000", "--groups", "5",
+                        "--output", sim]) == 0
+assert gb2fit.cli.main(["fit", "--input", sim, "--output", fit, "--method", "both"]) == 0
+assert "scipy.optimize" not in sys.modules
+"""
+        src = str(Path(gb2fit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "s.jsonl"), str(tmp_path / "f.jsonl")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(read_jsonl(tmp_path / "f.jsonl")) == 15

@@ -112,6 +112,39 @@ class TestStartingValues:
         first[0][:] = -1.0
         assert starting_values("sm", ds)[0][0] > 0.0
 
+    def test_grids_equal_scipy_brentq_bit_for_bit(self, monkeypatch):
+        from scipy import optimize
+
+        anchors = [*np.linspace(0.05, 0.9, 60), 1e-4, 0.5, 0.9999]
+        grid = estimate._nested_grid.__wrapped__
+        got = {(f, g): grid(f, g) for f in ("b2", "sm", "dagum") for g in anchors}
+        monkeypatch.setattr(estimate, "_brentq", lambda f, a, b, fa, fb: optimize.brentq(
+            f, a, b, xtol=1e-10, rtol=1e-12))
+        n_roots = 0
+        for (family, g), starts in got.items():
+            want = grid(family, g)
+            assert np.array(starts).tobytes() == np.array(want).tobytes(), (family, g)
+            n_roots += len(starts)
+        assert n_roots > 3000
+
+    def test_brentq_nan_value_is_value_error(self):
+        def f(x):
+            return -1.0 if x < 0.25 else (math.nan if x < 0.75 else 1.0)
+
+        with pytest.raises(ValueError, match="NaN"):
+            estimate._brentq(f, 0.0, 1.0, -1.0, 1.0)
+
+    def test_brentq_iteration_cap_is_runtime_error(self):
+        from scipy import optimize
+
+        def step(x):  # defeats interpolation: every step bisects
+            return -1.0 if x < 0.0 else 1.0
+
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            estimate._brentq(step, -1e300, 1e300, -1.0, 1.0)
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            optimize.brentq(step, -1e300, 1e300, xtol=1e-10, rtol=1e-12)
+
     def test_gb2_pools_nested_grids(self):
         ds = GroupedDataset(
             id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]), survey_gini=0.42

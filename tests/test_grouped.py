@@ -97,6 +97,18 @@ class TestFromShares:
         with pytest.raises(ValidationError):
             from_shares([0.3, 0.3])
 
+    @pytest.mark.parametrize("total", [0.9951, 1.001, 1.0049, 99.51, 100.0, 100.49])
+    def test_rounded_and_percent_sums_renormalized(self, total):
+        shares = np.array([0.1, 0.2, 0.3, 0.4]) * total
+        ds = from_shares(shares)
+        assert np.array_equal(ds.s[:-1], np.cumsum(shares / shares.sum())[:-1])
+        assert ds.s[-1] == 1.0
+
+    @pytest.mark.parametrize("total", [0.9949, 1.0051, 2.0, 99.49, 100.51])
+    def test_sum_beyond_slack_rejected(self, total):
+        with pytest.raises(ValidationError, match="shares sum to"):
+            from_shares(np.array([0.1, 0.2, 0.3, 0.4]) * total)
+
     def test_group_accessors(self):
         ds = from_shares([0.1, 0.3, 0.6])
         assert ds.n_groups == 3

@@ -89,6 +89,21 @@ class TestCsv:
         assert back[0].mean == 12.5 and back[0].survey_gini == 0.35
         assert back[1].mean is None and back[1].survey_gini is None
 
+    def test_published_shares_in_percent_and_rounded(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text(
+            "id,share1,share2,share3,share4,share5\n"
+            "pct,5,10,15,30,40\n"
+            "rounded,0.051,0.1,0.15,0.3,0.4\n"
+            "off,0.06,0.1,0.15,0.3,0.4\n"
+        )
+        rows = list(gio.iter_grouped(path))
+        assert np.allclose(rows[0][1].s, np.cumsum([0.05, 0.1, 0.15, 0.3, 0.4]), rtol=0, atol=1e-15)
+        assert np.allclose(rows[1][1].s, np.cumsum([0.051, 0.1, 0.15, 0.3, 0.4]) / 1.001,
+                           rtol=0, atol=1e-15)
+        assert rows[0][2] is None and rows[1][2] is None
+        assert rows[2][:2] == (2, None) and "shares sum to 1.01" in rows[2][2]
+
     def test_row_short_of_a_share_cell_is_one_bad_record(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("id,share1,share2,share3\nshort,0.2,0.3\nok,0.2,0.3,0.5\n")
