@@ -4,7 +4,7 @@ with the GB2 family of distributions."""
 from .distributions import FamilySpec, GiniValue
 from .estimate import FitResult, WeightingMatrix, gmm_fit, nls_fit
 from .grouped import GroupedDataset, from_shares, lower_bound_gini
-from .measures import McConfig, Microdata, atkinson_mc, gini_mc, sample_measures
+from .measures import McConfig, Microdata, atkinson_mc, sample_measures
 from .synth import MIXTURE_PRESETS, GroupingPolicy, MixtureSpec
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "lower_bound_gini",
     "nls_fit",
     "gmm_fit",
-    "gini_mc",
     "atkinson_mc",
     "sample_measures",
 ]

@@ -43,6 +43,12 @@ def _parse_families(text):
     return fams
 
 
+def _parse_family(text):
+    if len(fams := _parse_families(text)) != 1:
+        raise argparse.ArgumentTypeError(f"expected one family: {text!r}")
+    return fams[0]
+
+
 def _parse_floats(text):
     return [float(t) for t in text.split(",") if t.strip()]
 
@@ -182,6 +188,8 @@ def cmd_fit(args):
 
 
 def cmd_simulate(args):
+    if args.params is not None and not args.family:
+        raise DomainError("--params requires --family")
     if args.microdata_out and not (args.family or args.mixture or args.preset):
         raise DomainError("--microdata-out requires a single source: --family, --mixture or --preset")
     if args.family:
@@ -365,10 +373,10 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="generate synthetic grouped datasets")
     p.add_argument("--output", required=True)
-    p.add_argument("--preset", type=int, choices=range(1, 7))
-    p.add_argument("--mixture", type=_parse_mixture,
-                   help="beta,alpha,omega,mu,sigma")
-    p.add_argument("--family", type=lambda t: _parse_families(t)[0])
+    source = p.add_mutually_exclusive_group()  # all six presets without one
+    source.add_argument("--preset", type=int, choices=range(1, 7))
+    source.add_argument("--mixture", type=_parse_mixture, help="beta,alpha,omega,mu,sigma")
+    source.add_argument("--family", type=_parse_family)
     p.add_argument("--params", type=_parse_floats)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)

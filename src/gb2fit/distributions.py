@@ -13,9 +13,9 @@ Supported families and their parameter vectors:
 ``b`` is the scale (money units); everything else is a dimensionless
 shape except the lognormal ``mu``, which plays the role of a log-scale.
 
-The nested families are rows of one table that maps their parameters to
-GB2 (a, b, p, q), so every formula below is written once for the GB2;
-only the lognormal and the Weibull have formulas of their own.
+The nested families are rows of one table that maps their shapes to GB2
+(a, p, q), so every formula below is written once for the GB2; only the
+lognormal and the Weibull have formulas of their own.
 """
 
 import math
@@ -73,8 +73,8 @@ def _dagum_pair(u, p, q):
 @dataclass(frozen=True)
 class _Family:
     """One row of the family table.  For the GB2-nested families ``to_gb2``
-    maps the parameters to GB2 (a, b, p, q), ``z`` is the pair z(u) =
-    I_u^-1(p, q) and 1 - z, each with its own digits, and ``odds`` is
+    maps the shapes (``shapes_of`` order) to GB2 (a, p, q), ``z`` is the pair
+    z(u) = I_u^-1(p, q) and 1 - z, each with its own digits, and ``odds`` is
     z / (1 - z), in a form that keeps the upper tail where 1 - z is 0."""
 
     n_params: int
@@ -85,19 +85,19 @@ class _Family:
 
 
 _TABLE = {
-    "gb2": _Family(4, 1, lambda a, b, p, q: (a, b, p, q), _inverse_beta_pair, _inverse_beta_odds),
-    "b2": _Family(3, 0, lambda b, p, q: (1.0, b, p, q), _inverse_beta_pair, _inverse_beta_odds),
+    "gb2": _Family(4, 1, lambda a, p, q: (a, p, q), _inverse_beta_pair, _inverse_beta_odds),
+    "b2": _Family(3, 0, lambda p, q: (1.0, p, q), _inverse_beta_pair, _inverse_beta_odds),
     "sm": _Family(  # p = 1: I_z(1, q) = 1 - (1 - z)^q
-        3, 1, lambda a, b, q: (a, b, 1.0, q), _sm_pair,
+        3, 1, lambda a, q: (a, 1.0, q), _sm_pair,
         lambda u, p, q: np.expm1(-np.log1p(-u) / q),
     ),
     "dagum": _Family(  # q = 1: I_z(p, 1) = z^p
-        3, 1, lambda a, b, p: (a, b, p, 1.0), _dagum_pair,
+        3, 1, lambda a, p: (a, p, 1.0), _dagum_pair,
         lambda u, p, q: 1.0 / np.expm1(-np.log(u) / p),
     ),
     "lognormal": _Family(2, 0),
     "fisk": _Family(  # p = q = 1: I_z(1, 1) = z
-        2, 1, lambda a, b: (a, b, 1.0, 1.0),
+        2, 1, lambda a: (a, 1.0, 1.0),
         lambda u, p, q: (u, 1.0 - u),
         lambda u, p, q: u / (1.0 - u),
     ),
@@ -158,16 +158,14 @@ class FamilySpec:
     def weibull(cls, a, b):
         return cls("weibull", (a, b))
 
-    def as_gb2(self) -> Optional["FamilySpec"]:
-        """The equivalent GB2 spec, or None for non-nested families."""
-        g = _gb2(self)
-        return None if g is None else FamilySpec("gb2", g)
-
 
 def _gb2(spec):
     """GB2 parameters (a, b, p, q) of a nested spec, else None."""
-    to_gb2 = _TABLE[spec.family].to_gb2
-    return None if to_gb2 is None else to_gb2(*spec.params)
+    row, par = _TABLE[spec.family], spec.params
+    if row.to_gb2 is None:
+        return None
+    a, p, q = row.to_gb2(*par[:row.scale_index], *par[row.scale_index + 1:])
+    return a, par[row.scale_index], p, q
 
 
 @dataclass(frozen=True)
@@ -175,8 +173,7 @@ class GiniValue:
     """A Gini index together with how it was computed."""
 
     value: float
-    method: str  # closed_form | quadrature | monte_carlo (gini_mc only)
-    mc_std_error: Optional[float] = None
+    method: str  # closed_form | quadrature
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -269,22 +266,13 @@ def _shape_columns(shapes, ndim=0):
     return [c.reshape((-1,) + (1,) * ndim) for c in np.asarray(shapes, dtype=float).T]
 
 
-def _gb2_columns(row, cols):
-    """GB2 (a, p, q) of a nested family's shape columns; a column or a
-    constant each."""
-    cols = list(cols)
-    cols.insert(row.scale_index, 1.0)
-    a, _, p, q = row.to_gb2(*cols)
-    return a, p, q
-
-
 def _margin_rows(family, shapes):
     """The distance q - 1/a of each shape row (m, k) to the boundary where
     the mean stops existing, as an (m,) array; its sign is the existence."""
     row = _TABLE[family]
     if row.to_gb2 is None:
         return np.ones(len(shapes))  # lognormal, weibull
-    a, _, q = _gb2_columns(row, _shape_columns(shapes))
+    a, _, q = row.to_gb2(*_shape_columns(shapes))
     return q - 1.0 / a
 
 
@@ -299,7 +287,7 @@ def _lorenz_rows(family, shapes, u):
     row = _TABLE[family]
     cols = _shape_columns(shapes, u.ndim)
     if row.to_gb2 is not None:
-        a, p, q = _gb2_columns(row, cols)
+        a, p, q = row.to_gb2(*cols)
         with np.errstate(divide="ignore"):  # log 0 at u = 0 or 1 gives z = 0 or 1
             return _beta_cdf(*row.z(u, p, q), p + 1.0 / a, q - 1.0 / a)
     if family == "lognormal":  # ndtri(0) = -inf and ndtri(1) = inf give L = 0 and 1
@@ -452,22 +440,18 @@ def gini_closed(spec):
             f"Gini undefined for {spec.family}{spec.params}: mean does not exist"
         )
     fam, par = spec.family, spec.params
+    if fam == "gb2":
+        a, _, p, q = par
+        return GiniValue(min(max(_gb2_gini(a, p, q), 0.0), 1.0), "quadrature")
     if fam in ("b2", "sm", "dagum"):
-        return GiniValue(_nested_gini(fam, *map(float, shapes_of(spec))), "closed_form")
-    if fam != "gb2":
-        if fam == "lognormal":
-            _, sigma = par
-            g = 2.0 * float(special.ndtr(sigma / math.sqrt(2.0))) - 1.0
-        elif fam == "fisk":
-            a, _ = par
-            g = 1.0 / a
-        else:  # weibull; finite for every a > 0 despite the usual a > 1 statement
-            a, _ = par
-            g = 1.0 - 2.0 ** (-1.0 / a)
-        return GiniValue(min(max(g, 0.0), 1.0), "closed_form")
-
-    a, _, p, q = par
-    return GiniValue(min(max(_gb2_gini(a, p, q), 0.0), 1.0), "quadrature")
+        g = _nested_gini(fam, *map(float, shapes_of(spec)))
+    elif fam == "lognormal":
+        g = 2.0 * float(special.ndtr(par[1] / math.sqrt(2.0))) - 1.0
+    elif fam == "fisk":
+        g = 1.0 / par[0]
+    else:  # weibull; finite for every a > 0 despite the usual a > 1 statement
+        g = 1.0 - 2.0 ** (-1.0 / par[0])
+    return GiniValue(min(max(g, 0.0), 1.0), "closed_form")
 
 
 # The GB2 Gini quadrature: an endpoint power up to _JACOBI_POWER goes into

@@ -73,27 +73,6 @@ def _gini_anchor(d):
     return min(max(g, 1e-4), 1.0 - 1e-4)
 
 
-def _solve_theta2(family, theta1, g, lo):
-    """Root of G(theta1, theta2) = g over (lo, _THETA2_MAX), or None."""
-
-    def shapes(theta2):
-        if family == "dagum":  # shapes are (a, p) with theta1 = p on the grid
-            return theta2, theta1
-        return theta1, theta2
-
-    def f(theta2):
-        return dist._nested_gini(family, *shapes(theta2)) - g
-
-    lo = lo + 1e-6
-    try:
-        flo, fhi = f(lo), f(_THETA2_MAX)
-    except OverflowError:
-        return None
-    if not np.isfinite(flo) or not np.isfinite(fhi) or flo * fhi > 0.0:
-        return None
-    return np.array(shapes(_brentq(f, lo, _THETA2_MAX, flo, fhi)))
-
-
 def _brentq(f, xpre, xcur, fpre, fcur):
     """Root of f between xpre and xcur, where f takes the values fpre and
     fcur of opposite signs (Brent 1973, *Algorithms for Minimization without
@@ -152,16 +131,26 @@ def _brentq(f, xpre, xcur, fpre, fcur):
 
 @functools.lru_cache(maxsize=16)
 def _nested_grid(family, g):
-    """The b2, sm or dagum start grid at Gini anchor g, as tuples: it
-    depends on the dataset only through g, and the GB2 grid pools all
-    three, so each is solved once per anchor."""
+    """The b2, sm or dagum start grid at Gini anchor g, as tuples: for each
+    theta1 on the grid, the root theta2 of G(theta1, theta2) = g over
+    (lo, _THETA2_MAX) where it is bracketed.  It depends on the dataset only
+    through g, and the GB2 pools all three grids, so each is solved once."""
+    def shapes(theta1, theta2):  # dagum's shapes are (a, p), with p on the grid
+        return (theta2, theta1) if family == "dagum" else (theta1, theta2)
+
     starts = []
-    for theta1 in _GRID:
+    for theta1 in map(float, _GRID):
+        def f(theta2):
+            return dist._nested_gini(family, *shapes(theta1, theta2)) - g
+
         # the mean needs q > 1 (b2), q > 1/a (sm) or a > 1 (dagum)
-        lo = 1.0 / theta1 if family == "sm" else 1.0
-        st = _solve_theta2(family, float(theta1), g, lo)
-        if st is not None:
-            starts.append(tuple(st))
+        lo = (1.0 / theta1 if family == "sm" else 1.0) + 1e-6
+        try:
+            flo, fhi = f(lo), f(_THETA2_MAX)
+        except OverflowError:
+            continue
+        if np.isfinite(flo) and np.isfinite(fhi) and flo * fhi <= 0.0:
+            starts.append(shapes(theta1, _brentq(f, lo, _THETA2_MAX, flo, fhi)))
     return tuple(starts)
 
 
@@ -187,7 +176,7 @@ def starting_values(family, d):
     elif family == "gb2":
         # reuse the three-parameter grids on the a = 1, p = 1 and q = 1
         # boundaries, mapped to GB2 shapes through the family table
-        starts = [dist.shapes_of(spec_from_shapes(nested, st).as_gb2())
+        starts = [np.array(dist._TABLE[nested].to_gb2(*st))
                   for nested in ("b2", "sm", "dagum") for st in _nested_grid(nested, g)]
     else:
         raise EstimationError(f"unknown family {family!r}")

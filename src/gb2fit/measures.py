@@ -1,6 +1,7 @@
-"""Inequality measures: closed-form and Monte Carlo Gini/Atkinson for
+"""Inequality measures: closed-form and Monte Carlo Atkinson indices for
 fitted distributions (drawn by ``distributions.sample``), and weighted
-sample measures for microdata."""
+sample measures for microdata.  A fitted distribution's Gini is
+``distributions.gini_closed``."""
 
 import math
 from dataclasses import dataclass
@@ -9,14 +10,12 @@ from typing import Optional
 import numpy as np
 
 from . import distributions as dist
-from .distributions import GiniValue
 from .exceptions import DomainError, ExistenceError, ValidationError
 from .grouped import _polygon_gini
 
 __all__ = [
     "McConfig",
     "Microdata",
-    "gini_mc",
     "atkinson_mc",
     "atkinson_closed",
     "atkinson_exists",
@@ -24,8 +23,6 @@ __all__ = [
     "weighted_gini",
     "weighted_atkinson",
 ]
-
-_MC_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -49,10 +46,8 @@ class Microdata:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if self.weights is None:
-            weights = np.ones_like(values)
-        else:
-            weights = np.asarray(self.weights, dtype=float)
+        weights = self.weights
+        weights = np.ones_like(values) if weights is None else np.asarray(weights, dtype=float)
         if values.ndim != 1 or weights.shape != values.shape:
             raise ValidationError("values and weights must be 1-d and aligned")
         if len(values) == 0:
@@ -76,10 +71,7 @@ def weighted_gini(values, weights=None):
     distribution that puts mass w_i on x_i.
     """
     values = np.asarray(values, dtype=float)
-    if weights is None:
-        weights = np.ones_like(values)
-    else:
-        weights = np.asarray(weights, dtype=float)
+    weights = np.ones_like(values) if weights is None else np.asarray(weights, dtype=float)
     order = np.argsort(values, kind="stable")
     x = values[order]
     w = weights[order]
@@ -93,10 +85,7 @@ def weighted_atkinson(values, epsilon, weights=None):
     if epsilon < 0.0:
         raise DomainError("Atkinson aversion parameter must be >= 0")
     values = np.asarray(values, dtype=float)
-    if weights is None:
-        weights = np.ones_like(values)
-    else:
-        weights = np.asarray(weights, dtype=float)
+    weights = np.ones_like(values) if weights is None else np.asarray(weights, dtype=float)
     wsum = weights.sum()
     mu = float(np.sum(weights * values) / wsum)
     if epsilon == 0.0:
@@ -109,20 +98,6 @@ def weighted_atkinson(values, epsilon, weights=None):
         m = float(np.sum(weights * (values / mu) ** (1.0 - epsilon)) / wsum)
         a = 1.0 - m ** (1.0 / (1.0 - epsilon))
     return min(max(a, 0.0), 1.0)
-
-
-def gini_mc(spec, cfg=McConfig()):
-    """Monte Carlo Gini with a batch-means standard error."""
-    if not dist.moment_exists(spec, 1.0):
-        raise ExistenceError(
-            f"Gini undefined for {spec.family}{spec.params}: mean does not exist"
-        )
-    x = dist.sample(spec, cfg.n, seed=cfg.seed)
-    value = weighted_gini(x)
-    batches = np.array_split(x, _MC_BATCHES)
-    bg = np.array([weighted_gini(b) for b in batches])
-    se = float(bg.std(ddof=1) / math.sqrt(_MC_BATCHES))
-    return GiniValue(value, "monte_carlo", mc_std_error=se)
 
 
 def atkinson_exists(spec, epsilon):

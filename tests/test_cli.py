@@ -389,6 +389,26 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "500", "--params", "1,2"],  # --params without --family
+        ["--preset", "2", "--family", "fisk", "--params", "2,1"],
+        ["--preset", "2", "--mixture", "1,1,0.5,5,1"],
+        ["--mixture", "1,1,0.5,5,1", "--family", "fisk", "--params", "2,1"],
+        ["--family", "sm,b2", "--params", "2,1,1.5"],
+    ], ids=["params-without-family", "preset-and-family", "preset-and-mixture",
+            "mixture-and-family", "two-families"])
+    def test_conflicting_or_unused_source_options_are_usage_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.jsonl"
+        try:
+            code = main(["simulate", "--output", str(out)] + argv)
+        except SystemExit as exc:  # argparse rejects the option
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error: " in line]) == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_microdata_out_needs_single_source(self, tmp_path, capsys):
         out, micro = tmp_path / "s.jsonl", tmp_path / "m.csv"
         code = main(

@@ -157,6 +157,22 @@ class TestStartingValues:
         assert len(starts) <= 60
         assert all(len(s) == 3 for s in starts)
 
+    def test_gb2_pool_is_nested_grids_on_gb2_boundaries(self):
+        boundaries = {  # the b2, sm and dagum shapes as GB2 (a, p, q)
+            "b2": lambda p, q: (1.0, p, q),
+            "sm": lambda a, q: (a, 1.0, q),
+            "dagum": lambda a, p: (a, p, 1.0),
+        }
+        for g in (0.1, 0.3, 0.42, 0.6, 0.9):
+            ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]),
+                                survey_gini=g)
+            want = [np.array(to_gb2(*st)) for family, to_gb2 in boundaries.items()
+                    for st in estimate._nested_grid(family, g)]  # b2's is empty at 0.1
+            got = starting_values("gb2", ds)
+            assert len(got) == len(want) > 0
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), g
+
     def test_gb2_without_starts_names_gb2(self):
         u = np.arange(1, 6) / 5
         ds = GroupedDataset(id="eq", u=u, s=u.copy())
