@@ -130,34 +130,6 @@ class FamilySpec:
                 )
         object.__setattr__(self, "params", params)
 
-    @classmethod
-    def gb2(cls, a, b, p, q):
-        return cls("gb2", (a, b, p, q))
-
-    @classmethod
-    def b2(cls, b, p, q):
-        return cls("b2", (b, p, q))
-
-    @classmethod
-    def sm(cls, a, b, q):
-        return cls("sm", (a, b, q))
-
-    @classmethod
-    def dagum(cls, a, b, p):
-        return cls("dagum", (a, b, p))
-
-    @classmethod
-    def lognormal(cls, mu, sigma):
-        return cls("lognormal", (mu, sigma))
-
-    @classmethod
-    def fisk(cls, a, b):
-        return cls("fisk", (a, b))
-
-    @classmethod
-    def weibull(cls, a, b):
-        return cls("weibull", (a, b))
-
 
 def _gb2(spec):
     """GB2 parameters (a, b, p, q) of a nested spec, else None."""
@@ -210,15 +182,29 @@ def spec_from_shapes(family, shapes, scale=1.0):
     return FamilySpec(family, tuple(params))
 
 
+def _margin(family, shapes, k=1.0):
+    """The signed distance to the boundary where E[X^k] stops existing, for
+    any real k, from shapes in the ``shapes_of`` order, floats or columns;
+    its sign is the existence (GB2: -ap < k < aq; Weibull: k > -a)."""
+    row = _TABLE[family]
+    if row.to_gb2 is not None:
+        a, p, q = row.to_gb2(*shapes)
+        return np.minimum(q - k / a, p + k / a)
+    if family == "weibull":
+        return shapes[0] + k
+    return np.full_like(shapes[0], np.inf, dtype=float)  # lognormal
+
+
 def moment_exists(spec, k):
-    """Whether E[X^k] is finite, for any real k (GB2: -ap < k < aq)."""
-    g = _gb2(spec)
-    if g is not None:
-        a, _, p, q = g
-        return q > k / a and p + k / a > 0
-    if spec.family == "weibull":  # 1 + k/a > 0
-        return spec.params[0] + k > 0.0
-    return True  # lognormal
+    """Whether E[X^k] is finite, for any real k."""
+    i = _TABLE[spec.family].scale_index
+    return bool(_margin(spec.family, spec.params[:i] + spec.params[i + 1:], k) > 0.0)
+
+
+def _require_moment(spec, k, what):
+    """Raise ExistenceError, naming ``what``, unless E[X^k] is finite."""
+    if not moment_exists(spec, k):
+        raise ExistenceError(f"{what} does not exist for {spec.family}{spec.params}")
 
 
 def cdf(spec, x):
@@ -267,13 +253,8 @@ def _shape_columns(shapes, ndim=0):
 
 
 def _margin_rows(family, shapes):
-    """The distance q - 1/a of each shape row (m, k) to the boundary where
-    the mean stops existing, as an (m,) array; its sign is the existence."""
-    row = _TABLE[family]
-    if row.to_gb2 is None:
-        return np.ones(len(shapes))  # lognormal, weibull
-    a, _, q = row.to_gb2(*_shape_columns(shapes))
-    return q - 1.0 / a
+    """``_margin`` of the mean for each shape row (m, k), as an (m,) array."""
+    return _margin(family, _shape_columns(shapes))
 
 
 def _lorenz_rows(family, shapes, u):
@@ -300,10 +281,7 @@ def _lorenz_rows(family, shapes, u):
 
 def lorenz(spec, u):
     """Lorenz curve L(u) on [0, 1]; scale-free."""
-    if not moment_exists(spec, 1.0):
-        raise ExistenceError(
-            f"Lorenz curve undefined for {spec.family}{spec.params}: mean does not exist"
-        )
+    _require_moment(spec, 1.0, "Lorenz curve")
     u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u > 1.0)):
         raise DomainError("lorenz requires 0 <= u <= 1")
@@ -339,10 +317,7 @@ def moment(spec, k):
     """k-th raw moment E[X^k] for k > 0."""
     if k <= 0.0:
         raise DomainError("moment requires k > 0")
-    if not moment_exists(spec, k):
-        raise ExistenceError(
-            f"moment of order {k} does not exist for {spec.family}{spec.params}"
-        )
+    _require_moment(spec, k, f"moment of order {k}")
     scale = spec.params[_TABLE[spec.family].scale_index]
     log_scale = scale if spec.family == "lognormal" else math.log(scale)
     return math.exp(k * (log_scale + log_power_mean(spec, k)))
@@ -355,10 +330,7 @@ def incomplete_moment_cdf(spec, k, x):
     """
     if k <= 0.0:
         raise DomainError("incomplete_moment_cdf requires k > 0")
-    if not moment_exists(spec, k):
-        raise ExistenceError(
-            f"incomplete moment of order {k} undefined for {spec.family}{spec.params}"
-        )
+    _require_moment(spec, k, f"incomplete moment of order {k}")
     return _moment_cdf(spec, k, x)
 
 
@@ -435,10 +407,7 @@ def gini_closed(spec):
     The nested families keep their own closed forms: they are cheap, and
     ``estimate.starting_values`` solves them for shapes.
     """
-    if not moment_exists(spec, 1.0):
-        raise ExistenceError(
-            f"Gini undefined for {spec.family}{spec.params}: mean does not exist"
-        )
+    _require_moment(spec, 1.0, "Gini")
     fam, par = spec.family, spec.params
     if fam == "gb2":
         a, _, p, q = par

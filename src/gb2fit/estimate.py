@@ -360,10 +360,7 @@ def solve_scale(spec, sample_mean):
     """Scale parameter matching the fitted shapes to the sample mean."""
     if sample_mean <= 0.0:
         raise EstimationError("sample mean must be positive")
-    if not dist.moment_exists(spec, 1.0):
-        raise ExistenceError(
-            f"mean does not exist for {spec.family}{spec.params}; cannot recover scale"
-        )
+    dist._require_moment(spec, 1.0, "mean")
     log_mean = dist.log_power_mean(spec, 1.0)  # log E[X] at unit scale
     if spec.family == "lognormal":  # the scale parameter is the log-scale mu
         return math.log(sample_mean) - log_mean
@@ -378,10 +375,7 @@ def weighting_matrix(spec, d):
     The top group's income limit cancels from the algebra: taking h_J = 0
     with mu2_partial_J = mu2 gives the boundary column and W_JJ = mu2 - mu^2.
     """
-    if not dist.moment_exists(spec, 2.0):
-        raise ExistenceError(
-            f"second moment does not exist for {spec.family}{spec.params}"
-        )
+    dist._require_moment(spec, 2.0, "second moment")
     J = d.n_groups
     u, s = d.u, d.s
     h = dist.quantile(spec, u[:-1])

@@ -105,14 +105,19 @@ def atkinson_exists(spec, epsilon):
     return dist.moment_exists(spec, 1.0) and dist.moment_exists(spec, 1.0 - epsilon)
 
 
-def atkinson_mc(spec, epsilon, cfg=McConfig()):
-    """Monte Carlo Atkinson index for a fitted distribution."""
+def _require_atkinson(spec, epsilon):
+    """Raise unless A_eps of the distribution is defined: eps >= 0 and ``atkinson_exists``."""
     if epsilon < 0.0:
         raise DomainError("Atkinson aversion parameter must be >= 0")
     if not atkinson_exists(spec, epsilon):
         raise ExistenceError(
             f"Atkinson index (eps={epsilon}) undefined for {spec.family}{spec.params}"
         )
+
+
+def atkinson_mc(spec, epsilon, cfg=McConfig()):
+    """Monte Carlo Atkinson index for a fitted distribution."""
+    _require_atkinson(spec, epsilon)
     x = dist.sample(spec, cfg.n, seed=cfg.seed)
     return weighted_atkinson(x, epsilon)
 
@@ -124,12 +129,7 @@ def atkinson_closed(spec, epsilon):
     the geometric mean exp(E[log X]) at eps = 1 (Jenkins 2009).  The scale
     cancels, so only the shapes enter.
     """
-    if epsilon < 0.0:
-        raise DomainError("Atkinson aversion parameter must be >= 0")
-    if not atkinson_exists(spec, epsilon):
-        raise ExistenceError(
-            f"Atkinson index (eps={epsilon}) undefined for {spec.family}{spec.params}"
-        )
+    _require_atkinson(spec, epsilon)
     a = -math.expm1(
         dist.log_power_mean(spec, 1.0 - epsilon) - dist.log_power_mean(spec, 1.0)
     )

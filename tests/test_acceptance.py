@@ -39,23 +39,23 @@ def family_grid():
     for a in (1.5, 2.0, 3.0, 5.0):
         for p in (0.6, 1.2):
             for q_extra in (0.8, 1.5, 2.5):
-                grid["gb2"].append(FamilySpec.gb2(a, 1.0, p, 1.0 / a + q_extra))
+                grid["gb2"].append(FamilySpec("gb2", (a, 1.0, p, 1.0 / a + q_extra)))
     for p in (0.5, 1.0, 2.0, 4.0):
         for q in (1.5, 2.5, 4.0, 8.0, 16.0):
-            grid["b2"].append(FamilySpec.b2(1.0, p, q))
+            grid["b2"].append(FamilySpec("b2", (1.0, p, q)))
     for a in (1.2, 2.0, 3.0, 5.0):
         for q_extra in (0.5, 1.0, 2.0, 4.0, 8.0):
-            grid["sm"].append(FamilySpec.sm(a, 1.0, 1.0 / a + q_extra))
+            grid["sm"].append(FamilySpec("sm", (a, 1.0, 1.0 / a + q_extra)))
     for a in (1.5, 2.0, 3.0, 5.0):
         for p in (0.3, 0.7, 1.0, 2.0, 4.0):
-            grid["dagum"].append(FamilySpec.dagum(a, 1.0, p))
+            grid["dagum"].append(FamilySpec("dagum", (a, 1.0, p)))
     for mu in (-0.5, 0.0, 1.0, 2.0):
         for s in (0.3, 0.6, 1.0, 1.5, 2.0):
-            grid["lognormal"].append(FamilySpec.lognormal(mu, s))
+            grid["lognormal"].append(FamilySpec("lognormal", (mu, s)))
     for a in np.linspace(1.2, 12.0, 20):
-        grid["fisk"].append(FamilySpec.fisk(float(a), 1.0))
+        grid["fisk"].append(FamilySpec("fisk", (float(a), 1.0)))
     for a in np.linspace(0.6, 6.0, 20):
-        grid["weibull"].append(FamilySpec.weibull(float(a), 1.0))
+        grid["weibull"].append(FamilySpec("weibull", (float(a), 1.0)))
     return grid
 
 
@@ -83,16 +83,16 @@ class TestAcceptance:
         specs = [
             # small margins need a*q comfortably above 2, otherwise the
             # Monte Carlo reference itself is too noisy at n = 1e6
-            FamilySpec.gb2(5.0, 1.0, 0.6, 0.55),  # margin 0.35
-            FamilySpec.gb2(2.5, 1.0, 0.7, 0.9),   # margin 0.5
-            FamilySpec.gb2(2.0, 1.0, 1.0, 1.5),
-            FamilySpec.gb2(2.0, 1.0, 0.8, 1.6),
-            FamilySpec.gb2(2.5, 1.0, 1.5, 2.0),
-            FamilySpec.gb2(1.5, 1.0, 1.2, 2.0),
-            FamilySpec.gb2(3.0, 1.0, 0.5, 1.0),
-            FamilySpec.gb2(1.2, 1.0, 2.0, 3.0),
-            FamilySpec.gb2(4.0, 1.0, 0.6, 1.2),
-            FamilySpec.gb2(2.0, 1.0, 2.5, 1.3),
+            FamilySpec("gb2", (5.0, 1.0, 0.6, 0.55)),  # margin 0.35
+            FamilySpec("gb2", (2.5, 1.0, 0.7, 0.9)),   # margin 0.5
+            FamilySpec("gb2", (2.0, 1.0, 1.0, 1.5)),
+            FamilySpec("gb2", (2.0, 1.0, 0.8, 1.6)),
+            FamilySpec("gb2", (2.5, 1.0, 1.5, 2.0)),
+            FamilySpec("gb2", (1.5, 1.0, 1.2, 2.0)),
+            FamilySpec("gb2", (3.0, 1.0, 0.5, 1.0)),
+            FamilySpec("gb2", (1.2, 1.0, 2.0, 3.0)),
+            FamilySpec("gb2", (4.0, 1.0, 0.6, 1.2)),
+            FamilySpec("gb2", (2.0, 1.0, 2.5, 1.3)),
         ]
         worst_mc = 0.0
         for i, spec in enumerate(specs):
@@ -104,10 +104,10 @@ class TestAcceptance:
             worst_mc = max(worst_mc, abs(g.value - mc))
         # reductions: the series formula against the nested closed forms
         reductions = [
-            (FamilySpec.gb2(2.0, 1.0, 1.0, 1.0), FamilySpec.fisk(2.0, 1.0)),
-            (FamilySpec.gb2(1.0, 1.0, 2.0, 4.0), FamilySpec.b2(1.0, 2.0, 4.0)),
-            (FamilySpec.gb2(2.0, 1.0, 1.0, 1.6), FamilySpec.sm(2.0, 1.0, 1.6)),
-            (FamilySpec.gb2(2.5, 1.0, 1.4, 1.0), FamilySpec.dagum(2.5, 1.0, 1.4)),
+            (FamilySpec("gb2", (2.0, 1.0, 1.0, 1.0)), FamilySpec("fisk", (2.0, 1.0))),
+            (FamilySpec("gb2", (1.0, 1.0, 2.0, 4.0)), FamilySpec("b2", (1.0, 2.0, 4.0))),
+            (FamilySpec("gb2", (2.0, 1.0, 1.0, 1.6)), FamilySpec("sm", (2.0, 1.0, 1.6))),
+            (FamilySpec("gb2", (2.5, 1.0, 1.4, 1.0)), FamilySpec("dagum", (2.5, 1.0, 1.4))),
         ]
         worst_red = 0.0
         for gb2_spec, nested in reductions:
@@ -125,13 +125,13 @@ class TestAcceptance:
     def test_3_zero_noise_recovery(self):
         t0 = time.time()
         true_specs = {
-            "gb2": FamilySpec.gb2(2.0, 1.0, 0.8, 1.6),
-            "b2": FamilySpec.b2(1.0, 1.3, 2.2),
-            "sm": FamilySpec.sm(1.7, 1.0, 1.9),
-            "dagum": FamilySpec.dagum(2.4, 1.0, 0.9),
-            "lognormal": FamilySpec.lognormal(0.0, 0.8),
-            "fisk": FamilySpec.fisk(2.5, 1.0),
-            "weibull": FamilySpec.weibull(1.4, 1.0),
+            "gb2": FamilySpec("gb2", (2.0, 1.0, 0.8, 1.6)),
+            "b2": FamilySpec("b2", (1.0, 1.3, 2.2)),
+            "sm": FamilySpec("sm", (1.7, 1.0, 1.9)),
+            "dagum": FamilySpec("dagum", (2.4, 1.0, 0.9)),
+            "lognormal": FamilySpec("lognormal", (0.0, 0.8)),
+            "fisk": FamilySpec("fisk", (2.5, 1.0)),
+            "weibull": FamilySpec("weibull", (1.4, 1.0)),
         }
         u = np.arange(1, 11) / 10
         worst_shape, worst_gini, worst_move = 0.0, 0.0, 0.0
@@ -169,7 +169,7 @@ class TestAcceptance:
 
     def test_4_sampling_recovery(self):
         t0 = time.time()
-        spec = FamilySpec.gb2(2.5, 1.0, 1.5, 2.0)
+        spec = FamilySpec("gb2", (2.5, 1.0, 1.5, 2.0))
         m = sample_family(spec, 200_000, seed=42)
         ds = microdata_to_grouped(m, GroupingPolicy(n_groups=10), id="gb2")
         fit = nls_fit("gb2", ds)
@@ -190,7 +190,7 @@ class TestAcceptance:
         for i in range(50):
             mu = rng.uniform(-0.5, 0.5)
             sigma = rng.uniform(0.4, 1.1)
-            m = sample_family(FamilySpec.lognormal(mu, sigma), 5_000, seed=2_000 + i)
+            m = sample_family(FamilySpec("lognormal", (mu, sigma)), 5_000, seed=2_000 + i)
             for J in (5, 10):
                 ds = microdata_to_grouped(m, GroupingPolicy(n_groups=J), id=f"c{i}")
                 lb = lower_bound_gini(ds)
@@ -239,7 +239,7 @@ class TestAcceptance:
         cfg = McConfig(n=1_000_000, seed=31)
         for sigma in (0.5, 1.0):
             for eps in (0.5, 1.0, 1.5):
-                got = atkinson_mc(FamilySpec.lognormal(0.0, sigma), eps, cfg)
+                got = atkinson_mc(FamilySpec("lognormal", (0.0, sigma)), eps, cfg)
                 want = 1.0 - math.exp(-eps * sigma**2 / 2.0)
                 worst = max(worst, abs(got - want))
         elapsed = time.time() - t0
@@ -253,11 +253,11 @@ class TestAcceptance:
         t0 = time.time()
         u = np.arange(1, 11) / 10
         specs = [
-            FamilySpec.lognormal(0.0, 0.5),
-            FamilySpec.lognormal(0.0, 1.0),
-            FamilySpec.weibull(1.5, 2.0),
-            FamilySpec.b2(1.0, 2.0, 12.0),
-            FamilySpec.sm(3.0, 1.0, 4.0),
+            FamilySpec("lognormal", (0.0, 0.5)),
+            FamilySpec("lognormal", (0.0, 1.0)),
+            FamilySpec("weibull", (1.5, 2.0)),
+            FamilySpec("b2", (1.0, 2.0, 12.0)),
+            FamilySpec("sm", (3.0, 1.0, 4.0)),
         ]
         # the raw-formula check needs a light tail so that the part of the
         # second moment beyond quantile(1 - 1e-10) is itself below 1e-6
@@ -280,7 +280,7 @@ class TestAcceptance:
             )
             worst_raw = max(worst_raw, abs(raw - wm.W[-1, -1]) / abs(wm.W[-1, -1]))
         # identity-weighted GMM objective is exactly the NLS RSS
-        spec = FamilySpec.lognormal(0.0, 0.8)
+        spec = FamilySpec("lognormal", (0.0, 0.8))
         ds = GroupedDataset(id="x", u=u, s=d.lorenz(spec, u), mean=1.0)
         fit = nls_fit("lognormal", ds)
         exact = gmm_quadratic(fit.residuals) == float(np.sum(fit.residuals**2))
@@ -298,16 +298,16 @@ class TestAcceptance:
         us = np.linspace(0.0, 1.0, 1000)
         # each pair is the same distribution at two scales
         specs = {
-            "gb2": (FamilySpec.gb2(2.0, 1.5, 1.5, 2.5), FamilySpec.gb2(2.0, 4.5, 1.5, 2.5)),
-            "b2": (FamilySpec.b2(1.0, 2.0, 4.0), FamilySpec.b2(3.0, 2.0, 4.0)),
-            "sm": (FamilySpec.sm(2.0, 1.0, 1.5), FamilySpec.sm(2.0, 3.0, 1.5)),
-            "dagum": (FamilySpec.dagum(3.0, 2.0, 0.9), FamilySpec.dagum(3.0, 6.0, 0.9)),
+            "gb2": (FamilySpec("gb2", (2.0, 1.5, 1.5, 2.5)), FamilySpec("gb2", (2.0, 4.5, 1.5, 2.5))),
+            "b2": (FamilySpec("b2", (1.0, 2.0, 4.0)), FamilySpec("b2", (3.0, 2.0, 4.0))),
+            "sm": (FamilySpec("sm", (2.0, 1.0, 1.5)), FamilySpec("sm", (2.0, 3.0, 1.5))),
+            "dagum": (FamilySpec("dagum", (3.0, 2.0, 0.9)), FamilySpec("dagum", (3.0, 6.0, 0.9))),
             "lognormal": (
-                FamilySpec.lognormal(0.0, 1.0),
-                FamilySpec.lognormal(math.log(3.0), 1.0),
+                FamilySpec("lognormal", (0.0, 1.0)),
+                FamilySpec("lognormal", (math.log(3.0), 1.0)),
             ),
-            "fisk": (FamilySpec.fisk(3.0, 1.0), FamilySpec.fisk(3.0, 3.0)),
-            "weibull": (FamilySpec.weibull(1.5, 2.0), FamilySpec.weibull(1.5, 6.0)),
+            "fisk": (FamilySpec("fisk", (3.0, 1.0)), FamilySpec("fisk", (3.0, 3.0))),
+            "weibull": (FamilySpec("weibull", (1.5, 2.0)), FamilySpec("weibull", (1.5, 6.0))),
         }
         for name, (spec, other) in specs.items():
             L = d.lorenz(spec, us)

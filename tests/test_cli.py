@@ -51,7 +51,7 @@ class TestFit:
 
     def test_zero_noise_lognormal_report(self, tmp_path):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.csv"
-        write_dataset(inp, FamilySpec.lognormal(0.0, 0.8), id="ln")
+        write_dataset(inp, FamilySpec("lognormal", (0.0, 0.8)), id="ln")
         code = main(
             ["fit", "--input", str(inp), "--output", str(out),
              "--families", "ln", "--format", "csv", "--mc-n", "2000"]
@@ -69,7 +69,7 @@ class TestFit:
         # the shares fix the shapes and Omega is scale-free: a record without
         # a mean fits GMM too, and both rows report the scale b = 1
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-        write_dataset(inp, FamilySpec.weibull(1.4, 1.0), id="nomean")
+        write_dataset(inp, FamilySpec("weibull", (1.4, 1.0)), id="nomean")
         code = main(
             ["fit", "--input", str(inp), "--output", str(out),
              "--families", "weibull", "--method", "both", "--mc-n", "2000"]
@@ -83,7 +83,7 @@ class TestFit:
 
     def test_both_reports_closer_method(self, tmp_path):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-        spec = FamilySpec.weibull(1.4, 1.0)
+        spec = FamilySpec("weibull", (1.4, 1.0))
         write_dataset(
             inp, spec, mean=d.moment(spec, 1.0),
             gini=d.gini_closed(spec).value, id="wb",
@@ -117,7 +117,7 @@ class TestFit:
         assert any(r.get("family") == "fisk" and not r.get("error") for r in rows)
 
     def test_bad_numbers_become_invalid_record_rows(self, tmp_path):
-        spec = FamilySpec.fisk(2.5, 1.0)
+        spec = FamilySpec("fisk", (2.5, 1.0))
         valid = tmp_path / "valid.jsonl"
         write_dataset(valid, spec, mean=d.moment(spec, 1.0), id="ok")
         good = valid.read_text().strip()
@@ -153,7 +153,7 @@ class TestFit:
     )
     def test_fit_exception_isolated(self, tmp_path, monkeypatch, exc):
         inp = tmp_path / "in.jsonl"
-        write_dataset(inp, FamilySpec.lognormal(0.0, 0.8), id="ln")
+        write_dataset(inp, FamilySpec("lognormal", (0.0, 0.8)), id="ln")
 
         def run(out):
             return main(
@@ -183,7 +183,7 @@ class TestFit:
 
     def test_exception_without_message_names_its_class(self, tmp_path, monkeypatch):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-        write_dataset(inp, FamilySpec.fisk(2.5, 1.0), id="f")
+        write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
 
         def failing_nls_fit(family, ds, *args, **kwargs):
             raise ZeroDivisionError
@@ -194,7 +194,7 @@ class TestFit:
         assert bad["error"] == "ZeroDivisionError"
 
     def test_non_object_lines_become_invalid_record_rows(self, tmp_path):
-        spec = FamilySpec.fisk(2.5, 1.0)
+        spec = FamilySpec("fisk", (2.5, 1.0))
         valid = tmp_path / "valid.jsonl"
         write_dataset(valid, spec, mean=d.moment(spec, 1.0), id="ok")
         bad = ["[1, 2]", '"x"', "3", "null"]
@@ -248,6 +248,19 @@ class TestFit:
             same = set(nls) - {"method", "params", "note"}
             assert {k: gmm[k] for k in same} == {k: nls[k] for k in same}
 
+    def test_fallback_note_names_the_missing_second_moment(self, tmp_path):
+        # the one existence message that reaches the output, word for word
+        sim, out = tmp_path / "sim.jsonl", tmp_path / "out.jsonl"
+        assert main(["simulate", "--output", str(sim), "--preset", "1", "--seed", "3"]) == 0
+        assert main(["fit", "--input", str(sim), "--output", str(out), "--method", "both",
+                     "--families", "dagum,fisk"]) == 0
+        rows = [r for r in read_jsonl(out) if r["method"] in ("nls", "gmm")]
+        assert [r["family"] for r in rows[1::2]] == ["dagum", "fisk"]
+        for nls, gmm in zip(rows[::2], rows[1::2]):
+            assert gmm["method"] == "gmm"
+            assert gmm["note"] == ("second stage fell back to NLS: second moment does not exist for "
+                                   + nls["family"] + repr(tuple(nls["params"])))
+
     def test_failed_nls_fits_once_per_family(self, tmp_path, monkeypatch):
         # equal shares admit no b2 or GB2 start; the GMM row repeats the
         # NLS error without fitting NLS again
@@ -275,7 +288,7 @@ class TestFit:
 
     def test_zero_epsilon_writes_positive_zero(self, tmp_path):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-        write_dataset(inp, FamilySpec.fisk(2.5, 1.0), id="f")
+        write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
         assert main(["fit", "--input", str(inp), "--output", str(out),
                      "--families", "fisk", "--epsilon", "0,2"]) == 0
         (row,) = [line for line in out.read_text().splitlines() if '"fisk"' in line]
@@ -284,7 +297,7 @@ class TestFit:
     @pytest.mark.parametrize("epsilon", ["-0.5", "nan,inf", "0.5,inf", "1,-1"])
     def test_bad_epsilon_is_usage_error(self, tmp_path, epsilon):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-        write_dataset(inp, FamilySpec.fisk(2.5, 1.0), id="f")
+        write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--input", str(inp), "--output", str(out),
                   "--families", "fisk", f"--epsilon={epsilon}"])
@@ -294,7 +307,7 @@ class TestFit:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-        write_dataset(inp, FamilySpec.fisk(2.5, 1.0), id="f")
+        write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
         assert main(["fit", "--input", str(inp), "--output", str(out),
                      "--families", "fisk", f"--workers={workers}"]) == 2
         err = capsys.readouterr().err
@@ -508,7 +521,7 @@ class TestReport:
         rng = np.random.default_rng(0)
         for i in range(n_datasets):
             sigma = rng.uniform(0.6, 1.0)
-            spec = FamilySpec.lognormal(0.0, sigma)
+            spec = FamilySpec("lognormal", (0.0, sigma))
             u = np.arange(1, 11) / 10
             datasets.append(
                 GroupedDataset(
@@ -649,8 +662,8 @@ class TestReport:
 class TestDeterminismAndOrdering:
     def test_fit_order_insensitive(self, tmp_path):
         u = np.arange(1, 11) / 10
-        ds1 = GroupedDataset(id="a", u=u, s=d.lorenz(FamilySpec.fisk(2.0, 1.0), u))
-        ds2 = GroupedDataset(id="b", u=u, s=d.lorenz(FamilySpec.fisk(3.0, 1.0), u))
+        ds1 = GroupedDataset(id="a", u=u, s=d.lorenz(FamilySpec("fisk", (2.0, 1.0)), u))
+        ds2 = GroupedDataset(id="b", u=u, s=d.lorenz(FamilySpec("fisk", (3.0, 1.0)), u))
         outs = []
         for name, order in (("fwd", [ds1, ds2]), ("rev", [ds2, ds1])):
             inp, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}_out.jsonl"
@@ -667,7 +680,7 @@ class TestDeterminismAndOrdering:
     def test_workers_match_sequential(self, tmp_path):
         u = np.arange(1, 11) / 10
         datasets = [
-            GroupedDataset(id=f"d{i}", u=u, s=d.lorenz(FamilySpec.fisk(2.0 + i, 1.0), u))
+            GroupedDataset(id=f"d{i}", u=u, s=d.lorenz(FamilySpec("fisk", (2.0 + i, 1.0)), u))
             for i in range(2)
         ]
         inp = tmp_path / "in.jsonl"

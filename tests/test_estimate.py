@@ -22,13 +22,13 @@ from gb2fit.exceptions import EstimationError, ExistenceError
 from gb2fit.grouped import GroupedDataset
 
 TRUE_SPECS = {
-    "gb2": FamilySpec.gb2(2.0, 1.0, 0.8, 1.6),
-    "b2": FamilySpec.b2(1.0, 1.3, 2.2),
-    "sm": FamilySpec.sm(1.7, 1.0, 1.9),
-    "dagum": FamilySpec.dagum(2.4, 1.0, 0.9),
-    "lognormal": FamilySpec.lognormal(0.0, 0.8),
-    "fisk": FamilySpec.fisk(2.5, 1.0),
-    "weibull": FamilySpec.weibull(1.4, 1.0),
+    "gb2": FamilySpec("gb2", (2.0, 1.0, 0.8, 1.6)),
+    "b2": FamilySpec("b2", (1.0, 1.3, 2.2)),
+    "sm": FamilySpec("sm", (1.7, 1.0, 1.9)),
+    "dagum": FamilySpec("dagum", (2.4, 1.0, 0.9)),
+    "lognormal": FamilySpec("lognormal", (0.0, 0.8)),
+    "fisk": FamilySpec("fisk", (2.5, 1.0)),
+    "weibull": FamilySpec("weibull", (1.4, 1.0)),
 }
 
 
@@ -39,7 +39,7 @@ def deciles_from(spec, mean=None, id="gen"):
 
 class TestStartingValues:
     def test_fisk_inversion(self):
-        ds = deciles_from(FamilySpec.fisk(2.0, 1.0))
+        ds = deciles_from(FamilySpec("fisk", (2.0, 1.0)))
         ds = GroupedDataset(id="x", u=ds.u, s=ds.s, survey_gini=0.5)
         (start,) = starting_values("fisk", ds)
         assert start[0] == pytest.approx(2.0, rel=1e-10)
@@ -58,7 +58,7 @@ class TestStartingValues:
             id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]), survey_gini=g
         )
         (start,) = starting_values("lognormal", ds)
-        got = d.gini_closed(FamilySpec.lognormal(0.0, start[0])).value
+        got = d.gini_closed(FamilySpec("lognormal", (0.0, start[0]))).value
         assert got == pytest.approx(g, abs=1e-10)
 
     def test_sm_grid_root_vs_scan(self):
@@ -71,12 +71,12 @@ class TestStartingValues:
         # dense-grid scan oracle for q solving the closed-form Gini equation
         qs = np.linspace(0.51, 20.0, 40_000)
         ginis = np.array(
-            [d.gini_closed(FamilySpec.sm(2.0, 1.0, q)).value for q in qs]
+            [d.gini_closed(FamilySpec("sm", (2.0, 1.0, q))).value for q in qs]
         )
         q_scan = qs[np.argmin(np.abs(ginis - g))]
         assert pair[1] == pytest.approx(q_scan, abs=1e-3)
         # and the root actually solves the equation
-        assert d.gini_closed(FamilySpec.sm(2.0, 1.0, pair[1])).value == pytest.approx(
+        assert d.gini_closed(FamilySpec("sm", (2.0, 1.0, pair[1]))).value == pytest.approx(
             g, abs=1e-8
         )
 
@@ -181,7 +181,7 @@ class TestStartingValues:
 
     def test_anchor_defaults_to_lower_bound(self):
         # without survey_gini the anchor is the lower bound
-        ds = deciles_from(FamilySpec.fisk(2.0, 1.0))
+        ds = deciles_from(FamilySpec("fisk", (2.0, 1.0)))
         (start,) = starting_values("fisk", ds)
         from gb2fit.grouped import lower_bound_gini
 
@@ -202,12 +202,12 @@ class TestNlsFit:
         assert abs(g_fit - g_true) < 1e-4
 
     def test_lognormal_sigma_recovery(self):
-        fit = nls_fit("lognormal", deciles_from(FamilySpec.lognormal(0.0, 0.8)))
+        fit = nls_fit("lognormal", deciles_from(FamilySpec("lognormal", (0.0, 0.8))))
         assert d.shapes_of(fit.spec)[0] == pytest.approx(0.8, abs=1e-4)
         assert fit.rss <= 1e-12
 
     def test_gb2_recovers_nested_sm_gini(self):
-        sm = FamilySpec.sm(2.0, 1.0, 1.5)
+        sm = FamilySpec("sm", (2.0, 1.0, 1.5))
         fit = nls_fit("gb2", deciles_from(sm))
         g_fit = d.gini_closed(fit.spec).value
         assert g_fit == pytest.approx(d.gini_closed(sm).value, abs=1e-4)
@@ -218,7 +218,7 @@ class TestNlsFit:
         assert d.lorenz(fit.spec, 1.0) == 1.0
 
     def test_multistart_dominance(self):
-        ds = deciles_from(FamilySpec.sm(1.7, 1.0, 1.9))
+        ds = deciles_from(FamilySpec("sm", (1.7, 1.0, 1.9)))
         full = nls_fit("sm", ds)
         for st in starting_values("sm", ds):
             single = nls_fit("sm", ds, starts=[st])
@@ -230,7 +230,7 @@ class TestNlsFit:
         # 4.664144490849429e-07
         from gb2fit.synth import GroupingPolicy, microdata_to_grouped, sample_family
 
-        m = sample_family(FamilySpec.sm(20.0, 1.0, 0.12), 20000, seed=77)
+        m = sample_family(FamilySpec("sm", (20.0, 1.0, 0.12)), 20000, seed=77)
         fit = nls_fit("sm", microdata_to_grouped(m, GroupingPolicy(n_groups=10)))
         assert fit.rss <= (1.0 - 0.004) * 4.664144490849429e-07
 
@@ -248,14 +248,14 @@ class TestNlsFit:
 
 class TestSolveScale:
     def test_weibull_unit_shape(self):
-        assert solve_scale(FamilySpec.weibull(1.0, 1.0), 5.0) == pytest.approx(5.0, rel=1e-12)
+        assert solve_scale(FamilySpec("weibull", (1.0, 1.0)), 5.0) == pytest.approx(5.0, rel=1e-12)
 
     def test_lognormal(self):
-        got = solve_scale(FamilySpec.lognormal(0.0, 1.0), math.e)
+        got = solve_scale(FamilySpec("lognormal", (0.0, 1.0)), math.e)
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_gb2_quadrature(self):
-        spec = FamilySpec.gb2(2.0, 1.0, 1.5, 2.5)
+        spec = FamilySpec("gb2", (2.0, 1.0, 1.5, 2.5))
         eta = solve_scale(spec, 10.0)
         mean, _ = quad(
             lambda u: d.quantile(spec_from_shapes(spec.family, d.shapes_of(spec), eta), u),
@@ -265,16 +265,16 @@ class TestSolveScale:
 
     def test_existence_error(self):
         with pytest.raises(ExistenceError):
-            solve_scale(FamilySpec.fisk(0.9, 1.0), 1.0)
+            solve_scale(FamilySpec("fisk", (0.9, 1.0)), 1.0)
 
     def test_negative_mean(self):
         with pytest.raises(EstimationError):
-            solve_scale(FamilySpec.weibull(1.0, 1.0), -1.0)
+            solve_scale(FamilySpec("weibull", (1.0, 1.0)), -1.0)
 
 
 class TestWeightingMatrix:
     def build(self, spec=None, J=10):
-        spec = spec or FamilySpec.lognormal(0.0, 1.0)
+        spec = spec or FamilySpec("lognormal", (0.0, 1.0))
         u = np.arange(1, J + 1) / J
         ds = GroupedDataset(id="w", u=u, s=d.lorenz(spec, u))
         return spec, ds, weighting_matrix(spec, ds)
@@ -289,9 +289,9 @@ class TestWeightingMatrix:
 
     def test_omega_symmetric_psd(self):
         for spec in (
-            FamilySpec.lognormal(0.0, 1.0),
-            FamilySpec.weibull(1.5, 2.0),
-            FamilySpec.b2(1.0, 2.0, 8.0),
+            FamilySpec("lognormal", (0.0, 1.0)),
+            FamilySpec("weibull", (1.5, 2.0)),
+            FamilySpec("b2", (1.0, 2.0, 8.0)),
         ):
             _, _, wm = self.build(spec)
             assert np.array_equal(wm.Omega, wm.Omega.T)
@@ -310,9 +310,9 @@ class TestWeightingMatrix:
         # raw formula with h_J = quantile(1 - 1e-10), u_J = s_J = 1;
         # needs a light tail so the truncated part of mu2 is negligible
         for spec in (
-            FamilySpec.lognormal(0.0, 0.5),
-            FamilySpec.weibull(1.5, 2.0),
-            FamilySpec.b2(1.0, 2.0, 12.0),
+            FamilySpec("lognormal", (0.0, 0.5)),
+            FamilySpec("weibull", (1.5, 2.0)),
+            FamilySpec("b2", (1.0, 2.0, 12.0)),
         ):
             _, _, wm = self.build(spec)
             hJ = d.quantile(spec, 1.0 - 1e-10)
@@ -322,7 +322,7 @@ class TestWeightingMatrix:
             assert abs(raw - wm.W[-1, -1]) / abs(wm.W[-1, -1]) < 1e-6, spec.family
 
     def test_one_share_omega_nonneg(self):
-        spec = FamilySpec.weibull(1.5, 2.0)
+        spec = FamilySpec("weibull", (1.5, 2.0))
         ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.25, 1.0]))
         wm = weighting_matrix(spec, ds)
         assert wm.Omega.shape == (1, 1) and wm.Omega[0, 0] >= 0.0
@@ -332,7 +332,7 @@ class TestWeightingMatrix:
     def test_second_moment_required(self):
         with pytest.raises(ExistenceError):
             _, ds, _ = self.build()
-            weighting_matrix(FamilySpec.sm(2.0, 1.0, 0.9), ds)
+            weighting_matrix(FamilySpec("sm", (2.0, 1.0, 0.9)), ds)
 
     @pytest.mark.parametrize("family", sorted(TRUE_SPECS))
     def test_w_matches_elementwise_loop(self, family):
@@ -369,7 +369,7 @@ class TestGmm:
         assert gmm_quadratic(m) == pytest.approx(float(m @ m), rel=1e-15)
 
     def test_zero_noise_fixed_point(self):
-        spec = FamilySpec.lognormal(0.0, 0.8)
+        spec = FamilySpec("lognormal", (0.0, 0.8))
         mean = math.exp(0.32)
         ds = deciles_from(spec, mean=mean)
         nls = nls_fit("lognormal", ds)
@@ -402,7 +402,7 @@ class TestGmm:
 
     def test_second_stage_never_worse(self):
         # noisy dataset: second stage objective <= objective at the NLS start
-        spec = FamilySpec.b2(1.0, 2.0, 4.0)
+        spec = FamilySpec("b2", (1.0, 2.0, 4.0))
         from gb2fit.synth import GroupingPolicy, microdata_to_grouped, sample_family
 
         m = sample_family(spec, 100_000, seed=17)
@@ -418,7 +418,7 @@ class TestGmm:
         assert gmm.objective <= f_start + 1e-12
 
     def test_sampled_b2_gini_close(self):
-        spec = FamilySpec.b2(1.0, 2.0, 4.0)
+        spec = FamilySpec("b2", (1.0, 2.0, 4.0))
         from gb2fit.synth import GroupingPolicy, microdata_to_grouped, sample_family
 
         m = sample_family(spec, 100_000, seed=23)
@@ -431,7 +431,7 @@ class TestGmm:
 
     def test_fallback_note_on_missing_second_moment(self):
         # true SM with 1 < aq < 2: mean exists but the second moment does not
-        spec = FamilySpec.sm(1.5, 1.0, 1.0)
+        spec = FamilySpec("sm", (1.5, 1.0, 1.0))
         ds = deciles_from(spec, mean=d.moment(spec, 1.0))
         with pytest.warns(RuntimeWarning):
             gmm = gmm_fit("sm", ds)
@@ -448,7 +448,7 @@ def _sampled(source, seed):
     )
 
     if source == "gb2":
-        m = sample_family(FamilySpec.gb2(3.0, 1.0, 1.2, 1.5), 20_000, seed=seed)
+        m = sample_family(FamilySpec("gb2", (3.0, 1.0, 1.2, 1.5)), 20_000, seed=seed)
     else:
         m = sample_mixture(MIXTURE_PRESETS[4], 10_000, seed=seed)
     return microdata_to_grouped(m, GroupingPolicy(n_groups=10), id=source)

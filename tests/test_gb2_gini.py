@@ -130,7 +130,7 @@ ORACLE = [
 
 @pytest.mark.parametrize("a, p, q, gini", ORACLE)
 def test_quadrature_matches_oracle(a, p, q, gini):
-    g = d.gini_closed(FamilySpec.gb2(a, 1.0, p, q))
+    g = d.gini_closed(FamilySpec("gb2", (a, 1.0, p, q)))
     assert g.method == "quadrature"
     assert abs(g.value - gini) <= 1e-10 * gini
 
@@ -149,7 +149,7 @@ def test_fit_box_gives_finite_ginis():
         q = 1.0 / a + 10.0**lm
         if q > 1e4:
             continue
-        g = d.gini_closed(FamilySpec.gb2(a, 1.0, p, q))
+        g = d.gini_closed(FamilySpec("gb2", (a, 1.0, p, q)))
         assert g.method == "quadrature" and math.isfinite(g.value), (a, p, q)
         n += 1
     assert n > 250

@@ -132,12 +132,12 @@ class TestGiniMc:
 
     def test_matches_closed_form_within_4se(self):
         specs = [
-            FamilySpec.lognormal(0.0, 1.0),
-            FamilySpec.sm(2.0, 1.0, 1.5),
-            FamilySpec.weibull(1.5, 1.0),
-            FamilySpec.fisk(2.5, 1.0),
-            FamilySpec.b2(1.0, 2.0, 4.0),
-            FamilySpec.dagum(3.0, 1.0, 0.9),
+            FamilySpec("lognormal", (0.0, 1.0)),
+            FamilySpec("sm", (2.0, 1.0, 1.5)),
+            FamilySpec("weibull", (1.5, 1.0)),
+            FamilySpec("fisk", (2.5, 1.0)),
+            FamilySpec("b2", (1.0, 2.0, 4.0)),
+            FamilySpec("dagum", (3.0, 1.0, 0.9)),
         ]
         for spec in specs:
             mc, se = mc_gini(spec, n=200_000, seed=11)
@@ -145,58 +145,58 @@ class TestGiniMc:
             assert abs(mc - closed) < 4 * se + 1e-4, spec.family
 
     def test_near_degenerate_fisk(self):
-        mc, se = mc_gini(FamilySpec.fisk(50.0, 1.0), n=200_000, seed=2)
+        mc, se = mc_gini(FamilySpec("fisk", (50.0, 1.0)), n=200_000, seed=2)
         assert abs(mc - 0.02) < 3 * se + 1e-4
 
     def test_lognormal_within_0003(self):
-        mc, _ = mc_gini(FamilySpec.lognormal(0.0, 1.0), n=1_000_000, seed=0)
+        mc, _ = mc_gini(FamilySpec("lognormal", (0.0, 1.0)), n=1_000_000, seed=0)
         assert abs(mc - 0.5205) < 0.003
 
 
 class TestAtkinsonMc:
     def test_eps_zero(self):
-        assert atkinson_mc(FamilySpec.weibull(1.5, 1.0), 0.0, McConfig(n=1_000, seed=0)) == 0.0
+        assert atkinson_mc(FamilySpec("weibull", (1.5, 1.0)), 0.0, McConfig(n=1_000, seed=0)) == 0.0
 
     def test_lognormal_analytic_oracle(self):
         # A_eps = 1 - exp(-eps sigma^2 / 2) for LN(mu, sigma)
         cfg = McConfig(n=400_000, seed=9)
         for sigma in (0.5, 1.0):
             for eps in (0.5, 1.0, 1.5):
-                got = atkinson_mc(FamilySpec.lognormal(0.0, sigma), eps, cfg)
+                got = atkinson_mc(FamilySpec("lognormal", (0.0, sigma)), eps, cfg)
                 want = 1.0 - math.exp(-eps * sigma**2 / 2.0)
                 assert abs(got - want) < 0.003, (sigma, eps)
 
     def test_near_equal_incomes(self):
         for eps in (0.5, 1.0, 1.5):
-            assert atkinson_mc(FamilySpec.fisk(100.0, 1.0), eps, McConfig(n=50_000, seed=1)) < 0.01
+            assert atkinson_mc(FamilySpec("fisk", (100.0, 1.0)), eps, McConfig(n=50_000, seed=1)) < 0.01
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5])
     def test_finite_at_a_heavy_tail(self, eps):
         # q - 1/a = 0.005: draws by incomplete-beta inversion rounded to inf here
-        spec = FamilySpec.gb2(5.0, 1.0, 0.5, 0.205)
+        spec = FamilySpec("gb2", (5.0, 1.0, 0.5, 0.205))
         for seed in range(3):
             assert math.isfinite(atkinson_mc(spec, eps, McConfig(n=100_000, seed=seed)))
 
     def test_monotone_in_eps(self):
         cfg = McConfig(n=100_000, seed=5)
-        spec = FamilySpec.sm(2.0, 1.0, 2.0)
+        spec = FamilySpec("sm", (2.0, 1.0, 2.0))
         vals = [atkinson_mc(spec, e, cfg) for e in (0.5, 1.0, 1.5)]
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_existence(self):
         # GB2-nested: eps > 1 needs p > (eps-1)/a
-        assert not atkinson_exists(FamilySpec.sm(2.0, 1.0, 1.5), 4.0)  # p=1, need > 1.5
-        assert atkinson_exists(FamilySpec.sm(2.0, 1.0, 1.5), 1.5)
-        assert not atkinson_exists(FamilySpec.weibull(0.4, 1.0), 1.5)
-        assert atkinson_exists(FamilySpec.lognormal(0.0, 1.0), 5.0)
+        assert not atkinson_exists(FamilySpec("sm", (2.0, 1.0, 1.5)), 4.0)  # p=1, need > 1.5
+        assert atkinson_exists(FamilySpec("sm", (2.0, 1.0, 1.5)), 1.5)
+        assert not atkinson_exists(FamilySpec("weibull", (0.4, 1.0)), 1.5)
+        assert atkinson_exists(FamilySpec("lognormal", (0.0, 1.0)), 5.0)
         with pytest.raises(ExistenceError):
-            atkinson_mc(FamilySpec.sm(2.0, 1.0, 1.5), 4.0, McConfig(n=1_000, seed=0))
+            atkinson_mc(FamilySpec("sm", (2.0, 1.0, 1.5)), 4.0, McConfig(n=1_000, seed=0))
 
     @pytest.mark.parametrize("a", [0.1, 0.4, 0.5, 0.6, 1.0, 1.5, 2.0, 3.7])
     def test_weibull_existence_is_moment_existence(self, a):
         # E[X^(1-eps)] = b^(1-eps) Gamma(1 + (1-eps)/a): finite iff a > eps - 1,
         # including the rounding cases eps - 1 == a and eps = 1.1, a = 0.1
-        spec = FamilySpec.weibull(a, 2.0)
+        spec = FamilySpec("weibull", (a, 2.0))
         for eps in (0.0, 0.5, 1.0, 1.1, 1.4, 1.5, 2.0, 2.5, 3.0, 4.7):
             assert atkinson_exists(spec, eps) == moment_exists(spec, 1.0 - eps) == (a > eps - 1.0)
 
@@ -237,26 +237,26 @@ def atkinson_mpmath(spec, eps):
 # one interior point per family, with finite E[X^2] and E[X^-1] so that
 # Monte Carlo estimates have finite variance
 ATKINSON_INTERIOR = [
-    FamilySpec.gb2(2.0, 3.0, 0.8, 1.6),
-    FamilySpec.b2(2.0, 2.0, 4.0),
-    FamilySpec.sm(2.5, 1.0, 1.8),
-    FamilySpec.dagum(3.2, 1.0, 0.8),
-    FamilySpec.lognormal(0.3, 0.8),
-    FamilySpec.fisk(2.5, 4.0),
-    FamilySpec.weibull(1.4, 2.0),
+    FamilySpec("gb2", (2.0, 3.0, 0.8, 1.6)),
+    FamilySpec("b2", (2.0, 2.0, 4.0)),
+    FamilySpec("sm", (2.5, 1.0, 1.8)),
+    FamilySpec("dagum", (3.2, 1.0, 0.8)),
+    FamilySpec("lognormal", (0.3, 0.8)),
+    FamilySpec("fisk", (2.5, 4.0)),
+    FamilySpec("weibull", (1.4, 2.0)),
 ]
 # points 0.005 from an existence boundary: of the mean (q - 1/a) and, in
 # most, also of E[X^-0.5], which A_1.5 needs (p - 0.5/a; a - 0.5 for the
 # weibull); plus a heavy-tailed GB2 and a wide lognormal
 ATKINSON_EDGE = [
-    FamilySpec.gb2(5.0, 1.0, 0.5, 0.23),
-    FamilySpec.gb2(3.0, 1.0, 0.5 / 3.0 + 0.005, 1.0 / 3.0 + 0.005),
-    FamilySpec.b2(1.0, 0.505, 1.005),
-    FamilySpec.sm(1.7, 1.0, 1.0 / 1.7 + 0.005),
-    FamilySpec.dagum(1.005, 1.0, 0.5 / 1.005 + 0.005),
-    FamilySpec.lognormal(-1.0, 2.0),
-    FamilySpec.fisk(1.005, 1.0),
-    FamilySpec.weibull(0.505, 1.0),
+    FamilySpec("gb2", (5.0, 1.0, 0.5, 0.23)),
+    FamilySpec("gb2", (3.0, 1.0, 0.5 / 3.0 + 0.005, 1.0 / 3.0 + 0.005)),
+    FamilySpec("b2", (1.0, 0.505, 1.005)),
+    FamilySpec("sm", (1.7, 1.0, 1.0 / 1.7 + 0.005)),
+    FamilySpec("dagum", (1.005, 1.0, 0.5 / 1.005 + 0.005)),
+    FamilySpec("lognormal", (-1.0, 2.0)),
+    FamilySpec("fisk", (1.005, 1.0)),
+    FamilySpec("weibull", (0.505, 1.0)),
 ]
 
 
@@ -276,7 +276,7 @@ class TestAtkinsonClosed:
         for sigma in (0.3, 1.0, 2.5):
             for eps in (0.5, 1.0, 1.5, 3.0):
                 want = -math.expm1(-eps * sigma**2 / 2.0)
-                got = atkinson_closed(FamilySpec.lognormal(1.0, sigma), eps)
+                got = atkinson_closed(FamilySpec("lognormal", (1.0, sigma)), eps)
                 assert got == pytest.approx(want, rel=1e-14), (sigma, eps)
 
     @pytest.mark.parametrize("spec", ATKINSON_INTERIOR, ids=spec_id)
@@ -288,7 +288,7 @@ class TestAtkinsonClosed:
             assert abs(closed - mc) < 0.003, (eps, closed, mc)
 
     def test_edges(self):
-        spec = FamilySpec.sm(2.0, 1.0, 1.5)
+        spec = FamilySpec("sm", (2.0, 1.0, 1.5))
         assert atkinson_closed(spec, 0.0) == 0.0
         with pytest.raises(DomainError):
             atkinson_closed(spec, -0.5)

@@ -24,7 +24,7 @@ def fake_fit(rss, k, n=9):
     resid = np.zeros(n)
     resid[0] = math.sqrt(rss)
     return FitResult(
-        spec=FamilySpec.fisk(2.0, 1.0),
+        spec=FamilySpec("fisk", (2.0, 1.0)),
         method="nls",
         objective=rss,
         residuals=resid,
@@ -51,7 +51,7 @@ class TestGofScores:
 
     def test_unconverged_rejected(self):
         fit = FitResult(
-            spec=FamilySpec.fisk(2.0, 1.0),
+            spec=FamilySpec("fisk", (2.0, 1.0)),
             method="nls",
             objective=1.0,
             residuals=np.ones(3),
@@ -115,7 +115,7 @@ class TestDominanceMatrix:
 
     def test_nested_beats_overfit_on_nested_truth(self):
         # shares generated from a GB2 far from p=q=1: gb2 should win AIC
-        spec = FamilySpec.gb2(2.0, 1.0, 0.5, 3.0)
+        spec = FamilySpec("gb2", (2.0, 1.0, 0.5, 3.0))
         u = np.arange(1, 11) / 10
         ds = GroupedDataset(id="x", u=u, s=d.lorenz(spec, u))
         aic_gb2, _ = gof_scores(nls_fit("gb2", ds))

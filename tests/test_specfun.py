@@ -76,7 +76,7 @@ class TestInvIncBeta:
 
 
 # weibull(1, 1) has cdf P(1, x) and k-th incomplete moment P(1 + k, x)
-_EXP = FamilySpec.weibull(1.0, 1.0)
+_EXP = FamilySpec("weibull", (1.0, 1.0))
 
 
 class TestIncGamma:
@@ -104,7 +104,7 @@ class TestIncGamma:
 
 
 # lognormal(0, 1) has cdf Phi(log x) and quantile exp(Phi^-1(u))
-_STD_LOG = FamilySpec.lognormal(0.0, 1.0)
+_STD_LOG = FamilySpec("lognormal", (0.0, 1.0))
 
 
 class TestNormal:

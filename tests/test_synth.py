@@ -100,7 +100,7 @@ class TestSampleMixture:
 
         spec = MixtureSpec(beta=1.5, alpha=2.0, omega=1.0, mu=1.0, sigma=1.0)
         m = sample_mixture(spec, 100_000, seed=7)
-        stat = kstest(m.values, lambda x: d.cdf(FamilySpec.weibull(1.5, 2.0), x)).statistic
+        stat = kstest(m.values, lambda x: d.cdf(FamilySpec("weibull", (1.5, 2.0)), x)).statistic
         # 1% critical value for the one-sample KS distance
         assert stat < 1.63 / math.sqrt(100_000)
 
@@ -145,15 +145,15 @@ class TestSampleMixture:
 
 class TestSampleFamily:
     def test_deterministic_and_positive(self):
-        a = sample_family(FamilySpec.sm(2.0, 1.0, 1.5), 2_000, seed=1)
-        b = sample_family(FamilySpec.sm(2.0, 1.0, 1.5), 2_000, seed=1)
+        a = sample_family(FamilySpec("sm", (2.0, 1.0, 1.5)), 2_000, seed=1)
+        b = sample_family(FamilySpec("sm", (2.0, 1.0, 1.5)), 2_000, seed=1)
         assert np.array_equal(a.values, b.values)
         assert np.all(a.values > 0.0)
 
     def test_ks_against_cdf(self):
         from scipy.stats import kstest
 
-        spec = FamilySpec.lognormal(0.0, 1.0)
+        spec = FamilySpec("lognormal", (0.0, 1.0))
         m = sample_family(spec, 50_000, seed=12)
         stat = kstest(m.values, lambda x: d.cdf(spec, x)).statistic
         assert stat < 1.63 / math.sqrt(50_000)
@@ -241,7 +241,7 @@ class TestMicrodataToGrouped:
 
     def test_round_trip_fit(self):
         # sample -> group -> refit: Gini within max(0.01, 4 x sampling error)
-        spec = FamilySpec.sm(2.0, 1.0, 1.5)
+        spec = FamilySpec("sm", (2.0, 1.0, 1.5))
         m = sample_family(spec, 100_000, seed=21)
         ds = microdata_to_grouped(m, GroupingPolicy(n_groups=10), id="rt")
         fit = nls_fit("sm", ds)
