@@ -29,7 +29,6 @@ from .synth import (
 )
 
 _FAMILY_ALIASES = {"ln": "lognormal"}
-_DEFAULT_FAMILIES = "gb2,b2,sm,dagum,ln,fisk,weibull"
 
 
 def _parse_families(text):
@@ -75,11 +74,6 @@ def _derived_seed(seed, *tags):
     return (int(seed) ^ h) & 0x7FFFFFFF
 
 
-def _fit_gini(spec):
-    g = dist.gini_closed(spec)
-    return g.value, g.method
-
-
 def _fit_atkinson(spec, epsilons):
     return {
         f"{eps:g}": atkinson_closed(spec, eps) if atkinson_exists(spec, eps) else None
@@ -95,30 +89,23 @@ def _fit_one_dataset(task):
              "survey_gini": d.survey_gini, "error": None}]
     for family in families:
         nls = nls_error = None
-        # Gini, its method and the Atkinson set per fitted shape vector:
-        # all are scale-free, so a GMM cell that fell back reuses its NLS ones
-        measures = {}
         cells = []
         for m in ("nls", "gmm") if method == "both" else (method,):
             row = {"id": d.id, "family": family, "method": m, "survey_gini": d.survey_gini,
                    "lower_bound_gini": lb, "error": None}
             try:
                 if nls_error is not None:
-                    raise nls_error  # gmm_fit would fit NLS again and fail the same way
+                    raise nls_error  # NLS failed in this family's first cell: do not fit it again
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    fit = nls_fit(family, d) if m == "nls" else gmm_fit(family, d, nls=nls)
-                if m == "nls":
-                    nls = fit
+                    nls = nls or nls_fit(family, d)
+                    fit = nls if m == "nls" else gmm_fit(family, d, nls)
                 aic, bic = gof_scores(fit)
-                key = dist.shapes_of(fit.spec).tobytes()
-                if key not in measures:
-                    measures[key] = (*_fit_gini(fit.spec), _fit_atkinson(fit.spec, epsilons))
-                gini, gini_method, atkinson = measures[key]
+                gini, atkinson = dist.gini_closed(fit.spec), _fit_atkinson(fit.spec, epsilons)
                 row.update(converged=fit.converged, params=list(fit.spec.params),
                            objective=fit.objective, rss=fit.rss, k=fit.k,
-                           n_moments=len(fit.residuals), aic=aic, bic=bic,
-                           gini=gini, gini_method=gini_method, atkinson=atkinson, note=fit.note)
+                           n_moments=len(fit.residuals), aic=aic, bic=bic, gini=gini.value,
+                           gini_method=gini.method, atkinson=atkinson, note=fit.note)
             except Exception as exc:  # one error row per cell, never the batch
                 row["error"] = str(exc) or type(exc).__name__
                 if nls is None:
@@ -292,7 +279,7 @@ def cmd_report(args):
     ginis, scores = {}, {"nls": {}, "gmm": {}}
     try:
         for i, r in fitted:  # (gini, survey_gini) per family, method and dataset; the last row wins
-            if r.get("survey_gini"):
+            if r.get("survey_gini") is not None:
                 key = r["family"] if r["family"] == "lower_bound" else f"{r['family']}/{r['method']}"
                 ginis.setdefault(key, {})[r.get("id")] = r["gini"], r["survey_gini"]
         for i, r in fitted:  # (aic, bic) per method, dataset and family; the last row wins
@@ -361,7 +348,7 @@ def build_parser():
     p = sub.add_parser("fit", help="fit families to grouped datasets")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--families", type=_parse_families, default=_parse_families(_DEFAULT_FAMILIES))
+    p.add_argument("--families", type=_parse_families, default=list(dist.FAMILIES))
     p.add_argument("--method", choices=("nls", "gmm", "both"), default="nls")
     # accepted for compatibility; every fit's Gini is deterministic
     p.add_argument("--mc-n", type=int, default=1_000_000, help="no effect")

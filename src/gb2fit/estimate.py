@@ -15,7 +15,7 @@ from scipy import linalg, special
 
 from . import distributions as dist
 from .distributions import FamilySpec, spec_from_shapes
-from .exceptions import EstimationError, ExistenceError
+from .exceptions import EstimationError
 from .grouped import lower_bound_gini
 
 __all__ = [
@@ -406,8 +406,8 @@ def gmm_quadratic(m, omega=None):
     return float(m @ m)
 
 
-def gmm_fit(family, d, nls=None):
-    """Two-step GMM: NLS first stage, optimally weighted second stage.
+def gmm_fit(family, d, nls):
+    """Two-step GMM: an optimally weighted second stage from the NLS fit ``nls``.
 
     The second stage is NLS on the share residuals whitened by the Cholesky
     factor of Omega, started from the first-stage shapes.  Omega is
@@ -418,8 +418,6 @@ def gmm_fit(family, d, nls=None):
     second-stage run fails, or the optimum leaves the moment-existence
     region.
     """
-    if nls is None:
-        nls = nls_fit(family, d)
 
     def fallback(reason):
         warnings.warn(f"GMM fell back to NLS for {family}: {reason}", RuntimeWarning)
@@ -427,7 +425,7 @@ def gmm_fit(family, d, nls=None):
 
     try:
         chol = linalg.cholesky(weighting_matrix(nls.spec, d).Omega, lower=True)
-    except (ExistenceError, linalg.LinAlgError) as exc:
+    except (ValueError, OverflowError) as exc:  # no second moment, overflow, Omega not PD
         return fallback(str(exc))
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
     x, fval, converged = _multistart(residuals_fn, [dist.shapes_of(nls.spec)])

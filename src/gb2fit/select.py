@@ -60,16 +60,18 @@ def _bin_counts(errors, edges):
 
 
 def error_report(values, benchmarks):
-    """Binned absolute and relative Gini errors of ``values`` against
-    ``benchmarks`` (the survey Ginis), aligned element by element."""
+    """Binned absolute and relative Gini errors of ``values`` against ``benchmarks``
+    (the survey Ginis); against a benchmark of 0 the relative error is 0 or inf."""
     values = np.asarray(values, dtype=float)
     benchmarks = np.asarray(benchmarks, dtype=float)
     if values.shape != benchmarks.shape:
         raise DomainError("estimates not aligned with benchmarks")
     abs_err = np.abs(values - benchmarks)
+    rel_err = np.divide(abs_err, benchmarks, out=np.where(abs_err > 0, np.inf, 0.0),
+                        where=benchmarks != 0)
     return {
         "mean_abs_error": float(abs_err.mean()),
         "abs_bins": _bin_counts(abs_err, ABS_ERROR_EDGES),
-        "rel_bins": _bin_counts(abs_err / benchmarks, REL_ERROR_EDGES),
+        "rel_bins": _bin_counts(rel_err, REL_ERROR_EDGES),
         "n": len(values),
     }

@@ -89,7 +89,8 @@ def sample_mixture(spec, n, seed=0):
             "mass above 0 to sample")
     x = np.empty(n)
     with np.errstate(over="ignore"):  # Microdata rejects what overflows
-        x[pick_weibull] = spec.alpha * (-np.log1p(-u[pick_weibull])) ** (1.0 / spec.beta)
+        x[pick_weibull] = dist.quantile(dist.FamilySpec("weibull", (spec.beta, spec.alpha)),
+                                        u[pick_weibull])
         x[~pick_weibull] = spec.mu + spec.sigma * special.ndtri(v)
     return Microdata(values=x)
 

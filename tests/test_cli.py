@@ -261,6 +261,22 @@ class TestFit:
             assert gmm["note"] == ("second stage fell back to NLS: second moment does not exist for "
                                    + nls["family"] + repr(tuple(nls["params"])))
 
+    def test_gmm_rows_equal_those_of_both(self, tmp_path):
+        # one first stage for --method gmm and --method both; some second
+        # stages run on this dataset, and the others fall back
+        sim = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--output", str(sim), "--preset", "5", "--seed", "3",
+                     "--n", "2000", "--groups", "5"]) == 0
+        rows = {}
+        for method in ("gmm", "both"):
+            out = tmp_path / f"{method}.jsonl"
+            assert main(["fit", "--input", str(sim), "--output", str(out), "--method", method]) == 0
+            rows[method] = [{k: v for k, v in r.items() if k != "closer_method"}
+                            for r in read_jsonl(out) if r["method"] in ("gmm", "lower_bound")]
+        assert rows["gmm"] == rows["both"]
+        notes = [r["note"] for r in rows["gmm"] if r["method"] == "gmm"]
+        assert len(notes) == len(d.FAMILIES) and "" in notes and any(notes)
+
     def test_failed_nls_fits_once_per_family(self, tmp_path, monkeypatch):
         # equal shares admit no b2 or GB2 start; the GMM row repeats the
         # NLS error without fitting NLS again
@@ -285,6 +301,15 @@ class TestFit:
         for nls, gmm in zip(rows[::2], rows[1::2]):
             assert nls["error"].startswith("no admissible starting values")
             assert gmm["error"] == nls["error"]
+        # --method gmm fits the failing first stage once per family too
+        calls.clear()
+        gmm_out = tmp_path / "gmm.jsonl"
+        assert main(["fit", "--input", str(inp), "--output", str(gmm_out),
+                     "--families", "gb2,b2", "--method", "gmm"]) == 1
+        assert calls == ["gb2", "b2"]
+        rows = [r for r in read_jsonl(gmm_out) if r["method"] == "gmm"]
+        assert [(r["family"], r["error"]) for r in rows] == [
+            (nls["family"], nls["error"]) for nls in read_jsonl(out) if nls["method"] == "nls"]
 
     def test_zero_epsilon_writes_positive_zero(self, tmp_path):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
@@ -575,6 +600,22 @@ class TestReport:
         for inp, rep in zip((fit_out, twice), reps):
             assert main(["report", "--input", str(inp), "--output", str(rep), "--format", fmt]) == 0
         assert reps[0].read_bytes() == reps[1].read_bytes()
+
+    def test_zero_survey_gini_is_scored(self, tmp_path):
+        # equal shares have survey Gini 0: their errors count with the other record's
+        inp, fit_out, rep = tmp_path / "in.jsonl", tmp_path / "fit.jsonl", tmp_path / "rep.json"
+        u = np.arange(1, 11) / 10
+        write_grouped_jsonl([
+            GroupedDataset(id="eq", u=u, s=u.copy(), survey_gini=0.0),
+            GroupedDataset(id="fisk", u=u, s=d.lorenz(FamilySpec("fisk", (2.5, 1.0)), u),
+                           survey_gini=0.3),
+        ], inp)
+        assert main(["fit", "--input", str(inp), "--output", str(fit_out),
+                     "--method", "both", "--families", "fisk"]) == 0
+        assert main(["report", "--input", str(fit_out), "--output", str(rep)]) == 0
+        errs = json.loads(rep.read_text())["gini_errors"]
+        assert sorted(errs) == ["fisk/gmm", "fisk/nls", "lower_bound"]
+        assert [block["n"] for block in errs.values()] == [2, 2, 2]
 
     def test_malformed_line_is_input_error(self, tmp_path, capsys):
         inp, rep = tmp_path / "fit.jsonl", tmp_path / "rep.json"

@@ -396,7 +396,7 @@ class TestGmm:
         ds = deciles_from(TRUE_SPECS["weibull"])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            gmm = gmm_fit("weibull", ds)
+            gmm = gmm_fit("weibull", ds, nls_fit("weibull", ds))
         assert gmm.method == "gmm" and gmm.spec.params[1] == 1.0
         assert gmm.spec.params[0] == pytest.approx(1.4, rel=1e-4)
 
@@ -425,7 +425,7 @@ class TestGmm:
         ds = microdata_to_grouped(m, GroupingPolicy(n_groups=10), id="b2")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            gmm = gmm_fit("b2", ds)
+            gmm = gmm_fit("b2", ds, nls_fit("b2", ds))
         g = d.gini_closed(gmm.spec).value
         assert abs(g - d.gini_closed(spec).value) < 0.01
 
@@ -434,8 +434,24 @@ class TestGmm:
         spec = FamilySpec("sm", (1.5, 1.0, 1.0))
         ds = deciles_from(spec, mean=d.moment(spec, 1.0))
         with pytest.warns(RuntimeWarning):
-            gmm = gmm_fit("sm", ds)
+            gmm = gmm_fit("sm", ds, nls_fit("sm", ds))
         assert "fell back" in gmm.note
+
+
+    @pytest.mark.parametrize("mean", [1e200, 1e300, 1e-310])
+    @pytest.mark.parametrize("family", ["lognormal", "fisk", "weibull", "sm"])
+    def test_extreme_mean_falls_back(self, family, mean):
+        # a moment overflows at the fitted scale (1e200, 1e300), or Omega
+        # holds NaN (1e-310): the cell keeps its NLS fit
+        u = np.arange(1, 6) / 5
+        s = d.lorenz(FamilySpec("lognormal", (0.0, 0.7)), u)
+        ds = GroupedDataset(id="extreme", u=u, s=s, mean=mean)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            nls = nls_fit(family, ds)
+            gmm = gmm_fit(family, ds, nls)
+        assert gmm.note.startswith("second stage fell back to NLS: ")
+        assert gmm.method == "gmm" and gmm.spec == nls.spec
 
 
 def _sampled(source, seed):

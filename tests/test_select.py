@@ -1,6 +1,7 @@
 """Goodness-of-fit scores, dominance matrices and error binning."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,15 @@ class TestErrorReport:
         rep = error_report([0.5], [0.5])
         assert rep["abs_bins"][0] == 1
         assert rep["rel_bins"][0] == 1
+
+    def test_zero_benchmark(self):
+        # against a survey Gini of 0 an exact estimate is in the first
+        # relative bin and any other in the last, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = error_report([0.0, 0.01], [0.0, 0.0])
+        assert rep["rel_bins"] == [1, 0, 0, 0, 1]
+        assert rep["abs_bins"] == [1, 1, 0, 0, 0]
 
     def test_pathological_lower_bound(self):
         # estimated 0.188 vs benchmark 0.55: absolute error 0.362 -> last bin
