@@ -14,7 +14,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import io as gio
-from .estimate import gmm_fit, nls_fit
+from .estimate import gmm_fit, nls_fit, nls_runs
 from .exceptions import DomainError, ValidationError
 from .grouped import lower_bound_gini
 from .measures import atkinson_closed, atkinson_exists, sample_measures
@@ -87,6 +87,9 @@ def _fit_one_dataset(task):
     lb = lower_bound_gini(d)
     rows = [{"id": d.id, "family": "lower_bound", "method": "lower_bound", "gini": lb,
              "survey_gini": d.survey_gini, "error": None}]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runs = nls_runs(families, d)  # the Levenberg-Marquardt runs of every family at once
     for family in families:
         nls = nls_error = None
         cells = []
@@ -98,9 +101,9 @@ def _fit_one_dataset(task):
                     raise nls_error  # NLS failed in this family's first cell: do not fit it again
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    nls = nls or nls_fit(family, d)
+                    nls = nls or nls_fit(family, d, run=runs[family])
                     fit = nls if m == "nls" else gmm_fit(family, d, nls)
-                aic, bic = gof_scores(fit)
+                aic, bic = gof_scores(fit) if fit.converged else (None, None)
                 gini, atkinson = dist.gini_closed(fit.spec), _fit_atkinson(fit.spec, epsilons)
                 row.update(converged=fit.converged, params=list(fit.spec.params),
                            objective=fit.objective, rss=fit.rss, k=fit.k,
@@ -255,7 +258,7 @@ def _read_fit_rows(path):
 _NUMBER = (int, float)
 _FIELD_TYPES = {"id": str, "family": str, "method": (str, type(None)), "gini": _NUMBER,
                 "survey_gini": _NUMBER + (type(None),), "rss": _NUMBER,
-                "aic": _NUMBER + (type(None),), "bic": _NUMBER, "k": int, "n_moments": int}
+                "aic": _NUMBER + (type(None),), "bic": _NUMBER + (type(None),), "k": int, "n_moments": int}
 # a scored row needs these, in this order, although rss, k and n_moments go unread
 _SCORED_FIELDS = ("rss", "bic", "k", "n_moments", "id", "family")
 # the accepted values of the numbers that report reads: NaN and inf lie outside every range

@@ -51,7 +51,8 @@ def _inverse_beta_pair(u, p, q):
     u = I_1/2(p, q), where z > 1/2, 1 - z comes from I_(1-z)(q, p) = 1 - u."""
     upper = u > special.betainc(p, q, 0.5)
     w = inv_inc_beta_ratio(np.where(upper, 1.0 - u, u), np.where(upper, q, p), np.where(upper, p, q))
-    return np.where(upper, 1.0 - w, w), np.where(upper, w, 1.0 - w)
+    wc = 1.0 - w
+    return np.where(upper, wc, w), np.where(upper, w, wc)
 
 
 def _inverse_beta_odds(u, p, q):
@@ -252,11 +253,6 @@ def _shape_columns(shapes, ndim=0):
     return [c.reshape((-1,) + (1,) * ndim) for c in np.asarray(shapes, dtype=float).T]
 
 
-def _margin_rows(family, shapes):
-    """``_margin`` of the mean for each shape row (m, k), as an (m,) array."""
-    return _margin(family, _shape_columns(shapes))
-
-
 def _lorenz_rows(family, shapes, u):
     """Lorenz curves of a stack of shape rows.
 
@@ -265,12 +261,24 @@ def _lorenz_rows(family, shapes, u):
     the callers check u and keep rows with a positive existence margin.
     """
     u = np.asarray(u, dtype=float)
+    return _lorenz_columns(family, _shape_columns(shapes, u.ndim), u)
+
+
+def _lorenz_columns(family, cols, u):
+    """``_lorenz_rows`` from the shape columns, ``_shape_columns(shapes, u.ndim)``."""
     row = _TABLE[family]
-    cols = _shape_columns(shapes, u.ndim)
     if row.to_gb2 is not None:
         a, p, q = row.to_gb2(*cols)
         with np.errstate(divide="ignore"):  # log 0 at u = 0 or 1 gives z = 0 or 1
-            return _beta_cdf(*row.z(u, p, q), p + 1.0 / a, q - 1.0 / a)
+            if row.z is _inverse_beta_pair and len(p) > 1:
+                # a row whose (p, q) repeats the row before it (the a-difference
+                # of a gb2 stencil) takes that row's z
+                new = np.append(True, ((p[1:] != p[:-1]) | (q[1:] != q[:-1])).ravel())
+                take = np.cumsum(new) - 1
+                z, zc = (v[take] for v in _inverse_beta_pair(u, p[new], q[new]))
+            else:
+                z, zc = row.z(u, p, q)
+            return _beta_cdf(z, zc, p + 1.0 / a, q - 1.0 / a)
     if family == "lognormal":  # ndtri(0) = -inf and ndtri(1) = inf give L = 0 and 1
         (sigma,) = cols
         return special.ndtr(special.ndtri(u) - sigma)
@@ -377,28 +385,39 @@ def _nested_gini(family, theta1, theta2):
     (x - 1/2) ln x, of size p or q, are folded into log1p of the ratios of
     the arguments, so that nothing of that size cancels.
     """
+    return _NESTED_GINI[family](theta1, theta2)
+
+
+def _b2_gini(p, q):  # 2 B(2p, 2q - 1) / (p B(p, q)^2)
     r = _ln_gamma_rest
-    if family == "b2":  # 2 B(2p, 2q - 1) / (p B(p, q)^2)
-        p, q = theta1, theta2
-        g = 2.0 / p * math.exp(
-            0.5 * math.log(p * q / (p + q) / (4.0 * math.pi)) + math.log1p(2.0 * p / (2.0 * q - 1.0))
-            + r(2.0 * p) - 2.0 * r(p) + r(2.0 * q) - 2.0 * r(q) - r(2.0 * (p + q)) + 2.0 * r(p + q))
-    elif family == "sm":  # 1 - Gamma(q) Gamma(2q - c) / (Gamma(q - c) Gamma(2q)), c = 1/a
-        c = 1.0 / theta1
-        q = theta2
-        m = q - c
-        g = -math.expm1(
-            -c * math.log(2.0) + (m - 0.5) * math.log1p(c / m)
-            + (2.0 * q - c - 0.5) * math.log1p(-c / (2.0 * q))
-            + r(q) - r(m) + r(2.0 * q - c) - r(2.0 * q))
-    else:  # dagum: Gamma(p) Gamma(2p + c) / (Gamma(2p) Gamma(p + c)) - 1, c = 1/a
-        c = 1.0 / theta1
-        p = theta2
-        g = math.expm1(
-            c * math.log(2.0) + (2.0 * p + c - 0.5) * math.log1p(c / (2.0 * p))
-            - (p + c - 0.5) * math.log1p(c / p)
-            + r(2.0 * p + c) - r(2.0 * p) - r(p + c) + r(p))
+    g = 2.0 / p * math.exp(
+        0.5 * math.log(p * q / (p + q) / (4.0 * math.pi)) + math.log1p(2.0 * p / (2.0 * q - 1.0))
+        + r(2.0 * p) - 2.0 * r(p) + r(2.0 * q) - 2.0 * r(q) - r(2.0 * (p + q)) + 2.0 * r(p + q))
     return min(max(g, 0.0), 1.0)
+
+
+def _sm_gini(a, q):  # 1 - Gamma(q) Gamma(2q - c) / (Gamma(q - c) Gamma(2q)), c = 1/a
+    r = _ln_gamma_rest
+    c = 1.0 / a
+    m = q - c
+    g = -math.expm1(
+        -c * math.log(2.0) + (m - 0.5) * math.log1p(c / m)
+        + (2.0 * q - c - 0.5) * math.log1p(-c / (2.0 * q))
+        + r(q) - r(m) + r(2.0 * q - c) - r(2.0 * q))
+    return min(max(g, 0.0), 1.0)
+
+
+def _dagum_gini(a, p):  # Gamma(p) Gamma(2p + c) / (Gamma(2p) Gamma(p + c)) - 1, c = 1/a
+    r = _ln_gamma_rest
+    c = 1.0 / a
+    g = math.expm1(
+        c * math.log(2.0) + (2.0 * p + c - 0.5) * math.log1p(c / (2.0 * p))
+        - (p + c - 0.5) * math.log1p(c / p)
+        + r(2.0 * p + c) - r(2.0 * p) - r(p + c) + r(p))
+    return min(max(g, 0.0), 1.0)
+
+
+_NESTED_GINI = {"b2": _b2_gini, "sm": _sm_gini, "dagum": _dagum_gini}
 
 
 def gini_closed(spec):

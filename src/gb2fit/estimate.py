@@ -22,6 +22,7 @@ __all__ = [
     "FitResult",
     "WeightingMatrix",
     "starting_values",
+    "nls_runs",
     "nls_fit",
     "solve_scale",
     "weighting_matrix",
@@ -135,13 +136,15 @@ def _nested_grid(family, g):
     theta1 on the grid, the root theta2 of G(theta1, theta2) = g over
     (lo, _THETA2_MAX) where it is bracketed.  It depends on the dataset only
     through g, and the GB2 pools all three grids, so each is solved once."""
-    def shapes(theta1, theta2):  # dagum's shapes are (a, p), with p on the grid
-        return (theta2, theta1) if family == "dagum" else (theta1, theta2)
-
+    gini = dist._NESTED_GINI[family]
     starts = []
     for theta1 in map(float, _GRID):
-        def f(theta2):
-            return dist._nested_gini(family, *shapes(theta1, theta2)) - g
+        if family == "dagum":  # dagum's shapes are (a, p), with p on the grid
+            def f(theta2):
+                return gini(theta2, theta1) - g
+        else:
+            def f(theta2):
+                return gini(theta1, theta2) - g
 
         # the mean needs q > 1 (b2), q > 1/a (sm) or a > 1 (dagum)
         lo = (1.0 / theta1 if family == "sm" else 1.0) + 1e-6
@@ -150,7 +153,8 @@ def _nested_grid(family, g):
         except OverflowError:
             continue
         if np.isfinite(flo) and np.isfinite(fhi) and flo * fhi <= 0.0:
-            starts.append(shapes(theta1, _brentq(f, lo, _THETA2_MAX, flo, fhi)))
+            theta2 = _brentq(f, lo, _THETA2_MAX, flo, fhi)
+            starts.append((theta2, theta1) if family == "dagum" else (theta1, theta2))
     return tuple(starts)
 
 
@@ -204,21 +208,27 @@ def _residual_factory(family, u, s, chol=None):
 
     def residuals(x):
         xc = np.minimum(np.maximum(x, -_LOG_SHAPE_BOUND), _LOG_SHAPE_BOUND)
-        shapes = np.exp(xc)
-        margin = dist._margin_rows(family, shapes)
-        feasible = margin > 0.0
+        cols = dist._shape_columns(np.exp(xc), 1)
+        margin = dist._margin(family, cols)[:, 0]
         out = np.zeros((len(x), n + x.shape[1] + 1))
         out[:, n:-1] = x - xc
-        out[:, -1] = np.where(feasible, 0.0, 100.0 * np.sqrt(1.0 - np.minimum(margin, 0.0)))
-        if feasible.any():
-            with np.errstate(all="ignore"):
-                m = dist._lorenz_rows(family, shapes[feasible], u) - s
-            finite = np.isfinite(m).all(axis=1)
+        rows = margin > 0.0  # the feasible rows
+        if rows.all():  # the usual case, without boolean-index copies
+            rows = slice(None)
+        else:
+            out[:, -1] = np.where(rows, 0.0, 100.0 * np.sqrt(1.0 - np.minimum(margin, 0.0)))
+            if not rows.any():
+                return out
+            cols = [c[rows] for c in cols]
+        with np.errstate(all="ignore"):
+            m = dist._lorenz_columns(family, cols, u) - s
+        finite = np.isfinite(m).all(axis=1)
+        if not finite.all():
             m[~finite] = 0.0
-            if chol is not None:
-                m = linalg.solve_triangular(chol, m.T, lower=True).T
-            out[feasible, :n] = m
-            out[feasible, -1] = np.where(finite, 0.0, 1e4)
+            out[rows, -1] = np.where(finite, 0.0, 1e4)
+        if chol is not None:
+            m = linalg.solve_triangular(chol, m.T, lower=True).T
+        out[rows, :n] = m
         return out
 
     return residuals
@@ -239,15 +249,37 @@ _N_OPTIMIZED, _FD_STEP = 5, np.finfo(float).eps ** 0.5
 _XTOL, _FTOL, _GTOL, _MAX_ITER = 1e-10, 1e-12, 1e-10, 200
 
 
-def _values_and_jacobians(residuals, x):
+@functools.lru_cache(maxsize=None)
+def _eyes(k):
+    """The identity (k, k) and the difference stencil (k + 1, k): a zero
+    row, then the identity."""
+    return np.eye(k), np.eye(k + 1, k, -1)
+
+
+def _evaluate(residuals, x, cells):
+    """The residual rows of x (m, k), each from its own cell's function:
+    ``residuals`` is a sequence of functions and ``cells`` (m,) the index
+    of each row's function."""
+    if len(residuals) == 1:
+        return residuals[0](x)
+    parts = [(rows, fn(x[rows])) for c, fn in enumerate(residuals)
+             if len(rows := np.flatnonzero(cells == c))]
+    out = np.empty((len(x), parts[0][1].shape[1]))
+    for rows, r in parts:
+        out[rows] = r
+    return out
+
+
+def _values_and_jacobians(residuals, x, cells):
     """Residuals f (m, n) at the rows of x (m, k) and the transposed
-    forward-difference Jacobians (m, k, n), from one call of ``residuals``;
-    every stencil point stays inside the log-shape box."""
+    forward-difference Jacobians (m, k, n), from one call of each cell's
+    function (``_evaluate``); every stencil point stays inside the
+    log-shape box."""
     k = x.shape[1]
     h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     h = np.where(np.abs(x + h) > _LOG_SHAPE_BOUND, -h, h)  # difference inward at the edge
-    points = x[:, None] + np.eye(k + 1, k, -1) * h[:, None]  # x, then x + h_j e_j
-    r = residuals(points.reshape(-1, k)).reshape(len(x), k + 1, -1)
+    points = x[:, None] + _eyes(k)[1] * h[:, None]  # x, then x + h_j e_j
+    r = _evaluate(residuals, points.reshape(-1, k), np.repeat(cells, k + 1)).reshape(len(x), k + 1, -1)
     dx = np.diagonal(points[:, 1:], axis1=1, axis2=2) - x
     return r[:, 0], (r[:, 1:] - r[:, :1]) / dx[..., None]
 
@@ -261,60 +293,93 @@ def _solve_rows(a, b):
             [_solve_rows(a[j:j + 1], b[j:j + 1]) for j in range(len(a))])
 
 
-def _levenberg_marquardt(residuals, x0s):
+def _norms(v):
+    return np.sqrt(np.add.reduce(v * v, axis=1))  # np.linalg.norm(v, axis=1)
+
+
+def _levenberg_marquardt(residuals, x0s, cells=None):
     """Levenberg-Marquardt from every row of x0s (m, k) in lockstep: an
     iteration makes one ``residuals`` call, on the trial points and their
     stencils, and solves every (J'J + lam D) step = -J'f at once, D the running
     maximum of diag J'J (More 1978).  Rows accept, damp (Nielsen's rule) and
     stop on their own and never mix, so a row ends the same bit for bit alone
-    or in a batch.  Returns the points, their sums of squares and whether
-    each row converged."""
+    or in a batch.  With ``cells`` (m,), ``residuals`` is a sequence of
+    functions and row j is evaluated by ``residuals[cells[j]]``, so the fits
+    of several cells step together.  Returns the points, their sums of
+    squares and whether each row converged."""
     x = np.array(x0s, dtype=float)
     m, k = x.shape
-    lam, nu, d, done = np.full(m, 1e-3), np.full(m, 2.0), np.zeros((m, k)), np.zeros(m, bool)
+    if cells is None:
+        residuals, cells = [residuals], np.zeros(m, dtype=int)
+    eye = _eyes(k)[0]
+    x_end, cost_end, done = np.empty_like(x), np.empty(m), np.zeros(m, bool)
+    # the state of the running rows only: row j of it is row i[j] of x0s
+    i, lam, nu, d = np.arange(m), np.full(m, 1e-3), np.full(m, 2.0), np.zeros((m, k))
+    stop = np.zeros(m, bool)  # the rows whose last step passed a stopping test
     with np.errstate(all="ignore"):
-        f, jt = _values_and_jacobians(residuals, x)
-        cost = np.sum(f * f, axis=1)
+        f, jt = _values_and_jacobians(residuals, x, cells)
+        cost = np.add.reduce(f * f, axis=1)
         for _ in range(_MAX_ITER):
-            i = np.flatnonzero(~done)
-            jtj, g = jt[i] @ jt[i].transpose(0, 2, 1), np.sum(jt[i] * f[i, None], axis=2)
-            # hold an edge coordinate whose descent direction -g leaves the box
-            free = (np.abs(x[i]) < _LOG_SHAPE_BOUND) | (g * x[i] > 0.0)
-            g, jtj = g * free, jtj * free[:, :, None] * free[:, None, :]
+            jtj, g = jt @ jt.transpose(0, 2, 1), np.add.reduce(jt * f[:, None], axis=2)
+            inside = np.abs(x) < _LOG_SHAPE_BOUND
+            if not inside.all():  # hold an edge coordinate whose descent direction -g leaves the box
+                free = inside | (g * x > 0.0)
+                g, jtj = g * free, jtj * free[:, :, None] * free[:, None, :]
             col = np.diagonal(jtj, axis1=1, axis2=2)
-            d[i] = np.maximum(d[i], col)
-            cosine = np.abs(g) / np.sqrt(col * cost[i, None])
-            stop = (cost[i] == 0.0) | np.all((col == 0.0) | (cosine <= _GTOL), axis=1)
-            done[i[stop]], i, jtj, g = True, i[~stop], jtj[~stop], g[~stop]
-            if not len(i):
-                break
-            damp = lam[i, None] * np.where(d[i] > 0.0, d[i], 1.0)
-            step = _solve_rows(jtj + damp[..., None] * np.eye(k), -g)
-            trial = np.clip(x[i] + step, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND)  # onto the box
-            step = np.where(trial == x[i] + step, step, trial - x[i])  # its bits kept inside
-            ft, jtt = _values_and_jacobians(residuals, trial)
-            cost_t = np.sum(ft * ft, axis=1)
-            drop, ok = cost[i] - cost_t, cost_t < cost[i]
-            small = np.linalg.norm(step, axis=1) <= _XTOL * (_XTOL + np.linalg.norm(x[i], axis=1))
-            done[i] = small | (ok & (drop <= _FTOL * cost[i]))
-            rho = drop / np.sum(step * (damp * step - g), axis=1)
-            lam[i] *= np.where(ok, np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), nu[i])
-            nu[i] = np.where(ok, 2.0, 2.0 * nu[i])
-            a = i[ok]
-            x[a], f[a], jt[a], cost[a] = trial[ok], ft[ok], jtt[ok], cost_t[ok]
-    return x, cost, done
+            d = np.maximum(d, col)
+            cosine = np.abs(g) / np.sqrt(col * cost[:, None])
+            stop |= (cost == 0.0) | np.all((col == 0.0) | (cosine <= _GTOL), axis=1)
+            if stop.any():  # the stopped rows leave the running state
+                x_end[i[stop]], cost_end[i[stop]], done[i[stop]] = x[stop], cost[stop], True
+                if stop.all():
+                    return x_end, cost_end, done
+                i, x, f, jt, cost, lam, nu, d, cells, jtj, g = (
+                    v[~stop] for v in (i, x, f, jt, cost, lam, nu, d, cells, jtj, g))
+            damp = lam[:, None] * np.where(d > 0.0, d, 1.0)
+            step = _solve_rows(jtj + damp[..., None] * eye, -g)
+            moved = x + step
+            trial = np.clip(moved, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND)  # onto the box
+            step = np.where(trial == moved, step, trial - x)  # its bits kept inside
+            ft, jtt = _values_and_jacobians(residuals, trial, cells)
+            cost_t = np.add.reduce(ft * ft, axis=1)
+            drop, ok = cost - cost_t, cost_t < cost
+            stop = (_norms(step) <= _XTOL * (_XTOL + _norms(x))) | (ok & (drop <= _FTOL * cost))
+            rho = drop / np.add.reduce(step * (damp * step - g), axis=1)
+            lam = lam * np.where(ok, np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), nu)
+            nu = np.where(ok, 2.0, 2.0 * nu)
+            x[ok], f[ok], jt[ok], cost[ok] = trial[ok], ft[ok], jtt[ok], cost_t[ok]
+    x_end[i], cost_end[i], done[i] = x, cost, stop
+    return x_end, cost_end, done
+
+
+def _multistart_cells(cells):
+    """Levenberg-Marquardt for several cells, each a (residuals, starts)
+    pair with the same number of shapes.  Each cell's starts are screened
+    by their initial RSS (one call of each cell's function for all), and
+    the _N_OPTIMIZED best of every cell step together in one lockstep run.
+    Per cell: its best run's log-shapes, objective (inf when no run ends
+    finite) and whether it converged."""
+    fns = [fn for fn, _ in cells]
+    x0s = [np.log(np.asarray(starts, dtype=float)) for _, starts in cells]
+    owner = np.repeat(np.arange(len(cells)), [len(x) for x in x0s])
+    rss0 = np.add.reduce(_evaluate(fns, np.concatenate(x0s), owner) ** 2, axis=1)
+    x0s = np.concatenate([x[np.argsort(rss0[owner == c], kind="stable")[:_N_OPTIMIZED]]
+                          for c, x in enumerate(x0s)])
+    owner = np.repeat(np.arange(len(cells)), [min(len(starts), _N_OPTIMIZED) for _, starts in cells])
+    x, rss, converged = (_levenberg_marquardt(fns[0], x0s) if len(cells) == 1
+                         else _levenberg_marquardt(fns, x0s, owner))
+    rss = np.where(np.isfinite(rss), rss, np.inf)
+    out = []
+    for c in range(len(cells)):
+        rows = np.flatnonzero(owner == c)
+        j = rows[np.argmin(rss[rows])]
+        out.append((x[j], float(rss[j]), bool(converged[j])))
+    return out
 
 
 def _multistart(residuals, starts):
-    """Levenberg-Marquardt from the _N_OPTIMIZED starts of lowest initial RSS,
-    screened in one ``residuals`` call: the best run's log-shapes, objective
-    (inf when no run ends finite) and whether it converged."""
-    x0s = np.log(np.asarray(starts, dtype=float))
-    ranked = np.argsort(np.sum(residuals(x0s) ** 2, axis=1), kind="stable")[:_N_OPTIMIZED]
-    x, rss, converged = _levenberg_marquardt(residuals, x0s[ranked])
-    rss = np.where(np.isfinite(rss), rss, np.inf)
-    best = int(np.argmin(rss))
-    return x[best], float(rss[best]), bool(converged[best])
+    """``_multistart_cells`` for one cell."""
+    return _multistart_cells([(residuals, starts)])[0]
 
 
 def _spec_at(family, d, x):
@@ -333,27 +398,66 @@ def _spec_at(family, d, x):
     return spec, dist.lorenz(spec, d.u[:-1]) - d.s[:-1]
 
 
-def nls_fit(family, d, starts=None):
-    """Least-squares fit of the Lorenz curve to the observed shares.
-
-    Ranks every starting value by its initial RSS, runs Levenberg-Marquardt
-    from the best few and keeps the lowest residual sum of squares; the
-    last share (identically 1) carries no information and is excluded.
-    """
+def _nls_cell(family, d, starts=None):
+    """The residual function and the starts of ``family``'s NLS fit to d;
+    the last share (identically 1) carries no information and is excluded."""
     k = dist.n_shape_params(family)
     if d.n_groups < k + 1:
         raise EstimationError(
             f"{family} needs at least {k + 1} groups, dataset has {d.n_groups}"
         )
-    u, s = d.u[:-1], d.s[:-1]
     if starts is None:
         starts = starting_values(family, d)
-    x, fval, converged = _multistart(_residual_factory(family, u, s), starts)
+    return _residual_factory(family, d.u[:-1], d.s[:-1]), starts
+
+
+def _cell_runs(cells):
+    """``_multistart_cells``, with an exception in place of the outcome of
+    a cell that raises: when the batch raises, each cell runs alone."""
+    try:
+        return _multistart_cells(cells)
+    except Exception as exc:
+        return [exc] if len(cells) == 1 else [r for cell in cells for r in _cell_runs([cell])]
+
+
+def nls_runs(families, d):
+    """The Levenberg-Marquardt runs of the NLS fits of ``families`` to d,
+    for ``nls_fit(family, d, run=...)``: per family, its best run's
+    (log-shapes, objective, converged, starts tried), or the exception its
+    fit raises.  The families with the same number of shapes step together
+    in one lockstep run; rows never mix, so each run ends as it would
+    alone."""
+    runs, groups = {}, {}
+    for family in families:
+        try:
+            groups.setdefault(dist.n_shape_params(family), {})[family] = _nls_cell(family, d)
+        except Exception as exc:
+            runs[family] = exc
+    for cells in groups.values():
+        for (family, (_, starts)), run in zip(cells.items(), _cell_runs(list(cells.values()))):
+            runs[family] = run if isinstance(run, Exception) else (*run, len(starts))
+    return runs
+
+
+def nls_fit(family, d, starts=None, run=None):
+    """Least-squares fit of the Lorenz curve to the observed shares.
+
+    Ranks every starting value by its initial RSS, runs Levenberg-Marquardt
+    from the best few and keeps the lowest residual sum of squares.  Given
+    its ``run`` from ``nls_runs``, the fit is finished from it: a stored
+    exception is raised again.
+    """
+    if run is None:
+        residuals, starts = _nls_cell(family, d, starts)
+        run = (*_multistart(residuals, starts), len(starts))
+    if isinstance(run, Exception):
+        raise run
+    x, fval, converged, n_starts = run
     if not np.isfinite(fval):
-        raise EstimationError(f"every {family} run from the best of {len(starts)} starts failed")
+        raise EstimationError(f"every {family} run from the best of {n_starts} starts failed")
     spec, residuals = _spec_at(family, d, x)
     return FitResult(spec=spec, method="nls", objective=float(np.sum(residuals**2)),
-                     residuals=residuals, starts_tried=len(starts), converged=converged, k=k)
+                     residuals=residuals, starts_tried=n_starts, converged=converged, k=len(x))
 
 
 def solve_scale(spec, sample_mean):

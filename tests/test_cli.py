@@ -311,6 +311,79 @@ class TestFit:
         assert [(r["family"], r["error"]) for r in rows] == [
             (nls["family"], nls["error"]) for nls in read_jsonl(out) if nls["method"] == "nls"]
 
+    def test_unconverged_fit_is_a_row_without_scores(self, tmp_path):
+        # the gb2 NLS run ends unconverged on this record; its row keeps the
+        # fit with converged false and no AIC or BIC, and fit exits 0
+        sim, out = tmp_path / "sim.jsonl", tmp_path / "out.jsonl"
+        assert main(["simulate", "--output", str(sim), "--family", "lognormal",
+                     "--params", "0,1.2", "--seed", "6"]) == 0
+        assert main(["fit", "--input", str(sim), "--output", str(out), "--method", "both"]) == 0
+        rows = read_jsonl(out)
+        assert all(r["error"] is None for r in rows)
+        (gb2,) = [r for r in rows if (r["family"], r["method"]) == ("gb2", "nls")]
+        assert gb2["converged"] is False and gb2["aic"] is None and gb2["bic"] is None
+        assert len(gb2["params"]) == 4 and 0.0 < gb2["gini"] < 1.0 and gb2["atkinson"]["1"] > 0.0
+        assert all(r["aic"] is not None for r in rows if r.get("converged"))
+
+    def test_families_fit_alone_as_in_one_run(self, tmp_path):
+        # the families share Levenberg-Marquardt runs, and each ends as alone
+        sim, every = tmp_path / "sim.jsonl", tmp_path / "every.jsonl"
+        assert main(["simulate", "--output", str(sim), "--preset", "5", "--seed", "3",
+                     "--n", "2000", "--groups", "5"]) == 0
+        assert main(["fit", "--input", str(sim), "--output", str(every), "--method", "both"]) == 0
+        rows = read_jsonl(every)
+        for family in d.FAMILIES:
+            alone = tmp_path / f"{family}.jsonl"
+            assert main(["fit", "--input", str(sim), "--output", str(alone), "--method", "both",
+                         "--families", family]) == 0
+            assert read_jsonl(alone) == [r for r in rows if r["family"] in ("lower_bound", family)]
+
+    def test_failing_family_keeps_its_own_error_row(self, tmp_path, monkeypatch):
+        # sm's residuals raise on their third call, inside the batched run of
+        # the two-shape families: sm gets error rows, every other row is clean
+        sim, clean, out = tmp_path / "sim.jsonl", tmp_path / "clean.jsonl", tmp_path / "out.jsonl"
+        assert main(["simulate", "--output", str(sim), "--preset", "5", "--seed", "3",
+                     "--n", "2000", "--groups", "5"]) == 0
+        assert main(["fit", "--input", str(sim), "--output", str(clean), "--method", "both"]) == 0
+        factory = estimate._residual_factory
+
+        def failing_factory(family, *args, **kwargs):
+            residuals, calls = factory(family, *args, **kwargs), []
+
+            def failing(x):
+                calls.append(len(x))
+                if family == "sm" and len(calls) >= 3:
+                    raise RuntimeError("injected failure")
+                return residuals(x)
+
+            return failing
+
+        monkeypatch.setattr(estimate, "_residual_factory", failing_factory)
+        assert main(["fit", "--input", str(sim), "--output", str(out), "--method", "both"]) == 1
+        rows, clean_rows = read_jsonl(out), read_jsonl(clean)
+        bad = [r for r in rows if r["error"]]
+        assert [(r["family"], r["method"], r["error"]) for r in bad] == [
+            ("sm", "nls", "injected failure"), ("sm", "gmm", "injected failure")]
+        assert [r for r in rows if r["family"] != "sm"] == [
+            r for r in clean_rows if r["family"] != "sm"]
+
+    def test_one_levenberg_marquardt_run_per_shape_count(self, tmp_path, monkeypatch):
+        # gb2, then b2 + sm + dagum, then lognormal + fisk + weibull
+        from gb2fit.synth import MIXTURE_PRESETS, GroupingPolicy, microdata_to_grouped, sample_mixture
+
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        m = sample_mixture(MIXTURE_PRESETS[0], 10_000, seed=20180828)
+        write_grouped_jsonl([microdata_to_grouped(m, GroupingPolicy(n_groups=10), id="preset-1")], inp)
+        runs, real = [], estimate._levenberg_marquardt
+
+        def counting(residuals, x0s, *args):
+            runs.append(x0s.shape[1])
+            return real(residuals, x0s, *args)
+
+        monkeypatch.setattr(estimate, "_levenberg_marquardt", counting)
+        assert main(["fit", "--input", str(inp), "--output", str(out), "--method", "nls"]) == 0
+        assert runs == [3, 2, 1]
+
     def test_zero_epsilon_writes_positive_zero(self, tmp_path):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
         write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
@@ -616,6 +689,22 @@ class TestReport:
         errs = json.loads(rep.read_text())["gini_errors"]
         assert sorted(errs) == ["fisk/gmm", "fisk/nls", "lower_bound"]
         assert [block["n"] for block in errs.values()] == [2, 2, 2]
+
+    def test_row_without_scores_is_read(self, tmp_path):
+        # an unconverged fit's row has no AIC or BIC: its Gini is scored, and
+        # it stays out of the dominance tables
+        fit_out, rep = tmp_path / "fit.jsonl", tmp_path / "rep.json"
+        rows = [{"id": "d", "family": "fisk", "method": "nls", "converged": True, "gini": 0.3,
+                 "survey_gini": 0.31, "rss": 1e-6, "aic": -50.0, "bic": -49.0, "k": 1,
+                 "n_moments": 9, "error": None},
+                {"id": "d", "family": "gb2", "method": "nls", "converged": False, "gini": 0.32,
+                 "survey_gini": 0.31, "rss": 1e-7, "aic": None, "bic": None, "k": 3,
+                 "n_moments": 9, "error": None}]
+        fit_out.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert main(["report", "--input", str(fit_out), "--output", str(rep)]) == 0
+        data = json.loads(rep.read_text())
+        assert data["gini_errors"]["gb2/nls"]["n"] == 1
+        assert data["dominance"]["nls_bic"]["models"] == ["fisk"]
 
     def test_malformed_line_is_input_error(self, tmp_path, capsys):
         inp, rep = tmp_path / "fit.jsonl", tmp_path / "rep.json"

@@ -505,8 +505,8 @@ class TestReductionIdentitiesFull:
         for eps in (0.5, 1.5, 2.5):
             assert atkinson_exists(gb2_spec, eps) == atkinson_exists(nested, eps), eps
         exists = d.moment_exists(nested, 1.0)
-        assert (d._margin_rows("gb2", d.shapes_of(gb2_spec)[None])[0] > 0.0) == exists
-        assert (d._margin_rows(nested.family, d.shapes_of(nested)[None])[0] > 0.0) == exists
+        assert (d._margin("gb2", d._shape_columns(d.shapes_of(gb2_spec)[None]))[0] > 0.0) == exists
+        assert (d._margin(nested.family, d._shape_columns(d.shapes_of(nested)[None]))[0] > 0.0) == exists
         if not exists:
             with pytest.raises(ExistenceError):
                 d.lorenz(nested, us)
@@ -541,6 +541,8 @@ class TestBroadcastKernels:
         rng = np.random.default_rng(20261018)
         us = np.concatenate([[0.0, 1.0], rng.uniform(size=30), np.linspace(0.0, 1.0, 11)])
         specs = _random_specs(family, 60, rng)
+        if family == "gb2":  # each row then one with another a, as in a stencil: they share z
+            specs = [t for s in specs for t in (s, FamilySpec("gb2", (1.5 * s.params[0],) + s.params[1:]))]
         rows = d._lorenz_rows(family, np.array([d.shapes_of(s) for s in specs]), us)
         assert rows.shape == (len(specs), len(us))
         for spec, row in zip(specs, rows):
@@ -554,7 +556,7 @@ class TestBroadcastKernels:
         # the sign of the barrier's margin is the existence of the mean
         rng = np.random.default_rng(7)
         shapes = np.exp(rng.uniform(math.log(0.05), math.log(50.0), (40, d.n_shape_params(family))))
-        margins = d._margin_rows(family, shapes)
+        margins = d._margin(family, d._shape_columns(shapes))
         assert (margins > 0.0).tolist() == [
             d.moment_exists(d.spec_from_shapes(family, s), 1.0) for s in shapes]
 

@@ -619,6 +619,22 @@ class TestBroadcastJacobian:
             for got, want in zip(alone, batch):
                 assert got[0].tobytes() == want[j].tobytes(), (j, got, want)
 
+    @pytest.mark.parametrize("families", [("b2", "sm", "dagum"), ("lognormal", "fisk", "weibull")])
+    def test_mixed_family_batch_rows_match_single_runs(self, families):
+        # the cells of one shape count step together, each row evaluated by
+        # its own family's residuals, and every row ends as it does alone
+        ds = _sampled("preset-5", seed=31)
+        fns = [estimate._residual_factory(f, ds.u[:-1], ds.s[:-1]) for f in families]
+        x0s = [_screened_starts(fn, f, ds) for fn, f in zip(fns, families)]
+        if len(x0s[0][0]) == 1:  # one start each: add rows about it
+            x0s = [np.vstack([x, x + 0.5, x - 1.0]) for x in x0s]
+        cells = np.repeat(np.arange(len(families)), [len(x) for x in x0s])
+        batch = estimate._levenberg_marquardt(fns, np.concatenate(x0s), cells)
+        for j, (c, x0) in enumerate(zip(cells, np.concatenate(x0s))):
+            alone = estimate._levenberg_marquardt(fns[c], x0[None])
+            for got, want in zip(alone, batch):
+                assert got[0].tobytes() == want[j].tobytes(), (families[c], j, got, want)
+
     def test_screening_rows_match_single_rows(self):
         from gb2fit import estimate
 
@@ -630,6 +646,62 @@ class TestBroadcastJacobian:
         for x0, row in zip(x0s, rows):
             assert row.tobytes() == residuals(x0[None])[0].tobytes()
         assert rows[-2, -1] > 0.0 and rows[-1, -4] == 12.0 - math.log(1e4)
+
+
+class TestNlsRuns:
+    """``nls_runs`` fits a dataset's families together; each family's
+    ``nls_fit`` finished from its run equals the fit made alone."""
+
+    @pytest.mark.parametrize("source", ["gb2", "preset-5"])
+    def test_runs_finish_as_fits_alone(self, source):
+        ds = _sampled(source, seed=31)
+        runs = estimate.nls_runs(d.FAMILIES, ds)
+        assert set(runs) == set(d.FAMILIES)
+        for family in d.FAMILIES:
+            got, want = nls_fit(family, ds, run=runs[family]), nls_fit(family, ds)
+            assert got.spec == want.spec and got.residuals.tobytes() == want.residuals.tobytes()
+            assert (got.objective, got.converged, got.starts_tried, got.k) == (
+                want.objective, want.converged, want.starts_tried, want.k)
+
+    def test_failing_cell_stays_in_its_family(self, monkeypatch):
+        # sm's residuals raise on their third call, inside the batch of the
+        # two-shape families: sm keeps the exception, the others their runs
+        ds = _sampled("preset-5", seed=31)
+        clean = estimate.nls_runs(d.FAMILIES, ds)
+        factory = estimate._residual_factory
+
+        def failing_factory(family, *args, **kwargs):
+            residuals, calls = factory(family, *args, **kwargs), []
+
+            def failing(x):
+                calls.append(len(x))
+                if family == "sm" and len(calls) >= 3:
+                    raise RuntimeError("injected failure")
+                return residuals(x)
+
+            return failing
+
+        monkeypatch.setattr(estimate, "_residual_factory", failing_factory)
+        runs = estimate.nls_runs(d.FAMILIES, ds)
+        assert isinstance(runs["sm"], RuntimeError)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            nls_fit("sm", ds, run=runs["sm"])
+        for family in set(d.FAMILIES) - {"sm"}:
+            for got, want in zip(runs[family], clean[family]):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), family
+
+    def test_family_errors_are_kept(self):
+        # equal shares admit no b2 or GB2 start; three groups are too few for the GB2
+        u = np.arange(1, 11) / 10
+        runs = estimate.nls_runs(["gb2", "b2", "fisk"], GroupedDataset(id="eq", u=u, s=u.copy()))
+        for family in ("gb2", "b2"):
+            assert isinstance(runs[family], EstimationError)
+            assert str(runs[family]).startswith("no admissible starting values")
+        assert runs["fisk"][2]
+        u = np.arange(1, 4) / 3
+        runs = estimate.nls_runs(["gb2", "fisk"], GroupedDataset(id="j3", u=u, s=u ** 2))
+        assert str(runs["gb2"]) == "gb2 needs at least 4 groups, dataset has 3"
+        assert nls_fit("fisk", GroupedDataset(id="j3", u=u, s=u ** 2), run=runs["fisk"]).converged
 
 
 def _presets():
