@@ -16,7 +16,7 @@ from . import distributions as dist
 from . import io as gio
 from .estimate import gmm_fit, nls_fit, nls_runs
 from .exceptions import DomainError, ValidationError
-from .grouped import lower_bound_gini
+from .grouped import lower_bound_gini, slope_drop
 from .measures import atkinson_closed, atkinson_exists, sample_measures
 from .select import dominance_matrix, error_report, gof_scores
 from .synth import (
@@ -29,6 +29,11 @@ from .synth import (
 )
 
 _FAMILY_ALIASES = {"ln": "lognormal"}
+# A drop in the group mean shares up to this is the rounding of shares computed
+# in floating point: equal incomes give mean shares of 1 within about 1e-15.
+# Shares published to four decimals or fewer move a mean share in steps of
+# 1e-4 or more, and no Lorenz curve has a drop of any size.
+_SLOPE_ROUNDING = 1e-9
 
 
 def _parse_families(text):
@@ -87,6 +92,10 @@ def _fit_one_dataset(task):
     lb = lower_bound_gini(d)
     rows = [{"id": d.id, "family": "lower_bound", "method": "lower_bound", "gini": lb,
              "survey_gini": d.survey_gini, "error": None}]
+    drop, j, slopes = slope_drop(d)
+    if drop > _SLOPE_ROUNDING:  # the record is still fitted
+        rows[0]["note"] = (f"shares are not convex: group {j}'s mean share {slopes[j - 1]:.3g} "
+                           f"is below group {j - 1}'s {slopes[j - 2]:.3g}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         runs = nls_runs(families, d)  # the Levenberg-Marquardt runs of every family at once

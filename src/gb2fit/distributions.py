@@ -253,19 +253,14 @@ def _shape_columns(shapes, ndim=0):
     return [c.reshape((-1,) + (1,) * ndim) for c in np.asarray(shapes, dtype=float).T]
 
 
-def _lorenz_rows(family, shapes, u):
-    """Lorenz curves of a stack of shape rows.
+def _lorenz_columns(family, cols, u):
+    """Lorenz curves of a stack of shape rows, given as their columns
+    ``_shape_columns(shapes, u.ndim)``.
 
     ``shapes`` is (m, k) in the ``shapes_of`` order and ``u`` any array in
     [0, 1]; returns an array of shape (m,) + u.shape.  Nothing is checked:
     the callers check u and keep rows with a positive existence margin.
     """
-    u = np.asarray(u, dtype=float)
-    return _lorenz_columns(family, _shape_columns(shapes, u.ndim), u)
-
-
-def _lorenz_columns(family, cols, u):
-    """``_lorenz_rows`` from the shape columns, ``_shape_columns(shapes, u.ndim)``."""
     row = _TABLE[family]
     if row.to_gb2 is not None:
         a, p, q = row.to_gb2(*cols)
@@ -293,7 +288,7 @@ def lorenz(spec, u):
     u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u > 1.0)):
         raise DomainError("lorenz requires 0 <= u <= 1")
-    out = np.asarray(_lorenz_rows(spec.family, shapes_of(spec)[None], u)[0])
+    out = np.asarray(_lorenz_columns(spec.family, _shape_columns(shapes_of(spec)[None], u.ndim), u)[0])
     return float(out) if out.ndim == 0 else out
 
 
@@ -376,18 +371,12 @@ def _beta_cdf(z, zc, p, q):
     return np.where(upper, 1.0 - i, i)
 
 
-def _nested_gini(family, theta1, theta2):
-    """Closed-form Gini of b2 (p, q), sm (a, q) or dagum (a, p) from its two
-    shapes in the ``shapes_of`` order, clipped to [0, 1].  Nothing is
-    checked: the callers keep the shapes inside the existence region.
-
-    Each ln Gamma is Stirling's formula plus ``_ln_gamma_rest``; the terms
-    (x - 1/2) ln x, of size p or q, are folded into log1p of the ratios of
-    the arguments, so that nothing of that size cancels.
-    """
-    return _NESTED_GINI[family](theta1, theta2)
-
-
+# The closed-form Ginis of b2 (p, q), sm (a, q) and dagum (a, p), from the
+# two shapes in the ``shapes_of`` order, clipped to [0, 1]; the callers keep
+# the shapes inside the existence region.  Each ln Gamma is Stirling's
+# formula plus ``_ln_gamma_rest``; the terms (x - 1/2) ln x, of size p or q,
+# are folded into log1p of the ratios of the arguments, so that nothing of
+# that size cancels.
 def _b2_gini(p, q):  # 2 B(2p, 2q - 1) / (p B(p, q)^2)
     r = _ln_gamma_rest
     g = 2.0 / p * math.exp(
@@ -432,7 +421,7 @@ def gini_closed(spec):
         a, _, p, q = par
         return GiniValue(min(max(_gb2_gini(a, p, q), 0.0), 1.0), "quadrature")
     if fam in ("b2", "sm", "dagum"):
-        g = _nested_gini(fam, *map(float, shapes_of(spec)))
+        g = _NESTED_GINI[fam](*map(float, shapes_of(spec)))
     elif fam == "lognormal":
         g = 2.0 * float(special.ndtr(par[1] / math.sqrt(2.0))) - 1.0
     elif fam == "fisk":

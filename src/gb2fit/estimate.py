@@ -297,20 +297,18 @@ def _norms(v):
     return np.sqrt(np.add.reduce(v * v, axis=1))  # np.linalg.norm(v, axis=1)
 
 
-def _levenberg_marquardt(residuals, x0s, cells=None):
+def _levenberg_marquardt(residuals, x0s, cells):
     """Levenberg-Marquardt from every row of x0s (m, k) in lockstep: an
-    iteration makes one ``residuals`` call, on the trial points and their
-    stencils, and solves every (J'J + lam D) step = -J'f at once, D the running
-    maximum of diag J'J (More 1978).  Rows accept, damp (Nielsen's rule) and
-    stop on their own and never mix, so a row ends the same bit for bit alone
-    or in a batch.  With ``cells`` (m,), ``residuals`` is a sequence of
-    functions and row j is evaluated by ``residuals[cells[j]]``, so the fits
-    of several cells step together.  Returns the points, their sums of
+    iteration makes one call of each cell's function, on the trial points
+    and their stencils, and solves every (J'J + lam D) step = -J'f at once,
+    D the running maximum of diag J'J (More 1978).  ``residuals`` is a
+    sequence of functions and row j is evaluated by ``residuals[cells[j]]``,
+    so the fits of several cells step together.  Rows accept, damp
+    (Nielsen's rule) and stop on their own and never mix, so a row ends the
+    same bit for bit alone or in a batch.  Returns the points, their sums of
     squares and whether each row converged."""
     x = np.array(x0s, dtype=float)
     m, k = x.shape
-    if cells is None:
-        residuals, cells = [residuals], np.zeros(m, dtype=int)
     eye = _eyes(k)[0]
     x_end, cost_end, done = np.empty_like(x), np.empty(m), np.zeros(m, bool)
     # the state of the running rows only: row j of it is row i[j] of x0s
@@ -352,7 +350,7 @@ def _levenberg_marquardt(residuals, x0s, cells=None):
     return x_end, cost_end, done
 
 
-def _multistart_cells(cells):
+def _multistart(cells):
     """Levenberg-Marquardt for several cells, each a (residuals, starts)
     pair with the same number of shapes.  Each cell's starts are screened
     by their initial RSS (one call of each cell's function for all), and
@@ -366,8 +364,7 @@ def _multistart_cells(cells):
     x0s = np.concatenate([x[np.argsort(rss0[owner == c], kind="stable")[:_N_OPTIMIZED]]
                           for c, x in enumerate(x0s)])
     owner = np.repeat(np.arange(len(cells)), [min(len(starts), _N_OPTIMIZED) for _, starts in cells])
-    x, rss, converged = (_levenberg_marquardt(fns[0], x0s) if len(cells) == 1
-                         else _levenberg_marquardt(fns, x0s, owner))
+    x, rss, converged = _levenberg_marquardt(fns, x0s, owner)
     rss = np.where(np.isfinite(rss), rss, np.inf)
     out = []
     for c in range(len(cells)):
@@ -375,11 +372,6 @@ def _multistart_cells(cells):
         j = rows[np.argmin(rss[rows])]
         out.append((x[j], float(rss[j]), bool(converged[j])))
     return out
-
-
-def _multistart(residuals, starts):
-    """``_multistart_cells`` for one cell."""
-    return _multistart_cells([(residuals, starts)])[0]
 
 
 def _spec_at(family, d, x):
@@ -398,24 +390,11 @@ def _spec_at(family, d, x):
     return spec, dist.lorenz(spec, d.u[:-1]) - d.s[:-1]
 
 
-def _nls_cell(family, d, starts=None):
-    """The residual function and the starts of ``family``'s NLS fit to d;
-    the last share (identically 1) carries no information and is excluded."""
-    k = dist.n_shape_params(family)
-    if d.n_groups < k + 1:
-        raise EstimationError(
-            f"{family} needs at least {k + 1} groups, dataset has {d.n_groups}"
-        )
-    if starts is None:
-        starts = starting_values(family, d)
-    return _residual_factory(family, d.u[:-1], d.s[:-1]), starts
-
-
 def _cell_runs(cells):
-    """``_multistart_cells``, with an exception in place of the outcome of
+    """``_multistart``, with an exception in place of the outcome of
     a cell that raises: when the batch raises, each cell runs alone."""
     try:
-        return _multistart_cells(cells)
+        return _multistart(cells)
     except Exception as exc:
         return [exc] if len(cells) == 1 else [r for cell in cells for r in _cell_runs([cell])]
 
@@ -430,7 +409,13 @@ def nls_runs(families, d):
     runs, groups = {}, {}
     for family in families:
         try:
-            groups.setdefault(dist.n_shape_params(family), {})[family] = _nls_cell(family, d)
+            k = dist.n_shape_params(family)
+            if d.n_groups < k + 1:
+                raise EstimationError(
+                    f"{family} needs at least {k + 1} groups, dataset has {d.n_groups}")
+            # the last share (identically 1) carries no information and is excluded
+            groups.setdefault(k, {})[family] = (_residual_factory(family, d.u[:-1], d.s[:-1]),
+                                                starting_values(family, d))
         except Exception as exc:
             runs[family] = exc
     for cells in groups.values():
@@ -439,17 +424,16 @@ def nls_runs(families, d):
     return runs
 
 
-def nls_fit(family, d, starts=None, run=None):
+def nls_fit(family, d, run=None):
     """Least-squares fit of the Lorenz curve to the observed shares.
 
     Ranks every starting value by its initial RSS, runs Levenberg-Marquardt
-    from the best few and keeps the lowest residual sum of squares.  Given
-    its ``run`` from ``nls_runs``, the fit is finished from it: a stored
-    exception is raised again.
+    from the best few and keeps the lowest residual sum of squares.  The
+    fit is finished from its ``run`` of ``nls_runs``, made here when none
+    is given; a stored exception is raised again.
     """
     if run is None:
-        residuals, starts = _nls_cell(family, d, starts)
-        run = (*_multistart(residuals, starts), len(starts))
+        run = nls_runs([family], d)[family]
     if isinstance(run, Exception):
         raise run
     x, fval, converged, n_starts = run
@@ -532,7 +516,7 @@ def gmm_fit(family, d, nls):
     except (ValueError, OverflowError) as exc:  # no second moment, overflow, Omega not PD
         return fallback(str(exc))
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
-    x, fval, converged = _multistart(residuals_fn, [dist.shapes_of(nls.spec)])
+    x, fval, converged = _multistart([(residuals_fn, [dist.shapes_of(nls.spec)])])[0]
     if not np.isfinite(fval):
         return fallback("every second-stage run failed")
     try:

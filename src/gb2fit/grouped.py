@@ -1,5 +1,5 @@
-"""Grouped income data: validated Lorenz ordinates and the nonparametric
-lower-bound Gini."""
+"""Grouped income data: validated Lorenz ordinates, their convexity and
+the nonparametric lower-bound Gini."""
 
 import numbers
 from dataclasses import dataclass
@@ -9,7 +9,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 
-__all__ = ["GroupedDataset", "from_shares", "lower_bound_gini"]
+__all__ = ["GroupedDataset", "from_shares", "lower_bound_gini", "slope_drop"]
 
 
 def _is_number(v):
@@ -111,3 +111,15 @@ def _polygon_gini(u, s):
     s = np.concatenate(([0.0], s))
     g = float(np.sum(np.diff(s) * (u[1:] + u[:-1])) - 1.0)
     return min(max(g, 0.0), 1.0)
+
+
+def slope_drop(d):
+    """The largest drop between the slopes (s_j - s_(j-1)) / (u_j - u_(j-1))
+    of adjacent groups, from (0, 0): each slope is a group's mean share, its
+    mean income over the overall mean, which rises with j on every Lorenz
+    curve.  Returns the drop (at most 0 when the shares are convex), the
+    number j of the group after it, counted from 1, and the slopes."""
+    slopes = np.diff(d.s, prepend=0.0) / np.diff(d.u, prepend=0.0)
+    drops = slopes[:-1] - slopes[1:]
+    j = int(np.argmax(drops))
+    return float(drops[j]), j + 2, slopes

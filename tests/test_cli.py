@@ -325,6 +325,35 @@ class TestFit:
         assert len(gb2["params"]) == 4 and 0.0 < gb2["gini"] < 1.0 and gb2["atkinson"]["1"] > 0.0
         assert all(r["aic"] is not None for r in rows if r.get("converged"))
 
+    def test_non_convex_shares_are_noted(self, tmp_path):
+        # group mean shares 0.4, 0.35, ...: no Lorenz curve has them; the
+        # record is still fitted, and its lower_bound row says why to doubt it
+        inp, out = tmp_path / "nc.jsonl", tmp_path / "out.jsonl"
+        inp.write_text('{"id": "nc", "u": [0.2, 0.4, 0.6, 0.8, 1.0], "s": [0.08, 0.15, 0.30, 0.52, 1.0]}\n')
+        assert main(["fit", "--input", str(inp), "--output", str(out), "--method", "both"]) == 0
+        rows = read_jsonl(out)
+        assert rows[0]["family"] == "lower_bound" and rows[0]["note"] == (
+            "shares are not convex: group 2's mean share 0.35 is below group 1's 0.4")
+        assert len(rows) == 15 and all(r["error"] is None for r in rows)
+
+    @pytest.mark.parametrize("argv", [["--n", "10000", "--groups", "10"], ["--n", "2000", "--groups", "5"]])
+    def test_simulated_shares_have_no_convexity_note(self, tmp_path, argv):
+        sim, out = tmp_path / "sim.jsonl", tmp_path / "out.jsonl"
+        for seed in ("3", "4", "5"):
+            assert main(["simulate", "--output", str(sim), "--seed", seed, *argv]) == 0
+            assert main(["fit", "--input", str(sim), "--output", str(out), "--families", "fisk"]) == 0
+            lower = [r for r in read_jsonl(out) if r["family"] == "lower_bound"]
+            assert len(lower) == 6 and not any("note" in r for r in lower)
+
+    def test_grouped_equal_incomes_have_no_convexity_note(self, tmp_path):
+        # s = u up to the rounding of the group sums
+        micro, grouped, out = tmp_path / "m.csv", tmp_path / "g.jsonl", tmp_path / "out.jsonl"
+        micro.write_text("income\n" + "3.7\n" * 10001)
+        assert main(["group", "--input", str(micro), "--output", str(grouped), "--groups", "10"]) == 0
+        assert main(["fit", "--input", str(grouped), "--output", str(out), "--families", "fisk"]) == 0
+        (lower,) = [r for r in read_jsonl(out) if r["family"] == "lower_bound"]
+        assert "note" not in lower
+
     def test_families_fit_alone_as_in_one_run(self, tmp_path):
         # the families share Levenberg-Marquardt runs, and each ends as alone
         sim, every = tmp_path / "sim.jsonl", tmp_path / "every.jsonl"

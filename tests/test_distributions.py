@@ -543,7 +543,7 @@ class TestBroadcastKernels:
         specs = _random_specs(family, 60, rng)
         if family == "gb2":  # each row then one with another a, as in a stencil: they share z
             specs = [t for s in specs for t in (s, FamilySpec("gb2", (1.5 * s.params[0],) + s.params[1:]))]
-        rows = d._lorenz_rows(family, np.array([d.shapes_of(s) for s in specs]), us)
+        rows = d._lorenz_columns(family, d._shape_columns([d.shapes_of(s) for s in specs], us.ndim), us)
         assert rows.shape == (len(specs), len(us))
         for spec, row in zip(specs, rows):
             assert row.tobytes() == d.lorenz(spec, us).tobytes(), spec
@@ -595,7 +595,7 @@ class TestBroadcastKernels:
                 spec = d.spec_from_shapes(family, [t1, t2], scale=2.0)
                 if not d.moment_exists(spec, 1.0):
                     continue
-                assert d._nested_gini(family, t1, t2) == d.gini_closed(spec).value, spec
+                assert d._NESTED_GINI[family](t1, t2) == d.gini_closed(spec).value, spec
                 checked += 1
         assert checked >= 30
 
@@ -641,6 +641,6 @@ class TestNestedGiniOracle:
             if max(t1, t2) > 1e4:
                 continue
             want = float(_nested_gini_oracle(mp, family, t1, t2))
-            assert abs(d._nested_gini(family, t1, t2) - want) <= 1e-13, (t1, t2, want)
+            assert abs(d._NESTED_GINI[family](t1, t2) - want) <= 1e-13, (t1, t2, want)
             n += 1
         assert n > 200

@@ -32,6 +32,12 @@ TRUE_SPECS = {
 }
 
 
+def _fit_from(family, ds, starts):
+    """``family``'s NLS fit to ds from ``starts`` alone."""
+    residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
+    return nls_fit(family, ds, run=(*estimate._multistart([(residuals, starts)])[0], len(starts)))
+
+
 def deciles_from(spec, mean=None, id="gen"):
     u = np.arange(1, 11) / 10
     return GroupedDataset(id=id, u=u, s=d.lorenz(spec, u), mean=mean)
@@ -221,7 +227,7 @@ class TestNlsFit:
         ds = deciles_from(FamilySpec("sm", (1.7, 1.0, 1.9)))
         full = nls_fit("sm", ds)
         for st in starting_values("sm", ds):
-            single = nls_fit("sm", ds, starts=[st])
+            single = _fit_from("sm", ds, [st])
             assert full.rss <= single.rss + 1e-15
 
     def test_sm_heavy_tail_reaches_lower_rss(self):
@@ -500,7 +506,7 @@ class TestStartScreening:
         best = math.inf
         for st in starts:  # one start per run: nothing is screened out
             try:
-                best = min(best, nls_fit(family, ds, starts=[st]).rss)
+                best = min(best, _fit_from(family, ds, [st]).rss)
             except EstimationError:
                 continue
         assert abs(screened.rss - best) <= 1e-9 * best, (screened.rss, best)
@@ -544,7 +550,7 @@ class TestStartScreening:
         ds = _sampled("gb2", seed=5)
         nls = nls_fit("gb2", ds)
 
-        def failing_run(residuals, x0s):  # no row ends at a finite objective
+        def failing_run(residuals, x0s, cells):  # no row ends at a finite objective
             return x0s, np.full(len(x0s), np.nan), np.zeros(len(x0s), dtype=bool)
 
         monkeypatch.setattr(estimate, "_levenberg_marquardt", failing_run)
@@ -596,7 +602,7 @@ class TestBroadcastJacobian:
 
         ds = _sampled(source, seed=31)
         residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
-        _, got, converged = estimate._multistart(residuals, starting_values(family, ds))
+        _, got, converged = estimate._multistart([(residuals, starting_values(family, ds))])[0]
         want = min(
             float(np.sum(optimize.least_squares(
                 lambda x: residuals(x[None])[0], x0, method="lm",
@@ -613,9 +619,9 @@ class TestBroadcastJacobian:
         residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
         x0s = (_screened_starts(residuals, family, ds) if family != "weibull"
                else np.log([[0.5], [1.0], [2.0]]))
-        batch = estimate._levenberg_marquardt(residuals, x0s)
+        batch = estimate._levenberg_marquardt([residuals], x0s, np.zeros(len(x0s), dtype=int))
         for j, x0 in enumerate(x0s):
-            alone = estimate._levenberg_marquardt(residuals, x0[None])
+            alone = estimate._levenberg_marquardt([residuals], x0[None], np.zeros(1, dtype=int))
             for got, want in zip(alone, batch):
                 assert got[0].tobytes() == want[j].tobytes(), (j, got, want)
 
@@ -631,7 +637,7 @@ class TestBroadcastJacobian:
         cells = np.repeat(np.arange(len(families)), [len(x) for x in x0s])
         batch = estimate._levenberg_marquardt(fns, np.concatenate(x0s), cells)
         for j, (c, x0) in enumerate(zip(cells, np.concatenate(x0s))):
-            alone = estimate._levenberg_marquardt(fns[c], x0[None])
+            alone = estimate._levenberg_marquardt([fns[c]], x0[None], np.zeros(1, dtype=int))
             for got, want in zip(alone, batch):
                 assert got[0].tobytes() == want[j].tobytes(), (families[c], j, got, want)
 
@@ -753,7 +759,7 @@ class TestShapeBox:
     def test_row_started_on_the_edge_leaves_it(self):
         ds = _sampled("gb2", seed=31)
         interior = nls_fit("gb2", ds)
-        edge = nls_fit("gb2", ds, starts=[np.array([3.0, 1e4, 1.5])])
+        edge = _fit_from("gb2", ds, [np.array([3.0, 1e4, 1.5])])
         assert edge.converged
         assert np.all(np.abs(np.log(d.shapes_of(edge.spec))) < estimate._LOG_SHAPE_BOUND)
         assert edge.rss <= interior.rss * (1.0 + 1e-9), (edge.rss, interior.rss)

@@ -6,7 +6,7 @@ import pytest
 from gb2fit import distributions as d
 from gb2fit.distributions import FamilySpec
 from gb2fit.exceptions import ValidationError
-from gb2fit.grouped import GroupedDataset, from_shares, lower_bound_gini
+from gb2fit.grouped import GroupedDataset, from_shares, lower_bound_gini, slope_drop
 
 
 def dataset_from_spec(spec, n_groups, id="gen"):
@@ -173,3 +173,30 @@ class TestLowerBoundGini:
             id="x2", u=np.array([0.25, 0.5, 1.0]), s=np.array([0.1, 0.2, 1.0])
         )
         assert lower_bound_gini(split) == pytest.approx(lower_bound_gini(ds), abs=1e-14)
+
+
+class TestSlopeDrop:
+    def test_non_convex_table(self):
+        # group mean shares 0.4, 0.35, 0.75, 1.1, 2.4: the second falls by 0.05
+        ds = GroupedDataset(id="nc", u=np.array([0.2, 0.4, 0.6, 0.8, 1.0]),
+                            s=np.array([0.08, 0.15, 0.30, 0.52, 1.0]))
+        drop, j, slopes = slope_drop(ds)
+        assert drop == pytest.approx(0.05, abs=1e-12) and j == 2
+        assert slopes == pytest.approx([0.4, 0.35, 0.75, 1.1, 2.4], abs=1e-12)
+
+    def test_equal_shares(self):
+        u = np.arange(1, 11) / 10
+        assert slope_drop(GroupedDataset(id="eq", u=u, s=u.copy()))[0] == 0.0
+
+    @pytest.mark.parametrize("n_groups", [5, 10])
+    def test_lorenz_curves_are_convex(self, n_groups):
+        for spec in (FamilySpec("lognormal", (0.0, 1.0)), FamilySpec("sm", (2.0, 1.0, 1.5)),
+                     FamilySpec("weibull", (1.2, 1.0))):
+            assert slope_drop(dataset_from_spec(spec, n_groups))[0] < 0.0
+
+    def test_first_slope_starts_at_the_origin(self):
+        # mean shares 0.9, 0.6, 1.5: the first group's slope is from (0, 0)
+        ds = GroupedDataset(id="x", u=np.array([0.25, 0.5, 1.0]), s=np.array([0.225, 0.375, 1.0]))
+        drop, j, slopes = slope_drop(ds)
+        assert slopes == pytest.approx([0.9, 0.6, 1.25], abs=1e-12)
+        assert drop == pytest.approx(0.3, abs=1e-12) and j == 2
