@@ -143,7 +143,7 @@ def _write_rows(rows, path, fmt, epsilons=()):
     cols = [
         "id", "family", "method", "converged", "params", "objective", "rss",
         "aic", "bic", "gini", "gini_method", "survey_gini", "lower_bound_gini",
-        "closer_method", "error",
+        "closer_method", "error", "note",
     ]
     eps_cols = [f"atkinson_{e:g}" for e in epsilons]
     with open(path, "w", newline="") as fh:

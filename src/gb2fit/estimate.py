@@ -234,18 +234,20 @@ def _residual_factory(family, u, s, chol=None):
     return residuals
 
 
-# Levenberg-Marquardt runs from the _N_OPTIMIZED starts of lowest initial RSS,
-# with forward differences of relative step _FD_STEP (sqrt of machine eps, as
-# scipy's "2-point").  The box |x| <= _LOG_SHAPE_BOUND is a hard bound, as in
-# a projected Levenberg-Marquardt (Kanzow, Yamashita & Fukushima 2004): each
-# step is projected onto it, a difference that would leave it is taken
-# inward, and a coordinate on its edge whose descent direction points out is
-# held, its Jacobian column zeroed.  Inside the box all three are no-ops.  A
-# row converges when its relative step, its relative decrease or the largest
-# cosine between its residuals and a free Jacobian column falls below _XTOL,
-# _FTOL or _GTOL; it stops unconverged after _MAX_ITER iterations (the
-# equal-shares limit of a one-shape family takes about 50).
-_N_OPTIMIZED, _FD_STEP = 5, np.finfo(float).eps ** 0.5
+# Levenberg-Marquardt runs from the _N_OPTIMIZED starts of lowest initial RSS
+# (runs from the next three reach the same optimum, and rounding picks which
+# run wins), with forward differences of relative step _FD_STEP (sqrt of
+# machine eps, as scipy's "2-point").  The box |x| <= _LOG_SHAPE_BOUND is a
+# hard bound, as in a projected Levenberg-Marquardt (Kanzow, Yamashita &
+# Fukushima 2004): each step is projected onto it, a difference that would
+# leave it is taken inward, and a coordinate on its edge whose descent
+# direction points out is held, its Jacobian column zeroed.  Inside the box
+# all three are no-ops.  A row converges when its relative step, its
+# relative decrease or the largest cosine between its residuals and a free
+# Jacobian column falls below _XTOL, _FTOL or _GTOL; it stops unconverged
+# after _MAX_ITER iterations (the equal-shares limit of a one-shape family
+# takes about 50).
+_N_OPTIMIZED, _FD_STEP = 2, np.finfo(float).eps ** 0.5
 _XTOL, _FTOL, _GTOL, _MAX_ITER = 1e-10, 1e-12, 1e-10, 200
 
 

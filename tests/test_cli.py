@@ -328,13 +328,22 @@ class TestFit:
     def test_non_convex_shares_are_noted(self, tmp_path):
         # group mean shares 0.4, 0.35, ...: no Lorenz curve has them; the
         # record is still fitted, and its lower_bound row says why to doubt it
+        import csv
+
         inp, out = tmp_path / "nc.jsonl", tmp_path / "out.jsonl"
         inp.write_text('{"id": "nc", "u": [0.2, 0.4, 0.6, 0.8, 1.0], "s": [0.08, 0.15, 0.30, 0.52, 1.0]}\n')
         assert main(["fit", "--input", str(inp), "--output", str(out), "--method", "both"]) == 0
         rows = read_jsonl(out)
-        assert rows[0]["family"] == "lower_bound" and rows[0]["note"] == (
-            "shares are not convex: group 2's mean share 0.35 is below group 1's 0.4")
+        note = "shares are not convex: group 2's mean share 0.35 is below group 1's 0.4"
+        assert rows[0]["family"] == "lower_bound" and rows[0]["note"] == note
         assert len(rows) == 15 and all(r["error"] is None for r in rows)
+        # the CSV output keeps the note, in the column after error
+        out = tmp_path / "out.csv"
+        assert main(["fit", "--input", str(inp), "--output", str(out), "--format", "csv"]) == 0
+        with open(out, newline="") as fh:
+            header, *csv_rows = csv.reader(fh)
+        assert header[header.index("error") + 1] == "note"
+        assert csv_rows[0][header.index("note")] == note
 
     @pytest.mark.parametrize("argv", [["--n", "10000", "--groups", "10"], ["--n", "2000", "--groups", "5"]])
     def test_simulated_shares_have_no_convexity_note(self, tmp_path, argv):

@@ -460,7 +460,7 @@ class TestGmm:
         assert gmm.method == "gmm" and gmm.spec == nls.spec
 
 
-def _sampled(source, seed):
+def _sampled(source, seed, groups=10):
     from gb2fit.synth import (
         MIXTURE_PRESETS,
         GroupingPolicy,
@@ -473,7 +473,7 @@ def _sampled(source, seed):
         m = sample_family(FamilySpec("gb2", (3.0, 1.0, 1.2, 1.5)), 20_000, seed=seed)
     else:
         m = sample_mixture(MIXTURE_PRESETS[4], 10_000, seed=seed)
-    return microdata_to_grouped(m, GroupingPolicy(n_groups=10), id=source)
+    return microdata_to_grouped(m, GroupingPolicy(n_groups=groups), id=source)
 
 
 class TestFittedScale:
@@ -583,11 +583,33 @@ class TestStartScreening:
         assert shape == pytest.approx(want, rel=1e-6)
 
 
-def _screened_starts(residuals, family, ds):
-    """The log-shape starts that the multistart optimizes, best first."""
+def _screened_starts(residuals, family, ds, n=None):
+    """The log-shape starts that the multistart optimizes, best first, or
+    the n best-screened."""
     x0s = np.log(np.asarray(starting_values(family, ds)))
     rss0 = np.sum(residuals(x0s) ** 2, axis=1)
-    return x0s[np.argsort(rss0, kind="stable")[:estimate._N_OPTIMIZED]]
+    return x0s[np.argsort(rss0, kind="stable")[:n or estimate._N_OPTIMIZED]]
+
+
+class TestTwoStarts:
+    """Levenberg-Marquardt from the two best-screened starts ends where the
+    five best end: their runs walk to one optimum, so the runs from ranks 3
+    to 5 are not made."""
+
+    @pytest.mark.parametrize("family", ["gb2", "b2", "sm", "dagum"])
+    def test_two_starts_reach_the_five_start_optimum(self, family):
+        cases = (*_presets(), _sampled("preset-5", 31, groups=5), _sampled("gb2", 31, groups=5))
+        for ds in cases:
+            residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
+            five = _screened_starts(residuals, family, ds, 5)
+            x5, rss5, _ = estimate._levenberg_marquardt([residuals], five, np.zeros(len(five), dtype=int))
+            rss5 = np.where(np.isfinite(rss5), rss5, np.inf)
+            best = int(np.argmin(rss5))
+            x, rss, _ = estimate._multistart([(residuals, starting_values(family, ds))])[0]
+            assert rss <= rss5[best] * (1.0 + 1e-9), (ds.id, family, rss, rss5[best])
+            if best < 2:  # the five-start winner is one of the two runs made
+                assert x.tobytes() == x5[best].tobytes(), (ds.id, family)
+                assert np.float64(rss).tobytes() == rss5[best].tobytes(), (ds.id, family)
 
 
 class TestBroadcastJacobian:
