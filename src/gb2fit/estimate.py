@@ -15,7 +15,7 @@ from scipy import linalg, special
 
 from . import distributions as dist
 from .distributions import FamilySpec, spec_from_shapes
-from .exceptions import EstimationError
+from .exceptions import EstimationError, ExistenceError
 from .grouped import lower_bound_gini
 
 __all__ = [
@@ -74,86 +74,51 @@ def _gini_anchor(d):
     return min(max(g, 1e-4), 1.0 - 1e-4)
 
 
-def _brentq(f, xpre, xcur, fpre, fcur):
-    """Root of f between xpre and xcur, where f takes the values fpre and
-    fcur of opposite signs (Brent 1973, *Algorithms for Minimization without
-    Derivatives*, ch. 4).
-
-    A step-for-step port of scipy's ``brentq.c`` at xtol 1e-10, rtol 1e-12
-    and at most 100 iterations, so each root is bit-identical to
-    ``scipy.optimize.brentq``'s, without importing ``scipy.optimize``.  As
-    there, a NaN value of f raises ValueError and no convergence raises
-    RuntimeError.
-    """
-    xtol, rtol, maxiter = 1e-10, 1e-12, 100
-    xpre, xcur, fpre, fcur = float(xpre), float(xcur), float(fpre), float(fcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C gives inf or NaN, which fails the test below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _illinois(f, a, b, fa, fb):
+    """Root of f between a and b, where f takes the values fa and fb of
+    opposite signs, by regula falsi with the Illinois modification (Dowell
+    & Jarratt 1971): the value at the end kept is halved when the new point
+    falls on the same side as the last.  Stops on an exact zero or a
+    bracket of at most 1e-12; NaN raises ValueError, and 100 iterations
+    without convergence RuntimeError."""
+    for _ in range(100):  # b is the latest point, a the end kept
+        if fa == 0.0 or fb == 0.0 or abs(b - a) <= 1e-12:
+            return a if fa == 0.0 else b
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        if math.isnan(fc):
+            raise ValueError(f"f is NaN at {c}")
+        if (fc < 0.0) != (fb < 0.0):
+            a, fa = b, fb
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+            fa /= 2.0
+        b, fb = c, fc
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {b}")
 
 
 @functools.lru_cache(maxsize=16)
 def _nested_grid(family, g):
     """The b2, sm or dagum start grid at Gini anchor g, as tuples: for each
     theta1 on the grid, the root theta2 of G(theta1, theta2) = g over
-    (lo, _THETA2_MAX) where it is bracketed.  It depends on the dataset only
-    through g, and the GB2 pools all three grids, so each is solved once."""
+    (lo, _THETA2_MAX) where it is bracketed, solved by ``_illinois`` in
+    t = log theta2 (13 Gini evaluations a root on average, against 17 in
+    theta2 itself).  It depends on the dataset only through g, and the GB2
+    pools all three grids, so each is solved once."""
     gini = dist._NESTED_GINI[family]
     starts = []
     for theta1 in map(float, _GRID):
-        if family == "dagum":  # dagum's shapes are (a, p), with p on the grid
-            def f(theta2):
-                return gini(theta2, theta1) - g
-        else:
-            def f(theta2):
-                return gini(theta1, theta2) - g
+        def f(t):  # dagum's shapes are (a, p), with p on the grid
+            return (gini(math.exp(t), theta1) if family == "dagum" else gini(theta1, math.exp(t))) - g
 
         # the mean needs q > 1 (b2), q > 1/a (sm) or a > 1 (dagum)
         lo = (1.0 / theta1 if family == "sm" else 1.0) + 1e-6
+        a, b = math.log(lo), math.log(_THETA2_MAX)
         try:
-            flo, fhi = f(lo), f(_THETA2_MAX)
+            fa, fb = f(a), f(b)
         except OverflowError:
             continue
-        if np.isfinite(flo) and np.isfinite(fhi) and flo * fhi <= 0.0:
-            theta2 = _brentq(f, lo, _THETA2_MAX, flo, fhi)
+        if np.isfinite(fa) and np.isfinite(fb) and fa * fb <= 0.0:
+            theta2 = math.exp(_illinois(f, a, b, fa, fb))
             starts.append((theta2, theta1) if family == "dagum" else (theta1, theta2))
     return tuple(starts)
 
@@ -164,8 +129,8 @@ def starting_values(family, d):
     One-shape families invert their closed-form Gini at the anchor (the
     survey Gini when present, the lower bound otherwise).  Two-shape
     families sweep an integer grid on the first shape and solve the Gini
-    equation for the second; the GB2 pools the three-parameter grids on
-    its nested boundaries.
+    equation for the second by regula falsi (``_nested_grid``); the GB2
+    pools the three-parameter grids on its nested boundaries.
     """
     g = _gini_anchor(d)
     if family == "fisk":
@@ -504,9 +469,10 @@ def gmm_fit(family, d, nls):
     scale-free (W grows as b^2 and Psi as 1/b), so it is built at the
     first-stage spec as it is, and the dataset needs no mean; the fitted
     scale is set as for NLS.  Falls back to the first-stage result (with a
-    warning and a note) when the weighting matrix cannot be built, every
-    second-stage run fails, or the optimum leaves the moment-existence
-    region.
+    warning and a note) when the weighting matrix cannot be built or
+    factored, every second-stage run fails, or the optimum leaves the
+    moment-existence region.  The note names the cause in fixed words; the
+    row's params carry the numbers.
     """
 
     def fallback(reason):
@@ -514,9 +480,17 @@ def gmm_fit(family, d, nls):
         return replace(nls, method="gmm", note=f"second stage fell back to NLS: {reason}")
 
     try:
-        chol = linalg.cholesky(weighting_matrix(nls.spec, d).Omega, lower=True)
-    except (ValueError, OverflowError) as exc:  # no second moment, overflow, Omega not PD
-        return fallback(str(exc))
+        omega = weighting_matrix(nls.spec, d).Omega
+    except ExistenceError:
+        return fallback(f"the fitted {family} has no second moment")
+    except OverflowError:  # at an extreme mean
+        return fallback("the moments overflow")
+    if not np.isfinite(omega).all():
+        return fallback("Omega is not finite")
+    try:
+        chol = linalg.cholesky(omega, lower=True)
+    except linalg.LinAlgError:
+        return fallback("Omega is not positive definite")
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
     x, fval, converged = _multistart([(residuals_fn, [dist.shapes_of(nls.spec)])])[0]
     if not np.isfinite(fval):

@@ -22,6 +22,10 @@ SIMULATED = {
     "presets-seed3-n2000-g5": ["--seed", "3", "--n", "2000", "--groups", "5"],
     # gb2 NLS ends unconverged at the iteration cap on this record
     "lognormal-seed6": ["--family", "lognormal", "--params", "0,1.2", "--seed", "6"],
+    # heavy tails: the mean exists but the second moment does not
+    "sm-seed3": ["--family", "sm", "--params", "1.5,1,0.8", "--seed", "3"],
+    "dagum-seed3": ["--family", "dagum", "--params", "1.6,1,0.7", "--seed", "3"],
+    "gb2-seed3": ["--family", "gb2", "--params", "1.2,1,2,1", "--seed", "3"],
 }
 EDGES = [
     # no mean: GMM runs at unit scale

@@ -249,7 +249,7 @@ class TestFit:
             assert {k: gmm[k] for k in same} == {k: nls[k] for k in same}
 
     def test_fallback_note_names_the_missing_second_moment(self, tmp_path):
-        # the one existence message that reaches the output, word for word
+        # the note names the family, not its fitted params
         sim, out = tmp_path / "sim.jsonl", tmp_path / "out.jsonl"
         assert main(["simulate", "--output", str(sim), "--preset", "1", "--seed", "3"]) == 0
         assert main(["fit", "--input", str(sim), "--output", str(out), "--method", "both",
@@ -258,8 +258,8 @@ class TestFit:
         assert [r["family"] for r in rows[1::2]] == ["dagum", "fisk"]
         for nls, gmm in zip(rows[::2], rows[1::2]):
             assert gmm["method"] == "gmm"
-            assert gmm["note"] == ("second stage fell back to NLS: second moment does not exist for "
-                                   + nls["family"] + repr(tuple(nls["params"])))
+            reason = f"the fitted {nls['family']} has no second moment"
+            assert gmm["note"] == "second stage fell back to NLS: " + reason
 
     def test_gmm_rows_equal_those_of_both(self, tmp_path):
         # one first stage for --method gmm and --method both; some second

@@ -31,6 +31,9 @@ TRUE_SPECS = {
     "weibull": FamilySpec("weibull", (1.4, 1.0)),
 }
 
+# Gini anchors of the start-grid tests: a dense sweep and both clamps
+ANCHORS = [*np.linspace(0.05, 0.9, 60), 1e-4, 0.5, 0.9999]
+
 
 def _fit_from(family, ds, starts):
     """``family``'s NLS fit to ds from ``starts`` alone."""
@@ -87,13 +90,14 @@ class TestStartingValues:
         )
 
     def test_every_start_hits_anchor(self):
-        ds = GroupedDataset(
-            id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]), survey_gini=0.42
-        )
-        for family in ("b2", "sm", "dagum"):
-            for st in starting_values(family, ds):
-                got = d.gini_closed(d.spec_from_shapes(family, st)).value
-                assert got == pytest.approx(0.42, abs=1e-8), (family, st)
+        n_starts = 0
+        for g in ANCHORS:
+            for family in ("b2", "sm", "dagum"):
+                for st in estimate._nested_grid(family, g):  # b2's is empty at low g
+                    got = d.gini_closed(d.spec_from_shapes(family, st)).value
+                    assert got == pytest.approx(g, abs=1e-8), (family, g, st)
+                    n_starts += 1
+        assert n_starts > 3000
 
     def test_cached_grids_equal_fresh_solves(self, monkeypatch):
         datasets = [
@@ -118,38 +122,54 @@ class TestStartingValues:
         first[0][:] = -1.0
         assert starting_values("sm", ds)[0][0] > 0.0
 
-    def test_grids_equal_scipy_brentq_bit_for_bit(self, monkeypatch):
+    def test_grids_within_scipy_brentq_tolerance(self):
+        # scipy.optimize.brentq at xtol 1e-10 and rtol 1e-12, on theta2 itself,
+        # is the oracle: every root lies within that tolerance of scipy's
         from scipy import optimize
 
-        anchors = [*np.linspace(0.05, 0.9, 60), 1e-4, 0.5, 0.9999]
-        grid = estimate._nested_grid.__wrapped__
-        got = {(f, g): grid(f, g) for f in ("b2", "sm", "dagum") for g in anchors}
-        monkeypatch.setattr(estimate, "_brentq", lambda f, a, b, fa, fb: optimize.brentq(
-            f, a, b, xtol=1e-10, rtol=1e-12))
         n_roots = 0
-        for (family, g), starts in got.items():
-            want = grid(family, g)
-            assert np.array(starts).tobytes() == np.array(want).tobytes(), (family, g)
-            n_roots += len(starts)
+        for family in ("b2", "sm", "dagum"):
+            gini = d._NESTED_GINI[family]
+            for g in ANCHORS:
+                got = estimate._nested_grid.__wrapped__(family, g)
+                want = []
+                for theta1 in map(float, estimate._GRID):
+                    def f(theta2):
+                        return (gini(theta2, theta1) if family == "dagum" else gini(theta1, theta2)) - g
+
+                    lo = (1.0 / theta1 if family == "sm" else 1.0) + 1e-6
+                    if f(lo) * f(estimate._THETA2_MAX) <= 0.0:
+                        theta2 = optimize.brentq(f, lo, estimate._THETA2_MAX, xtol=1e-10, rtol=1e-12)
+                        want.append((theta2, theta1) if family == "dagum" else (theta1, theta2))
+                assert len(got) == len(want), (family, g)
+                for a, b in zip(got, want):
+                    j = 0 if family == "dagum" else 1  # the solved shape
+                    assert a[1 - j] == b[1 - j], (family, g)
+                    assert abs(a[j] - b[j]) <= 1e-10 + 1e-12 * b[j], (family, g, a, b)
+                n_roots += len(got)
         assert n_roots > 3000
 
-    def test_brentq_nan_value_is_value_error(self):
+    def test_illinois_nan_value_is_value_error(self):
         def f(x):
             return -1.0 if x < 0.25 else (math.nan if x < 0.75 else 1.0)
 
         with pytest.raises(ValueError, match="NaN"):
-            estimate._brentq(f, 0.0, 1.0, -1.0, 1.0)
+            estimate._illinois(f, 0.0, 1.0, -1.0, 1.0)
 
-    def test_brentq_iteration_cap_is_runtime_error(self):
-        from scipy import optimize
-
-        def step(x):  # defeats interpolation: every step bisects
-            return -1.0 if x < 0.0 else 1.0
+    def test_illinois_iteration_cap_is_runtime_error(self):
+        def step(x):  # doubles near 1e20 are 16384 apart: no bracket there is 1e-12 wide
+            return -1.0 if x < 1e20 else 1.0
 
         with pytest.raises(RuntimeError, match="100 iterations"):
-            estimate._brentq(step, -1e300, 1e300, -1.0, 1.0)
-        with pytest.raises(RuntimeError, match="100 iterations"):
-            optimize.brentq(step, -1e300, 1e300, xtol=1e-10, rtol=1e-12)
+            estimate._illinois(step, -1e300, 1e300, -1.0, 1.0)
+
+    def test_illinois_returns_an_exact_zero(self):
+        def line(x):
+            return x - 0.5
+
+        assert estimate._illinois(line, 0.5, 2.0, 0.0, 1.5) == 0.5
+        assert estimate._illinois(line, -1.0, 0.5, -1.5, 0.0) == 0.5
+        assert estimate._illinois(line, 0.0, 1.0, -0.5, 0.5) == 0.5  # the first step lands on it
 
     def test_gb2_pools_nested_grids(self):
         ds = GroupedDataset(
@@ -443,6 +463,22 @@ class TestGmm:
             gmm = gmm_fit("sm", ds, nls_fit("sm", ds))
         assert "fell back" in gmm.note
 
+    @pytest.mark.parametrize("family, truth, mean, reason", [
+        ("sm", FamilySpec("sm", (1.5, 1.0, 1.0)), 1.0, "the fitted sm has no second moment"),
+        ("fisk", FamilySpec("lognormal", (0.0, 0.8)), 1.0, "Omega is not positive definite"),
+        ("fisk", FamilySpec("lognormal", (0.0, 0.7)), 1e200, "the moments overflow"),
+        ("fisk", FamilySpec("lognormal", (0.0, 0.7)), 1e-310, "Omega is not finite"),
+    ])
+    def test_fallback_note_names_the_cause(self, family, truth, mean, reason):
+        # fixed words per cause: no spec, library message or number
+        ds = deciles_from(truth, mean=mean)
+        nls = nls_fit(family, ds)
+        with warnings.catch_warnings(record=True) as caught:  # numpy's too, at 1e-310
+            warnings.simplefilter("always")
+            gmm = gmm_fit(family, ds, nls)
+        assert f"GMM fell back to NLS for {family}: {reason}" in [str(w.message) for w in caught]
+        assert gmm.note == "second stage fell back to NLS: " + reason
+        assert gmm.spec == nls.spec
 
     @pytest.mark.parametrize("mean", [1e200, 1e300, 1e-310])
     @pytest.mark.parametrize("family", ["lognormal", "fisk", "weibull", "sm"])
