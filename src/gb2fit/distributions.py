@@ -412,8 +412,8 @@ _NESTED_GINI = {"b2": _b2_gini, "sm": _sm_gini, "dagum": _dagum_gini}
 def gini_closed(spec):
     """Exact Gini index: closed forms, and one quadrature for the GB2.
 
-    The nested families keep their own closed forms: they are cheap, and
-    ``estimate.starting_values`` solves them for shapes.
+    The nested families keep their own closed forms, which are cheaper than
+    the quadrature.
     """
     _require_moment(spec, 1.0, "Gini")
     fam, par = spec.family, spec.params

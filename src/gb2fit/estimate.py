@@ -30,8 +30,6 @@ __all__ = [
     "gmm_quadratic",
 ]
 
-_GRID = range(1, 21)
-_THETA2_MAX = 1e3
 # |log shape| is bounded by this; shapes past 1e4 only arise in degenerate
 # limits (e.g. the lognormal corner of GB2) where the Lorenz curve is flat
 # in the parameters but the quantile function is no longer numerically usable
@@ -74,63 +72,33 @@ def _gini_anchor(d):
     return min(max(g, 1e-4), 1.0 - 1e-4)
 
 
-def _illinois(f, a, b, fa, fb):
-    """Root of f between a and b, where f takes the values fa and fb of
-    opposite signs, by regula falsi with the Illinois modification (Dowell
-    & Jarratt 1971): the value at the end kept is halved when the new point
-    falls on the same side as the last.  Stops on an exact zero or a
-    bracket of at most 1e-12; NaN raises ValueError, and 100 iterations
-    without convergence RuntimeError."""
-    for _ in range(100):  # b is the latest point, a the end kept
-        if fa == 0.0 or fb == 0.0 or abs(b - a) <= 1e-12:
-            return a if fa == 0.0 else b
-        c = b - fb * (b - a) / (fb - fa)
-        fc = f(c)
-        if math.isnan(fc):
-            raise ValueError(f"f is NaN at {c}")
-        if (fc < 0.0) != (fb < 0.0):
-            a, fa = b, fb
-        else:
-            fa /= 2.0
-        b, fb = c, fc
-    raise RuntimeError(f"Failed to converge after 100 iterations, value is {b}")
+# McDonald's (1984) nesting tree: each family with more than one shape is
+# started from the optima of the families it nests, its donors
+_DONORS = {"b2": ("lognormal",), "sm": ("fisk",), "dagum": ("fisk",), "gb2": ("b2", "sm", "dagum")}
 
 
-@functools.lru_cache(maxsize=16)
-def _nested_grid(family, g):
-    """The b2, sm or dagum start grid at Gini anchor g, as tuples: for each
-    theta1 on the grid, the root theta2 of G(theta1, theta2) = g over
-    (lo, _THETA2_MAX) where it is bracketed, solved by ``_illinois`` in
-    t = log theta2 (13 Gini evaluations a root on average, against 17 in
-    theta2 itself).  It depends on the dataset only through g, and the GB2
-    pools all three grids, so each is solved once."""
-    gini = dist._NESTED_GINI[family]
-    starts = []
-    for theta1 in map(float, _GRID):
-        def f(t):  # dagum's shapes are (a, p), with p on the grid
-            return (gini(math.exp(t), theta1) if family == "dagum" else gini(theta1, math.exp(t))) - g
-
-        # the mean needs q > 1 (b2), q > 1/a (sm) or a > 1 (dagum)
-        lo = (1.0 / theta1 if family == "sm" else 1.0) + 1e-6
-        a, b = math.log(lo), math.log(_THETA2_MAX)
-        try:
-            fa, fb = f(a), f(b)
-        except OverflowError:
-            continue
-        if np.isfinite(fa) and np.isfinite(fb) and fa * fb <= 0.0:
-            theta2 = math.exp(_illinois(f, a, b, fa, fb))
-            starts.append((theta2, theta1) if family == "dagum" else (theta1, theta2))
-    return tuple(starts)
+def _nested_start(family, donor, shapes):
+    """The start of ``family`` at its donor's shapes: fisk(a) is sm(a, 1)
+    and dagum(a, 1); b2 takes p = q = 2/sigma^2, which gives log B2 about
+    the lognormal's variance (psi'(p) + psi'(q) ~ 2/p), clipped to the
+    region where its mean exists and to the shape box; and the b2, sm and
+    dagum shapes are GB2 shapes through ``to_gb2``."""
+    if family == "gb2":
+        return np.array(dist._TABLE[donor].to_gb2(*shapes))
+    if family == "b2":
+        p = min(max(2.0 / shapes[0] ** 2, 1.001), 1e4)
+        return np.array([p, p])
+    return np.array([shapes[0], 1.0])
 
 
 def starting_values(family, d):
-    """Starting shape vectors per family.
+    """Gini-anchored starting shape vectors per family.
 
     One-shape families invert their closed-form Gini at the anchor (the
-    survey Gini when present, the lower bound otherwise).  Two-shape
-    families sweep an integer grid on the first shape and solve the Gini
-    equation for the second by regula falsi (``_nested_grid``); the GB2
-    pools the three-parameter grids on its nested boundaries.
+    survey Gini when present, the lower bound otherwise).  The others nest
+    their donors' starts (``_nested_start``): one start for b2, sm and
+    dagum, and one per donor for the GB2.  ``nls_runs`` starts them from
+    their donors' optima instead, and from these where a donor's run fails.
     """
     g = _gini_anchor(d)
     if family == "fisk":
@@ -139,21 +107,9 @@ def starting_values(family, d):
         return [np.array([math.log(2.0) / (-math.log1p(-g))])]
     if family == "lognormal":
         return [np.array([math.sqrt(2.0) * special.ndtri((1.0 + g) / 2.0)])]
-
-    if family in ("b2", "sm", "dagum"):
-        starts = [np.array(st) for st in _nested_grid(family, g)]
-    elif family == "gb2":
-        # reuse the three-parameter grids on the a = 1, p = 1 and q = 1
-        # boundaries, mapped to GB2 shapes through the family table
-        starts = [np.array(dist._TABLE[nested].to_gb2(*st))
-                  for nested in ("b2", "sm", "dagum") for st in _nested_grid(nested, g)]
-    else:
+    if family not in _DONORS:
         raise EstimationError(f"unknown family {family!r}")
-    if not starts:
-        raise EstimationError(
-            f"no admissible starting values for {family} at Gini anchor {g:.4f}"
-        )
-    return starts
+    return [_nested_start(family, donor, starting_values(donor, d)[0]) for donor in _DONORS[family]]
 
 
 def _residual_factory(family, u, s, chol=None):
@@ -199,19 +155,19 @@ def _residual_factory(family, u, s, chol=None):
     return residuals
 
 
-# Levenberg-Marquardt runs from the _N_OPTIMIZED starts of lowest initial RSS
-# (runs from the next three reach the same optimum, and rounding picks which
-# run wins), with forward differences of relative step _FD_STEP (sqrt of
-# machine eps, as scipy's "2-point").  The box |x| <= _LOG_SHAPE_BOUND is a
-# hard bound, as in a projected Levenberg-Marquardt (Kanzow, Yamashita &
-# Fukushima 2004): each step is projected onto it, a difference that would
-# leave it is taken inward, and a coordinate on its edge whose descent
-# direction points out is held, its Jacobian column zeroed.  Inside the box
-# all three are no-ops.  A row converges when its relative step, its
-# relative decrease or the largest cosine between its residuals and a free
-# Jacobian column falls below _XTOL, _FTOL or _GTOL; it stops unconverged
-# after _MAX_ITER iterations (the equal-shares limit of a one-shape family
-# takes about 50).
+# Levenberg-Marquardt runs from the _N_OPTIMIZED starts of lowest initial
+# RSS (the run from the GB2's third start reaches the same optimum, and
+# rounding picks which run wins), with forward differences of relative step
+# _FD_STEP (sqrt of machine eps, as scipy's "2-point").  The box |x| <=
+# _LOG_SHAPE_BOUND is a hard bound, as in a projected Levenberg-Marquardt
+# (Kanzow, Yamashita & Fukushima 2004): each step is projected onto it, a
+# difference that would leave it is taken inward, and a coordinate on its
+# edge whose descent direction points out is held, its Jacobian column
+# zeroed.  Inside the box all three are no-ops.  A row converges when its
+# relative step, its relative decrease or the largest cosine between its
+# residuals and a free Jacobian column falls below _XTOL, _FTOL or _GTOL; it
+# stops unconverged after _MAX_ITER iterations (the equal-shares limit of a
+# one-shape family takes about 50).
 _N_OPTIMIZED, _FD_STEP = 2, np.finfo(float).eps ** 0.5
 _XTOL, _FTOL, _GTOL, _MAX_ITER = 1e-10, 1e-12, 1e-10, 200
 
@@ -319,19 +275,17 @@ def _levenberg_marquardt(residuals, x0s, cells):
 
 def _multistart(cells):
     """Levenberg-Marquardt for several cells, each a (residuals, starts)
-    pair with the same number of shapes.  Each cell's starts are screened
-    by their initial RSS (one call of each cell's function for all), and
-    the _N_OPTIMIZED best of every cell step together in one lockstep run.
-    Per cell: its best run's log-shapes, objective (inf when no run ends
-    finite) and whether it converged."""
-    fns = [fn for fn, _ in cells]
+    pair with the same number of shapes.  A cell with more than
+    _N_OPTIMIZED starts is screened by their initial RSS (one call of its
+    function), and the _N_OPTIMIZED best of every cell step together in
+    one lockstep run.  Per cell: its best run's log-shapes, objective (inf
+    when no run ends finite) and whether it converged."""
     x0s = [np.log(np.asarray(starts, dtype=float)) for _, starts in cells]
+    x0s = [x if len(x) <= _N_OPTIMIZED else
+           x[np.argsort(np.add.reduce(fn(x) ** 2, axis=1), kind="stable")[:_N_OPTIMIZED]]
+           for (fn, _), x in zip(cells, x0s)]
     owner = np.repeat(np.arange(len(cells)), [len(x) for x in x0s])
-    rss0 = np.add.reduce(_evaluate(fns, np.concatenate(x0s), owner) ** 2, axis=1)
-    x0s = np.concatenate([x[np.argsort(rss0[owner == c], kind="stable")[:_N_OPTIMIZED]]
-                          for c, x in enumerate(x0s)])
-    owner = np.repeat(np.arange(len(cells)), [min(len(starts), _N_OPTIMIZED) for _, starts in cells])
-    x, rss, converged = _levenberg_marquardt(fns, x0s, owner)
+    x, rss, converged = _levenberg_marquardt([fn for fn, _ in cells], np.concatenate(x0s), owner)
     rss = np.where(np.isfinite(rss), rss, np.inf)
     out = []
     for c in range(len(cells)):
@@ -370,34 +324,55 @@ def nls_runs(families, d):
     """The Levenberg-Marquardt runs of the NLS fits of ``families`` to d,
     for ``nls_fit(family, d, run=...)``: per family, its best run's
     (log-shapes, objective, converged, starts tried), or the exception its
-    fit raises.  The families with the same number of shapes step together
-    in one lockstep run; rows never mix, so each run ends as it would
-    alone."""
-    runs, groups = {}, {}
-    for family in families:
+    fit raises.  The fits run in stages by number of shapes, the families
+    of a stage in one lockstep run: the one-shape families from their
+    Gini-anchored starts, and every other family from the optima of its
+    donors in the stage before (``_DONORS``).  A donor is fitted even when
+    it is not asked for, and rows never mix, so each run ends as it would
+    alone; a donor whose run fails or ends non-finite lends its
+    Gini-anchored start instead."""
+    needed = list(dict.fromkeys(families))
+    for family in needed:  # grows as it goes: each family's donors join
+        needed.extend(donor for donor in _DONORS.get(family, ()) if donor not in needed)
+    runs, stages = {}, {}
+    for family in needed:
         try:
             k = dist.n_shape_params(family)
             if d.n_groups < k + 1:
                 raise EstimationError(
                     f"{family} needs at least {k + 1} groups, dataset has {d.n_groups}")
-            # the last share (identically 1) carries no information and is excluded
-            groups.setdefault(k, {})[family] = (_residual_factory(family, d.u[:-1], d.s[:-1]),
-                                                starting_values(family, d))
+            stages.setdefault(k, []).append(family)
         except Exception as exc:
             runs[family] = exc
-    for cells in groups.values():
+
+    def donor_shapes(donor):
+        run = runs[donor]
+        if isinstance(run, Exception) or not np.isfinite(run[1]):
+            return starting_values(donor, d)[0]
+        return np.exp(run[0])
+
+    for k in sorted(stages):
+        cells = {}
+        for family in stages[k]:
+            try:
+                starts = (starting_values(family, d) if family not in _DONORS else
+                          [_nested_start(family, donor, donor_shapes(donor)) for donor in _DONORS[family]])
+                # the last share (identically 1) carries no information and is excluded
+                cells[family] = (_residual_factory(family, d.u[:-1], d.s[:-1]), starts)
+            except Exception as exc:
+                runs[family] = exc
         for (family, (_, starts)), run in zip(cells.items(), _cell_runs(list(cells.values()))):
             runs[family] = run if isinstance(run, Exception) else (*run, len(starts))
-    return runs
+    return {family: runs[family] for family in families}
 
 
 def nls_fit(family, d, run=None):
     """Least-squares fit of the Lorenz curve to the observed shares.
 
-    Ranks every starting value by its initial RSS, runs Levenberg-Marquardt
-    from the best few and keeps the lowest residual sum of squares.  The
-    fit is finished from its ``run`` of ``nls_runs``, made here when none
-    is given; a stored exception is raised again.
+    Runs Levenberg-Marquardt from the family's starts and keeps the lowest
+    residual sum of squares.  The fit is finished from its ``run`` of
+    ``nls_runs``, made here when none is given; a stored exception is
+    raised again.
     """
     if run is None:
         run = nls_runs([family], d)[family]

@@ -34,6 +34,9 @@ EDGES = [
     {"id": "huge", "u": [0.2, 0.4, 0.6, 0.8, 1.0], "s": [0.05, 0.15, 0.3, 0.52, 1.0], "mean": 1e200},
     # group 2's mean share is below group 1's: no Lorenz curve has these shares
     {"id": "nc", "u": [0.2, 0.4, 0.6, 0.8, 1.0], "s": [0.08, 0.15, 0.30, 0.52, 1.0]},
+    # equal shares and a survey Gini of 0: the limit of equal incomes, which
+    # every family fits on the edge of the shape box
+    {"id": "equal", "u": [0.2, 0.4, 0.6, 0.8, 1.0], "s": [0.2, 0.4, 0.6, 0.8, 1.0], "gini": 0.0},
 ]
 
 

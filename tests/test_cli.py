@@ -278,11 +278,11 @@ class TestFit:
         assert len(notes) == len(d.FAMILIES) and "" in notes and any(notes)
 
     def test_failed_nls_fits_once_per_family(self, tmp_path, monkeypatch):
-        # equal shares admit no b2 or GB2 start; the GMM row repeats the
-        # NLS error without fitting NLS again
+        # two groups are too few for gb2 and b2; the GMM row repeats the NLS
+        # error without fitting NLS again
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-        u = np.arange(1, 11) / 10
-        write_grouped_jsonl([GroupedDataset(id="eq", u=u, s=u.copy(), mean=2.0)], inp)
+        u = np.array([0.5, 1.0])
+        write_grouped_jsonl([GroupedDataset(id="j2", u=u, s=u ** 2, mean=2.0)], inp)
         calls = []
         real_nls_fit = estimate.nls_fit
 
@@ -299,7 +299,7 @@ class TestFit:
         assert [(r["family"], r["method"]) for r in rows] == [
             ("gb2", "nls"), ("gb2", "gmm"), ("b2", "nls"), ("b2", "gmm")]
         for nls, gmm in zip(rows[::2], rows[1::2]):
-            assert nls["error"].startswith("no admissible starting values")
+            assert nls["error"].startswith(f"{nls['family']} needs at least")
             assert gmm["error"] == nls["error"]
         # --method gmm fits the failing first stage once per family too
         calls.clear()
@@ -377,8 +377,9 @@ class TestFit:
             assert read_jsonl(alone) == [r for r in rows if r["family"] in ("lower_bound", family)]
 
     def test_failing_family_keeps_its_own_error_row(self, tmp_path, monkeypatch):
-        # sm's residuals raise on their third call, inside the batched run of
-        # the two-shape families: sm gets error rows, every other row is clean
+        # sm's residuals raise on their third call, inside the batched run
+        # of the two-shape families: sm gets error rows, the families that do
+        # not nest sm keep their rows, and gb2 still fits
         sim, clean, out = tmp_path / "sim.jsonl", tmp_path / "clean.jsonl", tmp_path / "out.jsonl"
         assert main(["simulate", "--output", str(sim), "--preset", "5", "--seed", "3",
                      "--n", "2000", "--groups", "5"]) == 0
@@ -402,11 +403,14 @@ class TestFit:
         bad = [r for r in rows if r["error"]]
         assert [(r["family"], r["method"], r["error"]) for r in bad] == [
             ("sm", "nls", "injected failure"), ("sm", "gmm", "injected failure")]
-        assert [r for r in rows if r["family"] != "sm"] == [
-            r for r in clean_rows if r["family"] != "sm"]
+        assert [r for r in rows if r["family"] not in ("sm", "gb2")] == [
+            r for r in clean_rows if r["family"] not in ("sm", "gb2")]
+        assert [(r["method"], r["error"]) for r in rows if r["family"] == "gb2"] == [
+            ("nls", None), ("gmm", None)]
 
     def test_one_levenberg_marquardt_run_per_shape_count(self, tmp_path, monkeypatch):
-        # gb2, then b2 + sm + dagum, then lognormal + fisk + weibull
+        # lognormal + fisk + weibull, then b2 + sm + dagum from their
+        # optima, then gb2 from the two-shape optima
         from gb2fit.synth import MIXTURE_PRESETS, GroupingPolicy, microdata_to_grouped, sample_mixture
 
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
@@ -420,7 +424,7 @@ class TestFit:
 
         monkeypatch.setattr(estimate, "_levenberg_marquardt", counting)
         assert main(["fit", "--input", str(inp), "--output", str(out), "--method", "nls"]) == 0
-        assert runs == [3, 2, 1]
+        assert runs == [1, 2, 3]
 
     def test_zero_epsilon_writes_positive_zero(self, tmp_path):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"

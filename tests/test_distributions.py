@@ -276,8 +276,8 @@ class TestLorenz:
     def test_nested_kernel_against_mpmath(self, spec):
         # one kernel for every nested family: I_z(p + 1/a, q - 1/a) from the
         # pair (z, 1 - z), near the edges of the shape box and of the region
-        # where the mean exists; sm(20, 1, 0.0668) is about the start that
-        # starting_values builds for sm at Gini 0.6
+        # where the mean exists; sm(20, 1, 0.0668) has a Gini of about 0.6,
+        # with aq = 1.34 near the edge where the mean stops existing
         mp = pytest.importorskip("mpmath")
         us = [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999]
         got = d.lorenz(spec, np.array(us))
