@@ -155,20 +155,19 @@ def _residual_factory(family, u, s, chol=None):
     return residuals
 
 
-# Levenberg-Marquardt runs from the _N_OPTIMIZED starts of lowest initial
-# RSS (the run from the GB2's third start reaches the same optimum, and
-# rounding picks which run wins), with forward differences of relative step
-# _FD_STEP (sqrt of machine eps, as scipy's "2-point").  The box |x| <=
-# _LOG_SHAPE_BOUND is a hard bound, as in a projected Levenberg-Marquardt
-# (Kanzow, Yamashita & Fukushima 2004): each step is projected onto it, a
-# difference that would leave it is taken inward, and a coordinate on its
-# edge whose descent direction points out is held, its Jacobian column
+# Levenberg-Marquardt runs one row per fit, with forward differences of
+# relative step _FD_STEP (sqrt of machine eps, as scipy's "2-point").  The box
+# |x| <= _LOG_SHAPE_BOUND is a hard bound, as in a projected
+# Levenberg-Marquardt (Kanzow, Yamashita & Fukushima 2004): a step that would
+# cross it puts the crossing coordinates on its edge and solves again for the
+# others, a difference that would leave it is taken inward, and a coordinate
+# on its edge whose descent direction points out is held, its Jacobian column
 # zeroed.  Inside the box all three are no-ops.  A row converges when its
 # relative step, its relative decrease or the largest cosine between its
 # residuals and a free Jacobian column falls below _XTOL, _FTOL or _GTOL; it
 # stops unconverged after _MAX_ITER iterations (the equal-shares limit of a
 # one-shape family takes about 50).
-_N_OPTIMIZED, _FD_STEP = 2, np.finfo(float).eps ** 0.5
+_FD_STEP = np.finfo(float).eps ** 0.5
 _XTOL, _FTOL, _GTOL, _MAX_ITER = 1e-10, 1e-12, 1e-10, 200
 
 
@@ -207,17 +206,24 @@ def _values_and_jacobians(residuals, x, cells):
     return r[:, 0], (r[:, 1:] - r[:, :1]) / dx[..., None]
 
 
-def _solve_rows(a, b):
-    """The solutions of a[j] y = b[j]; NaN for a singular row."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.full_like(b, np.nan) if len(a) == 1 else np.concatenate(
-            [_solve_rows(a[j:j + 1], b[j:j + 1]) for j in range(len(a))])
-
-
 def _norms(v):
     return np.sqrt(np.add.reduce(v * v, axis=1))  # np.linalg.norm(v, axis=1)
+
+
+def _onto_edge(a, g, x, trial):
+    """The trial points x + step of rows whose step, solving a step = -g,
+    crosses the box: each crossing coordinate is put exactly on the edge and
+    a step = -g solved again for the others, until no free one crosses."""
+    eye, edge = _eyes(x.shape[1])[0], np.zeros(x.shape, bool)
+    while (out := np.abs(trial) > _LOG_SHAPE_BOUND).any():
+        edge |= out
+        trial = np.where(edge, np.copysign(_LOG_SHAPE_BOUND, trial), trial)
+        held = np.where(edge, trial - x, 0.0)
+        free = ~edge[:, :, None] & ~edge[:, None, :]
+        a_free = np.where(free, a, eye * edge[:, None, :])  # a principal block of a, beside an identity
+        rhs = np.where(edge, held, -g - np.add.reduce(a * held[:, None], axis=2))
+        trial = np.where(edge, trial, x + np.linalg.solve(a_free, rhs[..., None])[..., 0])
+    return trial
 
 
 def _levenberg_marquardt(residuals, x0s, cells):
@@ -226,7 +232,9 @@ def _levenberg_marquardt(residuals, x0s, cells):
     and their stencils, and solves every (J'J + lam D) step = -J'f at once,
     D the running maximum of diag J'J (More 1978).  ``residuals`` is a
     sequence of functions and row j is evaluated by ``residuals[cells[j]]``,
-    so the fits of several cells step together.  Rows accept, damp
+    so the fits of several cells step together.  A step that crosses the
+    box is solved again on its edge (``_onto_edge``), its gain ratio taken
+    against -(2 g'step + |J step|^2) for the step taken.  Rows accept, damp
     (Nielsen's rule) and stop on their own and never mix, so a row ends the
     same bit for bit alone or in a batch.  Returns the points, their sums of
     squares and whether each row converged."""
@@ -257,15 +265,21 @@ def _levenberg_marquardt(residuals, x0s, cells):
                 i, x, f, jt, cost, lam, nu, d, cells, jtj, g = (
                     v[~stop] for v in (i, x, f, jt, cost, lam, nu, d, cells, jtj, g))
             damp = lam[:, None] * np.where(d > 0.0, d, 1.0)
-            step = _solve_rows(jtj + damp[..., None] * eye, -g)
-            moved = x + step
-            trial = np.clip(moved, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND)  # onto the box
-            step = np.where(trial == moved, step, trial - x)  # its bits kept inside
+            a = jtj + damp[..., None] * eye
+            step = np.linalg.solve(a, -g[..., None])[..., 0]  # a is positive definite: lam, D > 0
+            pred = np.add.reduce(step * (damp * step - g), axis=1)  # -(2 g'step + |J step|^2) here
+            trial = x + step
+            crossed = np.any(np.abs(trial) > _LOG_SHAPE_BOUND, axis=1)
+            if crossed.any():  # solved again on the edge: the decrease predicted for the step taken
+                trial[crossed] = _onto_edge(a[crossed], g[crossed], x[crossed], trial[crossed])
+                step[crossed] = taken = trial[crossed] - x[crossed]
+                jstep2 = np.add.reduce(taken * np.add.reduce(jtj[crossed] * taken[:, None], axis=2), axis=1)
+                pred[crossed] = -(2.0 * np.add.reduce(g[crossed] * taken, axis=1) + jstep2)
             ft, jtt = _values_and_jacobians(residuals, trial, cells)
             cost_t = np.add.reduce(ft * ft, axis=1)
             drop, ok = cost - cost_t, cost_t < cost
             stop = (_norms(step) <= _XTOL * (_XTOL + _norms(x))) | (ok & (drop <= _FTOL * cost))
-            rho = drop / np.add.reduce(step * (damp * step - g), axis=1)
+            rho = drop / pred
             lam = lam * np.where(ok, np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), nu)
             nu = np.where(ok, 2.0, 2.0 * nu)
             x[ok], f[ok], jt[ok], cost[ok] = trial[ok], ft[ok], jtt[ok], cost_t[ok]
@@ -274,25 +288,14 @@ def _levenberg_marquardt(residuals, x0s, cells):
 
 
 def _multistart(cells):
-    """Levenberg-Marquardt for several cells, each a (residuals, starts)
-    pair with the same number of shapes.  A cell with more than
-    _N_OPTIMIZED starts is screened by their initial RSS (one call of its
-    function), and the _N_OPTIMIZED best of every cell step together in
-    one lockstep run.  Per cell: its best run's log-shapes, objective (inf
-    when no run ends finite) and whether it converged."""
-    x0s = [np.log(np.asarray(starts, dtype=float)) for _, starts in cells]
-    x0s = [x if len(x) <= _N_OPTIMIZED else
-           x[np.argsort(np.add.reduce(fn(x) ** 2, axis=1), kind="stable")[:_N_OPTIMIZED]]
-           for (fn, _), x in zip(cells, x0s)]
-    owner = np.repeat(np.arange(len(cells)), [len(x) for x in x0s])
-    x, rss, converged = _levenberg_marquardt([fn for fn, _ in cells], np.concatenate(x0s), owner)
+    """Levenberg-Marquardt for several cells, each a (residuals, start)
+    pair with the same number of shapes, in one lockstep run of one row
+    per cell.  Per cell: its run's log-shapes, objective (inf when the run
+    does not end finite) and whether it converged."""
+    x0s = np.log(np.array([start for _, start in cells], dtype=float))
+    x, rss, converged = _levenberg_marquardt([fn for fn, _ in cells], x0s, np.arange(len(cells)))
     rss = np.where(np.isfinite(rss), rss, np.inf)
-    out = []
-    for c in range(len(cells)):
-        rows = np.flatnonzero(owner == c)
-        j = rows[np.argmin(rss[rows])]
-        out.append((x[j], float(rss[j]), bool(converged[j])))
-    return out
+    return [(x[c], float(rss[c]), bool(converged[c])) for c in range(len(cells))]
 
 
 def _spec_at(family, d, x):
@@ -322,15 +325,16 @@ def _cell_runs(cells):
 
 def nls_runs(families, d):
     """The Levenberg-Marquardt runs of the NLS fits of ``families`` to d,
-    for ``nls_fit(family, d, run=...)``: per family, its best run's
+    for ``nls_fit(family, d, run=...)``: per family, its run's
     (log-shapes, objective, converged, starts tried), or the exception its
     fit raises.  The fits run in stages by number of shapes, the families
-    of a stage in one lockstep run: the one-shape families from their
-    Gini-anchored starts, and every other family from the optima of its
-    donors in the stage before (``_DONORS``).  A donor is fitted even when
-    it is not asked for, and rows never mix, so each run ends as it would
-    alone; a donor whose run fails or ends non-finite lends its
-    Gini-anchored start instead."""
+    of a stage in one lockstep run of one row each: the one-shape families
+    from their Gini-anchored starts, and every other family from the
+    optimum of its donor of lowest RSS in the stage before (``_DONORS``),
+    so gb2 tries three starts and runs from one.  A donor is fitted even
+    when it is not asked for, and rows never mix, so each run ends as it
+    would alone; a donor whose run fails or ends non-finite ranks last and
+    lends its Gini-anchored start instead."""
     needed = list(dict.fromkeys(families))
     for family in needed:  # grows as it goes: each family's donors join
         needed.extend(donor for donor in _DONORS.get(family, ()) if donor not in needed)
@@ -345,34 +349,35 @@ def nls_runs(families, d):
         except Exception as exc:
             runs[family] = exc
 
-    def donor_shapes(donor):
-        run = runs[donor]
-        if isinstance(run, Exception) or not np.isfinite(run[1]):
-            return starting_values(donor, d)[0]
-        return np.exp(run[0])
+    def donor_rss(donor):  # inf for a run that failed or ended non-finite
+        return math.inf if isinstance(runs[donor], Exception) else runs[donor][1]
+
+    def start(family):
+        if family not in _DONORS:
+            return starting_values(family, d)[0]
+        donor = min(_DONORS[family], key=donor_rss)  # the first of equals
+        shapes = np.exp(runs[donor][0]) if donor_rss(donor) < math.inf else starting_values(donor, d)[0]
+        return _nested_start(family, donor, shapes)
 
     for k in sorted(stages):
         cells = {}
         for family in stages[k]:
             try:
-                starts = (starting_values(family, d) if family not in _DONORS else
-                          [_nested_start(family, donor, donor_shapes(donor)) for donor in _DONORS[family]])
                 # the last share (identically 1) carries no information and is excluded
-                cells[family] = (_residual_factory(family, d.u[:-1], d.s[:-1]), starts)
+                cells[family] = (_residual_factory(family, d.u[:-1], d.s[:-1]), start(family))
             except Exception as exc:
                 runs[family] = exc
-        for (family, (_, starts)), run in zip(cells.items(), _cell_runs(list(cells.values()))):
-            runs[family] = run if isinstance(run, Exception) else (*run, len(starts))
+        for family, run in zip(cells, _cell_runs(list(cells.values()))):
+            runs[family] = run if isinstance(run, Exception) else (*run, len(_DONORS.get(family, ())) or 1)
     return {family: runs[family] for family in families}
 
 
 def nls_fit(family, d, run=None):
     """Least-squares fit of the Lorenz curve to the observed shares.
 
-    Runs Levenberg-Marquardt from the family's starts and keeps the lowest
-    residual sum of squares.  The fit is finished from its ``run`` of
-    ``nls_runs``, made here when none is given; a stored exception is
-    raised again.
+    Runs Levenberg-Marquardt from the family's start (``nls_runs``).  The
+    fit is finished from its ``run`` of ``nls_runs``, made here when none is
+    given; a stored exception is raised again.
     """
     if run is None:
         run = nls_runs([family], d)[family]
@@ -467,7 +472,7 @@ def gmm_fit(family, d, nls):
     except linalg.LinAlgError:
         return fallback("Omega is not positive definite")
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
-    x, fval, converged = _multistart([(residuals_fn, [dist.shapes_of(nls.spec)])])[0]
+    x, fval, converged = _multistart([(residuals_fn, dist.shapes_of(nls.spec))])[0]
     if not np.isfinite(fval):
         return fallback("every second-stage run failed")
     try:
