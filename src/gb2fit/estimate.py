@@ -92,24 +92,25 @@ def _nested_start(family, donor, shapes):
 
 
 def starting_values(family, d):
-    """Gini-anchored starting shape vectors per family.
+    """The Gini-anchored starting shapes of ``family``.
 
     One-shape families invert their closed-form Gini at the anchor (the
-    survey Gini when present, the lower bound otherwise).  The others nest
-    their donors' starts (``_nested_start``): one start for b2, sm and
-    dagum, and one per donor for the GB2.  ``nls_runs`` starts them from
-    their donors' optima instead, and from these where a donor's run fails.
+    survey Gini when present, the lower bound otherwise).  The others take
+    their first donor's start through ``_nested_start``.  ``nls_runs``
+    starts them from their best donor's optimum instead, and from this
+    start where every donor's run fails.
     """
     g = _gini_anchor(d)
     if family == "fisk":
-        return [np.array([1.0 / g])]
+        return np.array([1.0 / g])
     if family == "weibull":
-        return [np.array([math.log(2.0) / (-math.log1p(-g))])]
+        return np.array([math.log(2.0) / (-math.log1p(-g))])
     if family == "lognormal":
-        return [np.array([math.sqrt(2.0) * special.ndtri((1.0 + g) / 2.0)])]
+        return np.array([math.sqrt(2.0) * special.ndtri((1.0 + g) / 2.0)])
     if family not in _DONORS:
         raise EstimationError(f"unknown family {family!r}")
-    return [_nested_start(family, donor, starting_values(donor, d)[0]) for donor in _DONORS[family]]
+    donor = _DONORS[family][0]
+    return _nested_start(family, donor, starting_values(donor, d))
 
 
 def _residual_factory(family, u, s, chol=None):
@@ -178,30 +179,16 @@ def _eyes(k):
     return np.eye(k), np.eye(k + 1, k, -1)
 
 
-def _evaluate(residuals, x, cells):
-    """The residual rows of x (m, k), each from its own cell's function:
-    ``residuals`` is a sequence of functions and ``cells`` (m,) the index
-    of each row's function."""
-    if len(residuals) == 1:
-        return residuals[0](x)
-    parts = [(rows, fn(x[rows])) for c, fn in enumerate(residuals)
-             if len(rows := np.flatnonzero(cells == c))]
-    out = np.empty((len(x), parts[0][1].shape[1]))
-    for rows, r in parts:
-        out[rows] = r
-    return out
-
-
-def _values_and_jacobians(residuals, x, cells):
+def _values_and_jacobians(residuals, x, i):
     """Residuals f (m, n) at the rows of x (m, k) and the transposed
-    forward-difference Jacobians (m, k, n), from one call of each cell's
-    function (``_evaluate``); every stencil point stays inside the
-    log-shape box."""
+    forward-difference Jacobians (m, k, n), row j from one call of
+    ``residuals[i[j]]`` on it and its stencil; every stencil point stays
+    inside the log-shape box."""
     k = x.shape[1]
     h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     h = np.where(np.abs(x + h) > _LOG_SHAPE_BOUND, -h, h)  # difference inward at the edge
     points = x[:, None] + _eyes(k)[1] * h[:, None]  # x, then x + h_j e_j
-    r = _evaluate(residuals, points.reshape(-1, k), np.repeat(cells, k + 1)).reshape(len(x), k + 1, -1)
+    r = np.stack([residuals[c](p) for c, p in zip(i, points)])
     dx = np.diagonal(points[:, 1:], axis1=1, axis2=2) - x
     return r[:, 0], (r[:, 1:] - r[:, :1]) / dx[..., None]
 
@@ -226,13 +213,13 @@ def _onto_edge(a, g, x, trial):
     return trial
 
 
-def _levenberg_marquardt(residuals, x0s, cells):
+def _levenberg_marquardt(residuals, x0s):
     """Levenberg-Marquardt from every row of x0s (m, k) in lockstep: an
-    iteration makes one call of each cell's function, on the trial points
-    and their stencils, and solves every (J'J + lam D) step = -J'f at once,
+    iteration makes one call of each running row's function, on its trial
+    point and stencil, and solves every (J'J + lam D) step = -J'f at once,
     D the running maximum of diag J'J (More 1978).  ``residuals`` is a
-    sequence of functions and row j is evaluated by ``residuals[cells[j]]``,
-    so the fits of several cells step together.  A step that crosses the
+    sequence of m functions and row j is evaluated by ``residuals[j]``, so
+    the fits of several families step together.  A step that crosses the
     box is solved again on its edge (``_onto_edge``), its gain ratio taken
     against -(2 g'step + |J step|^2) for the step taken.  Rows accept, damp
     (Nielsen's rule) and stop on their own and never mix, so a row ends the
@@ -246,7 +233,7 @@ def _levenberg_marquardt(residuals, x0s, cells):
     i, lam, nu, d = np.arange(m), np.full(m, 1e-3), np.full(m, 2.0), np.zeros((m, k))
     stop = np.zeros(m, bool)  # the rows whose last step passed a stopping test
     with np.errstate(all="ignore"):
-        f, jt = _values_and_jacobians(residuals, x, cells)
+        f, jt = _values_and_jacobians(residuals, x, i)
         cost = np.add.reduce(f * f, axis=1)
         for _ in range(_MAX_ITER):
             jtj, g = jt @ jt.transpose(0, 2, 1), np.add.reduce(jt * f[:, None], axis=2)
@@ -262,8 +249,8 @@ def _levenberg_marquardt(residuals, x0s, cells):
                 x_end[i[stop]], cost_end[i[stop]], done[i[stop]] = x[stop], cost[stop], True
                 if stop.all():
                     return x_end, cost_end, done
-                i, x, f, jt, cost, lam, nu, d, cells, jtj, g = (
-                    v[~stop] for v in (i, x, f, jt, cost, lam, nu, d, cells, jtj, g))
+                i, x, f, jt, cost, lam, nu, d, jtj, g = (
+                    v[~stop] for v in (i, x, f, jt, cost, lam, nu, d, jtj, g))
             damp = lam[:, None] * np.where(d > 0.0, d, 1.0)
             a = jtj + damp[..., None] * eye
             step = np.linalg.solve(a, -g[..., None])[..., 0]  # a is positive definite: lam, D > 0
@@ -275,7 +262,7 @@ def _levenberg_marquardt(residuals, x0s, cells):
                 step[crossed] = taken = trial[crossed] - x[crossed]
                 jstep2 = np.add.reduce(taken * np.add.reduce(jtj[crossed] * taken[:, None], axis=2), axis=1)
                 pred[crossed] = -(2.0 * np.add.reduce(g[crossed] * taken, axis=1) + jstep2)
-            ft, jtt = _values_and_jacobians(residuals, trial, cells)
+            ft, jtt = _values_and_jacobians(residuals, trial, i)
             cost_t = np.add.reduce(ft * ft, axis=1)
             drop, ok = cost - cost_t, cost_t < cost
             stop = (_norms(step) <= _XTOL * (_XTOL + _norms(x))) | (ok & (drop <= _FTOL * cost))
@@ -287,13 +274,17 @@ def _levenberg_marquardt(residuals, x0s, cells):
     return x_end, cost_end, done
 
 
-def _multistart(cells):
+def _runs(cells):
     """Levenberg-Marquardt for several cells, each a (residuals, start)
     pair with the same number of shapes, in one lockstep run of one row
     per cell.  Per cell: its run's log-shapes, objective (inf when the run
-    does not end finite) and whether it converged."""
-    x0s = np.log(np.array([start for _, start in cells], dtype=float))
-    x, rss, converged = _levenberg_marquardt([fn for fn, _ in cells], x0s, np.arange(len(cells)))
+    does not end finite) and whether it converged, or the exception the
+    cell raised: when the batch raises, each cell runs alone."""
+    try:
+        x0s = np.log(np.array([start for _, start in cells], dtype=float))
+        x, rss, converged = _levenberg_marquardt([fn for fn, _ in cells], x0s)
+    except Exception as exc:
+        return [exc] if len(cells) == 1 else [r for cell in cells for r in _runs([cell])]
     rss = np.where(np.isfinite(rss), rss, np.inf)
     return [(x[c], float(rss[c]), bool(converged[c])) for c in range(len(cells))]
 
@@ -314,27 +305,18 @@ def _spec_at(family, d, x):
     return spec, dist.lorenz(spec, d.u[:-1]) - d.s[:-1]
 
 
-def _cell_runs(cells):
-    """``_multistart``, with an exception in place of the outcome of
-    a cell that raises: when the batch raises, each cell runs alone."""
-    try:
-        return _multistart(cells)
-    except Exception as exc:
-        return [exc] if len(cells) == 1 else [r for cell in cells for r in _cell_runs([cell])]
-
-
 def nls_runs(families, d):
     """The Levenberg-Marquardt runs of the NLS fits of ``families`` to d,
     for ``nls_fit(family, d, run=...)``: per family, its run's
-    (log-shapes, objective, converged, starts tried), or the exception its
-    fit raises.  The fits run in stages by number of shapes, the families
-    of a stage in one lockstep run of one row each: the one-shape families
-    from their Gini-anchored starts, and every other family from the
-    optimum of its donor of lowest RSS in the stage before (``_DONORS``),
-    so gb2 tries three starts and runs from one.  A donor is fitted even
-    when it is not asked for, and rows never mix, so each run ends as it
-    would alone; a donor whose run fails or ends non-finite ranks last and
-    lends its Gini-anchored start instead."""
+    (log-shapes, objective, converged), or the exception its fit raises.
+    The fits run in stages by number of shapes, the families of a stage in
+    one lockstep run of one row each: the one-shape families from their
+    Gini-anchored starts, and every other family from the optimum of its
+    donor of lowest RSS in the stage before (``_DONORS``), so gb2 tries
+    three starts and runs from one.  A donor is fitted even when it is not
+    asked for, and rows never mix, so each run ends as it would alone; a
+    donor whose run fails or ends non-finite ranks last, and a family none
+    of whose donors ends finite runs from its ``starting_values``."""
     needed = list(dict.fromkeys(families))
     for family in needed:  # grows as it goes: each family's donors join
         needed.extend(donor for donor in _DONORS.get(family, ()) if donor not in needed)
@@ -353,11 +335,10 @@ def nls_runs(families, d):
         return math.inf if isinstance(runs[donor], Exception) else runs[donor][1]
 
     def start(family):
-        if family not in _DONORS:
-            return starting_values(family, d)[0]
-        donor = min(_DONORS[family], key=donor_rss)  # the first of equals
-        shapes = np.exp(runs[donor][0]) if donor_rss(donor) < math.inf else starting_values(donor, d)[0]
-        return _nested_start(family, donor, shapes)
+        donor = min(_DONORS.get(family, ()), key=donor_rss, default=None)  # the first of equals
+        if donor is None or donor_rss(donor) == math.inf:
+            return starting_values(family, d)
+        return _nested_start(family, donor, np.exp(runs[donor][0]))
 
     for k in sorted(stages):
         cells = {}
@@ -367,8 +348,7 @@ def nls_runs(families, d):
                 cells[family] = (_residual_factory(family, d.u[:-1], d.s[:-1]), start(family))
             except Exception as exc:
                 runs[family] = exc
-        for family, run in zip(cells, _cell_runs(list(cells.values()))):
-            runs[family] = run if isinstance(run, Exception) else (*run, len(_DONORS.get(family, ())) or 1)
+        runs.update(zip(cells, _runs(list(cells.values()))))
     return {family: runs[family] for family in families}
 
 
@@ -383,7 +363,8 @@ def nls_fit(family, d, run=None):
         run = nls_runs([family], d)[family]
     if isinstance(run, Exception):
         raise run
-    x, fval, converged, n_starts = run
+    x, fval, converged = run
+    n_starts = len(_DONORS.get(family, ())) or 1
     if not np.isfinite(fval):
         raise EstimationError(f"every {family} run from the best of {n_starts} starts failed")
     spec, residuals = _spec_at(family, d, x)
@@ -472,7 +453,10 @@ def gmm_fit(family, d, nls):
     except linalg.LinAlgError:
         return fallback("Omega is not positive definite")
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
-    x, fval, converged = _multistart([(residuals_fn, dist.shapes_of(nls.spec))])[0]
+    (run,) = _runs([(residuals_fn, dist.shapes_of(nls.spec))])
+    if isinstance(run, Exception):
+        raise run
+    x, fval, converged = run
     if not np.isfinite(fval):
         return fallback("every second-stage run failed")
     try:

@@ -418,9 +418,9 @@ class TestFit:
         write_grouped_jsonl([microdata_to_grouped(m, GroupingPolicy(n_groups=10), id="preset-1")], inp)
         runs, real = [], estimate._levenberg_marquardt
 
-        def counting(residuals, x0s, *args):
+        def counting(residuals, x0s):
             runs.append(x0s.shape[1])
-            return real(residuals, x0s, *args)
+            return real(residuals, x0s)
 
         monkeypatch.setattr(estimate, "_levenberg_marquardt", counting)
         assert main(["fit", "--input", str(inp), "--output", str(out), "--method", "nls"]) == 0

@@ -33,14 +33,14 @@ TRUE_SPECS = {
     "weibull": FamilySpec("weibull", (1.4, 1.0)),
 }
 
-# Gini anchors of the start-grid tests: a dense sweep and both clamps
+# Gini anchors of the starting-value tests: a dense sweep and both clamps
 ANCHORS = [*np.linspace(0.05, 0.9, 60), 1e-4, 0.5, 0.9999]
 
 
 def _fit_from(family, ds, start):
     """``family``'s NLS fit to ds from ``start`` alone."""
     residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
-    return nls_fit(family, ds, run=(*estimate._multistart([(residuals, start)])[0], 1))
+    return nls_fit(family, ds, run=estimate._runs([(residuals, start)])[0])
 
 
 def deciles_from(spec, mean=None, id="gen"):
@@ -52,14 +52,14 @@ class TestStartingValues:
     def test_fisk_inversion(self):
         ds = deciles_from(FamilySpec("fisk", (2.0, 1.0)))
         ds = GroupedDataset(id="x", u=ds.u, s=ds.s, survey_gini=0.5)
-        (start,) = starting_values("fisk", ds)
+        start = starting_values("fisk", ds)
         assert start[0] == pytest.approx(2.0, rel=1e-10)
 
     def test_weibull_inversion(self):
         ds = GroupedDataset(
             id="x", u=np.array([0.5, 1.0]), s=np.array([0.2, 1.0]), survey_gini=0.5
         )
-        (start,) = starting_values("weibull", ds)
+        start = starting_values("weibull", ds)
         assert start[0] == pytest.approx(1.0, rel=1e-10)
 
     def test_lognormal_inversion(self):
@@ -68,7 +68,7 @@ class TestStartingValues:
         ds = GroupedDataset(
             id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]), survey_gini=g
         )
-        (start,) = starting_values("lognormal", ds)
+        start = starting_values("lognormal", ds)
         got = d.gini_closed(FamilySpec("lognormal", (0.0, start[0]))).value
         assert got == pytest.approx(g, abs=1e-10)
 
@@ -85,51 +85,43 @@ class TestStartingValues:
         for g in ANCHORS:
             ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]), survey_gini=g)
             for family in ("fisk", "weibull", "lognormal", "sm", "dagum"):
-                for st in starting_values(family, ds):
-                    got = d.gini_closed(d.spec_from_shapes(family, st)).value
-                    assert got == pytest.approx(g, abs=1e-12), (family, g, st)
-                    n_starts += 1
-            (sigma,), (b2,) = starting_values("lognormal", ds), starting_values("b2", ds)
+                st = starting_values(family, ds)
+                got = d.gini_closed(d.spec_from_shapes(family, st)).value
+                assert got == pytest.approx(g, abs=1e-12), (family, g, st)
+                n_starts += 1
+            (sigma,), b2 = starting_values("lognormal", ds), starting_values("b2", ds)
             assert b2[0] == b2[1] == min(max(2.0 / sigma**2, 1.001), 1e4)
         assert n_starts == 5 * len(ANCHORS)
 
-    def test_cached_grid_returns_fresh_arrays(self):
+    def test_returned_start_is_a_fresh_array(self):
         ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]),
                             survey_gini=0.42)
         first = starting_values("sm", ds)
-        first[0][:] = -1.0
-        assert starting_values("sm", ds)[0][0] > 0.0
-
-    def test_gb2_pools_nested_grids(self):
-        # one GB2 start per family it nests
-        ds = GroupedDataset(
-            id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]), survey_gini=0.42
-        )
-        starts = starting_values("gb2", ds)
-        assert [len(starting_values(f, ds)) for f in ("b2", "sm", "dagum")] == [1, 1, 1]
-        assert len(starts) == 3
-        assert all(len(s) == 3 for s in starts)
+        first[:] = -1.0
+        assert starting_values("sm", ds)[0] > 0.0
 
     def test_gb2_pool_is_nested_grids_on_gb2_boundaries(self):
-        boundaries = {  # the b2, sm and dagum shapes as GB2 (a, p, q)
-            "b2": lambda p, q: (1.0, p, q),
-            "sm": lambda a, q: (a, 1.0, q),
-            "dagum": lambda a, p: (a, p, 1.0),
-        }
+        # each nesting family starts at its first donor's start, and gb2's
+        # is b2's as GB2 (a, p, q) = (1, p, q)
         for g in (1e-4, 0.1, 0.3, 0.42, 0.6, 0.9, 0.9999):
             ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]),
                                 survey_gini=g)
-            want = [np.array(to_gb2(*starting_values(family, ds)[0]))
-                    for family, to_gb2 in boundaries.items()]
-            got = starting_values("gb2", ds)
-            assert len(got) == len(want) == 3
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), g
+            for family, (donor, *_) in estimate._DONORS.items():
+                want = estimate._nested_start(family, donor, starting_values(donor, ds))
+                got = starting_values(family, ds)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (family, g)
+            want = np.array([1.0, *starting_values("b2", ds)])
+            assert starting_values("gb2", ds).tobytes() == want.tobytes(), g
+
+    def test_unknown_family_raises(self):
+        ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.3, 1.0]))
+        with pytest.raises(EstimationError, match="unknown family 'pareto'"):
+            starting_values("pareto", ds)
 
     def test_gb2_without_starts_names_gb2(self, monkeypatch):
         # no run ends finite, so each nesting family starts from its
-        # donors' Gini-anchored starts and every gb2 run fails
-        def failing_run(residuals, x0s, cells):
+        # Gini-anchored start and every gb2 run fails
+        def failing_run(residuals, x0s):
             return x0s, np.full(len(x0s), np.nan), np.zeros(len(x0s), dtype=bool)
 
         u = np.arange(1, 6) / 5
@@ -141,7 +133,7 @@ class TestStartingValues:
     def test_anchor_defaults_to_lower_bound(self):
         # without survey_gini the anchor is the lower bound
         ds = deciles_from(FamilySpec("fisk", (2.0, 1.0)))
-        (start,) = starting_values("fisk", ds)
+        start = starting_values("fisk", ds)
         from gb2fit.grouped import lower_bound_gini
 
         assert start[0] == pytest.approx(1.0 / lower_bound_gini(ds), rel=1e-10)
@@ -176,12 +168,11 @@ class TestNlsFit:
         assert len(fit.residuals) == 9
         assert d.lorenz(fit.spec, 1.0) == 1.0
 
-    def test_multistart_dominance(self):
+    def test_donor_start_at_most_the_gini_anchored_run(self):
         ds = deciles_from(FamilySpec("sm", (1.7, 1.0, 1.9)))
         full = nls_fit("sm", ds)
-        for st in starting_values("sm", ds):
-            single = _fit_from("sm", ds, st)
-            assert full.rss <= single.rss + 1e-15
+        single = _fit_from("sm", ds, starting_values("sm", ds))
+        assert full.rss <= single.rss + 1e-15
 
     def test_sm_heavy_tail_reaches_lower_rss(self):
         # at q = 0.12, z(u) = 1 - (1 - u)^(1/q) is close to 1; taking I_z from
@@ -413,6 +404,26 @@ class TestGmm:
         assert gmm.note == "second stage fell back to NLS: " + reason
         assert gmm.spec == nls.spec
 
+    def test_second_stage_exception_is_raised(self, monkeypatch):
+        # the whitened residuals raise: gmm_fit raises it, and no fallback
+        # hides it
+        ds = deciles_from(TRUE_SPECS["lognormal"], mean=1.0)
+        nls = nls_fit("lognormal", ds)
+        factory = estimate._residual_factory
+
+        def failing_factory(family, u, s, chol=None):
+            if chol is None:
+                return factory(family, u, s)
+
+            def failing(x):
+                raise RuntimeError("injected failure")
+
+            return failing
+
+        monkeypatch.setattr(estimate, "_residual_factory", failing_factory)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            gmm_fit("lognormal", ds, nls)
+
     @pytest.mark.parametrize("mean", [1e200, 1e300, 1e-310])
     @pytest.mark.parametrize("family", ["lognormal", "fisk", "weibull", "sm"])
     def test_extreme_mean_falls_back(self, family, mean):
@@ -505,8 +516,7 @@ class TestStartScreening:
             spec_from_shapes("gb2", d.shapes_of(nls.spec), solve_scale(nls.spec, ds.mean)), ds)
         chol = linalg.cholesky(wm.Omega, lower=True)
         u, s = ds.u[:-1], ds.s[:-1]
-        x0s = np.log(np.asarray(starting_values("gb2", ds)))
-        x0s = np.vstack([x0s, [[0.0, 0.0, -1.0], [12.0, 0.0, 0.0]]])  # infeasible, clipped
+        x0s = np.vstack([_starts("gb2", ds), [[0.0, 0.0, -1.0], [12.0, 0.0, 0.0]]])  # infeasible, clipped
         got = estimate._residual_factory("gb2", u, s, chol)(x0s)
         want = estimate._residual_factory("gb2", u, s)(x0s)
         n = len(u)
@@ -520,7 +530,7 @@ class TestStartScreening:
         ds = _sampled("gb2", seed=5)
         nls = nls_fit("gb2", ds)
 
-        def failing_run(residuals, x0s, cells):  # no row ends at a finite objective
+        def failing_run(residuals, x0s):  # no row ends at a finite objective
             return x0s, np.full(len(x0s), np.nan), np.zeros(len(x0s), dtype=bool)
 
         monkeypatch.setattr(estimate, "_levenberg_marquardt", failing_run)
@@ -554,9 +564,12 @@ class TestStartScreening:
 
 
 def _starts(family, ds):
-    """The log-shapes of ``family``'s Gini-anchored starts: one, or three for
-    the GB2."""
-    return np.log(np.asarray(starting_values(family, ds)))
+    """The log-shapes of ``family``'s Gini-anchored start, and for the GB2
+    three: each of its donors' starts through ``_nested_start``."""
+    if family != "gb2":
+        return np.log([starting_values(family, ds)])
+    donors = estimate._DONORS["gb2"]
+    return np.log([estimate._nested_start("gb2", donor, starting_values(donor, ds)) for donor in donors])
 
 
 def _donor_starts(family, ds):
@@ -574,7 +587,7 @@ class TestOneStart:
         for ds in (*_presets(), _sampled("preset-5", 31, groups=5), _sampled("gb2", 31, groups=5)):
             residuals = estimate._residual_factory("gb2", ds.u[:-1], ds.s[:-1])
             x0s = np.log(_donor_starts("gb2", ds))
-            _, rss3, _ = estimate._levenberg_marquardt([residuals], x0s, np.zeros(len(x0s), dtype=int))
+            _, rss3, _ = estimate._levenberg_marquardt([residuals] * len(x0s), x0s)
             best = np.min(np.where(np.isfinite(rss3), rss3, np.inf))
             rss = estimate.nls_runs(["gb2"], ds)["gb2"][1]
             assert abs(rss - best) <= 1e-9 * best, (ds.id, rss, best)
@@ -593,7 +606,7 @@ class TestBroadcastJacobian:
 
         ds = _sampled(source, seed=31)
         residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
-        _, got, converged, _ = estimate.nls_runs([family], ds)[family]
+        _, got, converged = estimate.nls_runs([family], ds)[family]
         want = min(
             float(np.sum(optimize.least_squares(
                 lambda x: residuals(x[None])[0], x0, method="lm",
@@ -609,9 +622,9 @@ class TestBroadcastJacobian:
         ds = _sampled("preset-5", seed=31)
         residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
         x0s = _starts(family, ds) if family != "weibull" else np.log([[0.5], [1.0], [2.0]])
-        batch = estimate._levenberg_marquardt([residuals], x0s, np.zeros(len(x0s), dtype=int))
+        batch = estimate._levenberg_marquardt([residuals] * len(x0s), x0s)
         for j, x0 in enumerate(x0s):
-            alone = estimate._levenberg_marquardt([residuals], x0[None], np.zeros(1, dtype=int))
+            alone = estimate._levenberg_marquardt([residuals], x0[None])
             for got, want in zip(alone, batch):
                 assert got[0].tobytes() == want[j].tobytes(), (j, got, want)
 
@@ -625,19 +638,16 @@ class TestBroadcastJacobian:
         if len(x0s[0][0]) == 1:  # one start each: add rows about it
             x0s = [np.vstack([x, x + 0.5, x - 1.0]) for x in x0s]
         cells = np.repeat(np.arange(len(families)), [len(x) for x in x0s])
-        batch = estimate._levenberg_marquardt(fns, np.concatenate(x0s), cells)
+        batch = estimate._levenberg_marquardt([fns[c] for c in cells], np.concatenate(x0s))
         for j, (c, x0) in enumerate(zip(cells, np.concatenate(x0s))):
-            alone = estimate._levenberg_marquardt([fns[c]], x0[None], np.zeros(1, dtype=int))
+            alone = estimate._levenberg_marquardt([fns[c]], x0[None])
             for got, want in zip(alone, batch):
                 assert got[0].tobytes() == want[j].tobytes(), (families[c], j, got, want)
 
-    def test_screening_rows_match_single_rows(self):
-        from gb2fit import estimate
-
+    def test_stacked_residual_rows_match_single_rows(self):
         ds = _sampled("preset-5", seed=31)
         residuals = estimate._residual_factory("gb2", ds.u[:-1], ds.s[:-1])
-        x0s = np.log(np.asarray(starting_values("gb2", ds)))
-        x0s = np.vstack([x0s, [[0.0, 0.0, -1.0], [12.0, 0.0, 0.0]]])  # infeasible, clipped
+        x0s = np.vstack([_starts("gb2", ds), [[0.0, 0.0, -1.0], [12.0, 0.0, 0.0]]])  # infeasible, clipped
         rows = residuals(x0s)
         for x0, row in zip(x0s, rows):
             assert row.tobytes() == residuals(x0[None])[0].tobytes()
@@ -662,7 +672,8 @@ class TestNlsRuns:
     def test_failing_cell_stays_in_its_family(self, monkeypatch):
         # sm's residuals raise on their third call, inside the batch of the
         # two-shape families: sm keeps the exception, the families that do
-        # not nest sm their runs, and gb2 starts from sm's Gini-anchored start
+        # not nest sm their runs, and gb2, with sm ranked last, starts from
+        # the b2 or dagum optimum
         ds = _sampled("preset-5", seed=31)
         clean = estimate.nls_runs(d.FAMILIES, ds)
         factory = estimate._residual_factory
@@ -724,9 +735,9 @@ class TestNlsRuns:
         ds = _sampled("preset-5", seed=31)
         starts, real = [], estimate._levenberg_marquardt
 
-        def recording(residuals, x0s, cells):
+        def recording(residuals, x0s):
             starts.append(np.exp(x0s))
-            return real(residuals, x0s, cells)
+            return real(residuals, x0s)
 
         monkeypatch.setattr(estimate, "_levenberg_marquardt", recording)
         runs = estimate.nls_runs(d.FAMILIES, ds)
@@ -740,24 +751,32 @@ class TestNlsRuns:
         best = min(pool, key=lambda f: runs[f][1])
         assert runs[best][1] < min(runs[f][1] for f in pool if f != best)
         assert np.allclose(starts[2], [pool[best]], rtol=1e-15, atol=0.0)
-        assert runs["gb2"][3] == 3
+        assert nls_fit("gb2", ds, run=runs["gb2"]).starts_tried == 3
 
     def test_non_finite_donor_lends_its_gini_anchored_start(self, monkeypatch):
         # fisk's run ends at NaN: sm and dagum start from fisk's
-        # Gini-anchored start in its place, and still converge
+        # Gini-anchored start in its place, and still converge; when every
+        # two-shape run ends at NaN, gb2 starts from its ``starting_values``,
+        # b2's Gini-anchored start as GB2 (1, p, q)
         ds = _sampled("preset-5", seed=31)
-        starts, real = [], estimate._levenberg_marquardt
+        starts, real, nan_shapes = [], estimate._levenberg_marquardt, [1]
 
-        def nan_for_one_shape(residuals, x0s, cells):
+        def nan_for_some_shapes(residuals, x0s):
             starts.append(np.exp(x0s))
-            x, rss, done = real(residuals, x0s, cells)
-            return x, np.where(x0s.shape[1] == 1, np.nan, rss), done
+            x, rss, done = real(residuals, x0s)
+            return x, np.where(x0s.shape[1] in nan_shapes, np.nan, rss), done
 
-        monkeypatch.setattr(estimate, "_levenberg_marquardt", nan_for_one_shape)
+        monkeypatch.setattr(estimate, "_levenberg_marquardt", nan_for_some_shapes)
         runs = estimate.nls_runs(["sm", "dagum"], ds)
-        (a,) = starting_values("fisk", ds)[0]
+        (a,) = starting_values("fisk", ds)
         assert np.allclose(starts[1], [[a, 1.0], [a, 1.0]], rtol=1e-15, atol=0.0)
         assert runs["sm"][2] and runs["dagum"][2]
+        starts.clear()
+        nan_shapes[:] = [2]
+        runs = estimate.nls_runs(["gb2"], ds)
+        p, q = starting_values("b2", ds)
+        assert np.allclose(starts[2], [[1.0, p, q]], rtol=1e-15, atol=0.0)
+        assert runs["gb2"][2]
 
     def test_runs_of_the_asked_families_only(self):
         # the donors are fitted but not returned
@@ -874,12 +893,12 @@ class TestShapeBox:
             return x @ a_mat.T - b
 
         # the first iteration's damped normal equations, as the solver forms them
-        f, jt = estimate._values_and_jacobians([lambda x: x @ a_mat.T - b], x0[None], np.zeros(1, dtype=int))
+        f, jt = estimate._values_and_jacobians([lambda x: x @ a_mat.T - b], x0[None], [0])
         jtj, g = (jt @ jt.transpose(0, 2, 1))[0], (jt[0] @ f[0])
         a = jtj + np.diag(1e-3 * np.diag(jtj))
         full = np.linalg.solve(a, -g)
         assert np.sum(np.abs(full) > bound) == 1
-        estimate._levenberg_marquardt([residuals], x0[None], np.zeros(1, dtype=int))
+        estimate._levenberg_marquardt([residuals], x0[None])
         trial = calls[1][0]  # the second call evaluates the first trial point and its stencil
         edge = np.abs(trial) == bound
         assert np.array_equal(np.sign(trial) * edge, sides)  # exactly on the edge
