@@ -99,37 +99,35 @@ def _fit_one_dataset(task):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         runs = nls_runs(families, d)  # the Levenberg-Marquardt runs of every family at once
-    for family in families:
-        nls = nls_error = None
-        cells = []
-        for m in ("nls", "gmm") if method == "both" else (method,):
-            row = {"id": d.id, "family": family, "method": m, "survey_gini": d.survey_gini,
-                   "lower_bound_gini": lb, "error": None}
-            try:
-                if nls_error is not None:
-                    raise nls_error  # NLS failed in this family's first cell: do not fit it again
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    nls = nls or nls_fit(family, d, run=runs[family])
+        for family in families:
+            try:  # each family's first stage once, for both methods
+                nls = nls_fit(family, d, run=runs[family])
+            except Exception as exc:
+                nls = exc
+            cells = []
+            for m in ("nls", "gmm") if method == "both" else (method,):
+                row = {"id": d.id, "family": family, "method": m, "survey_gini": d.survey_gini,
+                       "lower_bound_gini": lb, "error": None}
+                try:
+                    if isinstance(nls, Exception):
+                        raise nls
                     fit = nls if m == "nls" else gmm_fit(family, d, nls)
-                aic, bic = gof_scores(fit) if fit.converged else (None, None)
-                gini, atkinson = dist.gini_closed(fit.spec), _fit_atkinson(fit.spec, epsilons)
-                row.update(converged=fit.converged, params=list(fit.spec.params),
-                           objective=fit.objective, rss=fit.rss, k=fit.k,
-                           n_moments=len(fit.residuals), aic=aic, bic=bic, gini=gini.value,
-                           gini_method=gini.method, atkinson=atkinson, note=fit.note)
-            except Exception as exc:  # one error row per cell, never the batch
-                row["error"] = str(exc) or type(exc).__name__
-                if nls is None:
-                    nls_error = exc
-            cells.append(row)
-        if method == "both" and d.survey_gini is not None:
-            closer = None
-            if not any(r["error"] for r in cells):
-                closer = min(cells, key=lambda r: abs(r["gini"] - d.survey_gini))["method"]
-            for row in cells:
-                row["closer_method"] = closer
-        rows.extend(cells)
+                    aic, bic = gof_scores(fit) if fit.converged else (None, None)
+                    gini, atkinson = dist.gini_closed(fit.spec), _fit_atkinson(fit.spec, epsilons)
+                    row.update(converged=fit.converged, params=list(fit.spec.params),
+                               objective=fit.objective, rss=fit.rss, k=fit.k,
+                               n_moments=len(fit.residuals), aic=aic, bic=bic, gini=gini.value,
+                               gini_method=gini.method, atkinson=atkinson, note=fit.note)
+                except Exception as exc:  # one error row per cell, never the batch
+                    row["error"] = str(exc) or type(exc).__name__
+                cells.append(row)
+            if method == "both" and d.survey_gini is not None:
+                closer = None
+                if not any(r["error"] for r in cells):
+                    closer = min(cells, key=lambda r: abs(r["gini"] - d.survey_gini))["method"]
+                for row in cells:
+                    row["closer_method"] = closer
+            rows.extend(cells)
     return rows
 
 

@@ -372,38 +372,35 @@ def _beta_cdf(z, zc, p, q):
 
 
 # The closed-form Ginis of b2 (p, q), sm (a, q) and dagum (a, p), from the
-# two shapes in the ``shapes_of`` order, clipped to [0, 1]; the callers keep
-# the shapes inside the existence region.  Each ln Gamma is Stirling's
-# formula plus ``_ln_gamma_rest``; the terms (x - 1/2) ln x, of size p or q,
-# are folded into log1p of the ratios of the arguments, so that nothing of
-# that size cancels.
+# two shapes in the ``shapes_of`` order; ``gini_closed`` clips them to
+# [0, 1] and keeps the shapes inside the existence region.  Each ln Gamma is
+# Stirling's formula plus ``_ln_gamma_rest``; the terms (x - 1/2) ln x, of
+# size p or q, are folded into log1p of the ratios of the arguments, so that
+# nothing of that size cancels.
 def _b2_gini(p, q):  # 2 B(2p, 2q - 1) / (p B(p, q)^2)
     r = _ln_gamma_rest
-    g = 2.0 / p * math.exp(
+    return 2.0 / p * math.exp(
         0.5 * math.log(p * q / (p + q) / (4.0 * math.pi)) + math.log1p(2.0 * p / (2.0 * q - 1.0))
         + r(2.0 * p) - 2.0 * r(p) + r(2.0 * q) - 2.0 * r(q) - r(2.0 * (p + q)) + 2.0 * r(p + q))
-    return min(max(g, 0.0), 1.0)
 
 
 def _sm_gini(a, q):  # 1 - Gamma(q) Gamma(2q - c) / (Gamma(q - c) Gamma(2q)), c = 1/a
     r = _ln_gamma_rest
     c = 1.0 / a
     m = q - c
-    g = -math.expm1(
+    return -math.expm1(
         -c * math.log(2.0) + (m - 0.5) * math.log1p(c / m)
         + (2.0 * q - c - 0.5) * math.log1p(-c / (2.0 * q))
         + r(q) - r(m) + r(2.0 * q - c) - r(2.0 * q))
-    return min(max(g, 0.0), 1.0)
 
 
 def _dagum_gini(a, p):  # Gamma(p) Gamma(2p + c) / (Gamma(2p) Gamma(p + c)) - 1, c = 1/a
     r = _ln_gamma_rest
     c = 1.0 / a
-    g = math.expm1(
+    return math.expm1(
         c * math.log(2.0) + (2.0 * p + c - 0.5) * math.log1p(c / (2.0 * p))
         - (p + c - 0.5) * math.log1p(c / p)
         + r(2.0 * p + c) - r(2.0 * p) - r(p + c) + r(p))
-    return min(max(g, 0.0), 1.0)
 
 
 _NESTED_GINI = {"b2": _b2_gini, "sm": _sm_gini, "dagum": _dagum_gini}
@@ -419,8 +416,8 @@ def gini_closed(spec):
     fam, par = spec.family, spec.params
     if fam == "gb2":
         a, _, p, q = par
-        return GiniValue(min(max(_gb2_gini(a, p, q), 0.0), 1.0), "quadrature")
-    if fam in ("b2", "sm", "dagum"):
+        g = _gb2_gini(a, p, q)
+    elif fam in ("b2", "sm", "dagum"):
         g = _NESTED_GINI[fam](*map(float, shapes_of(spec)))
     elif fam == "lognormal":
         g = 2.0 * float(special.ndtr(par[1] / math.sqrt(2.0))) - 1.0
@@ -428,7 +425,7 @@ def gini_closed(spec):
         g = 1.0 / par[0]
     else:  # weibull; finite for every a > 0 despite the usual a > 1 statement
         g = 1.0 - 2.0 ** (-1.0 / par[0])
-    return GiniValue(min(max(g, 0.0), 1.0), "closed_form")
+    return GiniValue(min(max(g, 0.0), 1.0), "quadrature" if fam == "gb2" else "closed_form")
 
 
 # The GB2 Gini quadrature: an endpoint power up to _JACOBI_POWER goes into

@@ -27,7 +27,6 @@ __all__ = [
     "solve_scale",
     "weighting_matrix",
     "gmm_fit",
-    "gmm_quadratic",
 ]
 
 # |log shape| is bounded by this; shapes past 1e4 only arise in degenerate
@@ -275,11 +274,12 @@ def _levenberg_marquardt(residuals, x0s):
 
 
 def _runs(cells):
-    """Levenberg-Marquardt for several cells, each a (residuals, start)
-    pair with the same number of shapes, in one lockstep run of one row
-    per cell.  Per cell: its run's log-shapes, objective (inf when the run
-    does not end finite) and whether it converged, or the exception the
-    cell raised: when the batch raises, each cell runs alone."""
+    """Levenberg-Marquardt for the cells of one ``nls_runs`` stage, each a
+    (residuals, start) pair with the same number of shapes, in one lockstep
+    run of one row per cell.  Per cell: its run's log-shapes, objective (inf
+    when the run does not end finite) and whether it converged, or the
+    exception the cell raised: when the batch raises, each cell runs alone,
+    so a failure stays in its own family."""
     try:
         x0s = np.log(np.array([start for _, start in cells], dtype=float))
         x, rss, converged = _levenberg_marquardt([fn for fn, _ in cells], x0s)
@@ -291,15 +291,12 @@ def _runs(cells):
 
 def _spec_at(family, d, x):
     """The spec at log-shapes x, clipped to the bound, and its share
-    residuals; raises EstimationError outside the moment-existence region.
-    The shares fix only the shapes: the scale matches the dataset's mean,
-    and is 1 when the dataset has none."""
+    residuals.  The shares fix only the shapes: the scale matches the
+    dataset's mean, and is 1 when the dataset has none.  Outside the
+    moment-existence region ``solve_scale`` or ``dist.lorenz`` raises
+    ExistenceError."""
     shapes = np.exp(np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND))
     spec = spec_from_shapes(family, shapes)
-    if not dist.moment_exists(spec, 1.0):
-        raise EstimationError(
-            f"{family} optimum violates the moment-existence region: {shapes}"
-        )
     if d.mean is not None:
         spec = spec_from_shapes(family, shapes, scale=solve_scale(spec, d.mean))
     return spec, dist.lorenz(spec, d.u[:-1]) - d.s[:-1]
@@ -341,14 +338,9 @@ def nls_runs(families, d):
         return _nested_start(family, donor, np.exp(runs[donor][0]))
 
     for k in sorted(stages):
-        cells = {}
-        for family in stages[k]:
-            try:
-                # the last share (identically 1) carries no information and is excluded
-                cells[family] = (_residual_factory(family, d.u[:-1], d.s[:-1]), start(family))
-            except Exception as exc:
-                runs[family] = exc
-        runs.update(zip(cells, _runs(list(cells.values()))))
+        # the last share (identically 1) carries no information and is excluded
+        cells = [(_residual_factory(f, d.u[:-1], d.s[:-1]), start(f)) for f in stages[k]]
+        runs.update(zip(stages[k], _runs(cells)))
     return {family: runs[family] for family in families}
 
 
@@ -414,25 +406,19 @@ def weighting_matrix(spec, d):
     )
 
 
-def gmm_quadratic(m, omega=None):
-    """Quadratic-form objective M' Omega^-1 M; identity Omega reproduces RSS."""
-    m = np.asarray(m, dtype=float)
-    if omega is not None:
-        m = linalg.solve_triangular(linalg.cholesky(omega.Omega, lower=True), m, lower=True)
-    return float(m @ m)
-
-
 def gmm_fit(family, d, nls):
     """Two-step GMM: an optimally weighted second stage from the NLS fit ``nls``.
 
     The second stage is NLS on the share residuals whitened by the Cholesky
-    factor of Omega, started from the first-stage shapes.  Omega is
+    factor of Omega, one Levenberg-Marquardt row started from the
+    first-stage shapes; an exception it raises is raised.  Omega is
     scale-free (W grows as b^2 and Psi as 1/b), so it is built at the
     first-stage spec as it is, and the dataset needs no mean; the fitted
     scale is set as for NLS.  Falls back to the first-stage result (with a
     warning and a note) when the weighting matrix cannot be built or
-    factored, every second-stage run fails, or the optimum leaves the
-    moment-existence region.  The note names the cause in fixed words; the
+    factored, the second-stage run does not end finite, or its optimum
+    leaves the moment-existence region (``_spec_at`` raises
+    ExistenceError).  The note names the cause in fixed words; the
     row's params carry the numbers.
     """
 
@@ -453,15 +439,12 @@ def gmm_fit(family, d, nls):
     except linalg.LinAlgError:
         return fallback("Omega is not positive definite")
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
-    (run,) = _runs([(residuals_fn, dist.shapes_of(nls.spec))])
-    if isinstance(run, Exception):
-        raise run
-    x, fval, converged = run
+    (x,), (fval,), (converged,) = _levenberg_marquardt([residuals_fn], np.log([dist.shapes_of(nls.spec)]))
     if not np.isfinite(fval):
         return fallback("every second-stage run failed")
     try:
         spec, residuals = _spec_at(family, d, x)
-    except EstimationError:
+    except ExistenceError:
         return fallback("second stage left the moment-existence region")
     return replace(nls, spec=spec, method="gmm", objective=float(fval),
-                   residuals=residuals, converged=converged)
+                   residuals=residuals, converged=bool(converged))

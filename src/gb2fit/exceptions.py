@@ -22,5 +22,5 @@ class NonConvergenceError(RuntimeError):
 
 
 class EstimationError(RuntimeError):
-    """A fit could not be produced (too few groups, every optimizer run
-    failed, or the optimum has no mean)."""
+    """A fit could not be produced (too few groups, or every optimizer run
+    failed)."""

@@ -10,9 +10,9 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
-from gb2fit import distributions as d
+from gb2fit import distributions as d, estimate
 from gb2fit.distributions import FamilySpec
-from gb2fit.estimate import gmm_fit, gmm_quadratic, nls_fit, weighting_matrix
+from gb2fit.estimate import gmm_fit, nls_fit, weighting_matrix
 from gb2fit.grouped import GroupedDataset, lower_bound_gini
 from gb2fit.measures import (
     McConfig,
@@ -279,17 +279,21 @@ class TestAcceptance:
                 - hJ * wm.mu
             )
             worst_raw = max(worst_raw, abs(raw - wm.W[-1, -1]) / abs(wm.W[-1, -1]))
-        # identity-weighted GMM objective is exactly the NLS RSS
+        # identity-weighted GMM residual rows are exactly the NLS rows, at the
+        # NLS optimum and away from it
         spec = FamilySpec("lognormal", (0.0, 0.8))
         ds = GroupedDataset(id="x", u=u, s=d.lorenz(spec, u), mean=1.0)
         fit = nls_fit("lognormal", ds)
-        exact = gmm_quadratic(fit.residuals) == float(np.sum(fit.residuals**2))
+        x = np.log([d.shapes_of(fit.spec), [0.3], [2.0]])
+        rows = [estimate._residual_factory("lognormal", u[:-1], ds.s[:-1], chol)(x)
+                for chol in (None, np.eye(len(u) - 1))]
+        exact = rows[0].tobytes() == rows[1].tobytes()
         elapsed = time.time() - t0
         report(
             8, "GMM structural checks",
             ok_psd and worst_raw < 1e-6 and exact and elapsed < 30.0, elapsed,
             f"Omega PSD: {ok_psd}; W_JJ raw-form rel diff {worst_raw:.2e}; "
-            f"identity objective exact: {exact}",
+            f"identity-whitened rows exact: {exact}",
         )
 
     def test_9_invariance_suite(self):

@@ -262,18 +262,19 @@ class TestFit:
             assert gmm["note"] == "second stage fell back to NLS: " + reason
 
     def test_gmm_rows_equal_those_of_both(self, tmp_path):
-        # one first stage for --method gmm and --method both; some second
-        # stages run on this dataset, and the others fall back
+        # one first stage for --method nls, gmm and both: each method's rows
+        # are those of both; some second stages run on this dataset, and the
+        # others fall back
         sim = tmp_path / "sim.jsonl"
         assert main(["simulate", "--output", str(sim), "--preset", "5", "--seed", "3",
                      "--n", "2000", "--groups", "5"]) == 0
         rows = {}
-        for method in ("gmm", "both"):
+        for method in ("nls", "gmm", "both"):
             out = tmp_path / f"{method}.jsonl"
             assert main(["fit", "--input", str(sim), "--output", str(out), "--method", method]) == 0
-            rows[method] = [{k: v for k, v in r.items() if k != "closer_method"}
-                            for r in read_jsonl(out) if r["method"] in ("gmm", "lower_bound")]
-        assert rows["gmm"] == rows["both"]
+            rows[method] = [{k: v for k, v in r.items() if k != "closer_method"} for r in read_jsonl(out)]
+        for method in ("nls", "gmm"):
+            assert rows[method] == [r for r in rows["both"] if r["method"] in (method, "lower_bound")]
         notes = [r["note"] for r in rows["gmm"] if r["method"] == "gmm"]
         assert len(notes) == len(d.FAMILIES) and "" in notes and any(notes)
 

@@ -14,7 +14,6 @@ from gb2fit import distributions as d, estimate
 from gb2fit.distributions import FamilySpec, spec_from_shapes
 from gb2fit.estimate import (
     gmm_fit,
-    gmm_quadratic,
     nls_fit,
     solve_scale,
     starting_values,
@@ -314,10 +313,6 @@ def _w_double_loop(spec, ds):
 
 
 class TestGmm:
-    def test_identity_omega_equals_rss(self):
-        m = np.array([0.1, -0.2, 0.05])
-        assert gmm_quadratic(m) == pytest.approx(float(m @ m), rel=1e-15)
-
     def test_zero_noise_fixed_point(self):
         spec = FamilySpec("lognormal", (0.0, 0.8))
         mean = math.exp(0.32)
@@ -364,7 +359,8 @@ class TestGmm:
         eta = solve_scale(nls.spec, ds.mean)
         scaled = spec_from_shapes("b2", d.shapes_of(nls.spec), eta)
         wm = weighting_matrix(scaled, ds)
-        f_start = gmm_quadratic(nls.residuals, wm)
+        m = nls.residuals
+        f_start = float(m @ np.linalg.solve(wm.Omega, m))
         assert gmm.objective <= f_start + 1e-12
 
     def test_sampled_b2_gini_close(self):
@@ -423,6 +419,24 @@ class TestGmm:
         monkeypatch.setattr(estimate, "_residual_factory", failing_factory)
         with pytest.raises(RuntimeError, match="injected failure"):
             gmm_fit("lognormal", ds, nls)
+
+    @pytest.mark.parametrize("with_mean", [True, False])
+    def test_second_stage_outside_existence_region_falls_back(self, monkeypatch, with_mean):
+        # the second-stage row ends at gb2(0.5, 1, 1), where aq < 1 and the
+        # mean does not exist: the cell keeps its NLS fit, with the note
+        ds = _sampled("gb2", seed=5)
+        if not with_mean:
+            ds = GroupedDataset(id=ds.id, u=ds.u, s=ds.s)
+        nls = nls_fit("gb2", ds)
+
+        def outside_run(residuals, x0s):
+            return np.log([[0.5, 1.0, 1.0]]), np.array([0.1]), np.array([True])
+
+        monkeypatch.setattr(estimate, "_levenberg_marquardt", outside_run)
+        with pytest.warns(RuntimeWarning, match="fell back"):
+            gmm = gmm_fit("gb2", ds, nls)
+        assert gmm.note == "second stage fell back to NLS: second stage left the moment-existence region"
+        assert gmm.method == "gmm" and gmm.spec == nls.spec and gmm.objective == nls.objective
 
     @pytest.mark.parametrize("mean", [1e200, 1e300, 1e-310])
     @pytest.mark.parametrize("family", ["lognormal", "fisk", "weibull", "sm"])
@@ -501,8 +515,7 @@ class TestStartScreening:
             spec_from_shapes("gb2", d.shapes_of(nls.spec), solve_scale(nls.spec, ds.mean)), ds)
         assert np.linalg.cond(wm.Omega) < 1e12  # no ridge: the plain solve applies
         m = nls.residuals
-        f_start = gmm_quadratic(m, wm)
-        assert f_start == pytest.approx(float(m @ np.linalg.solve(wm.Omega, m)), rel=1e-12)
+        f_start = float(m @ np.linalg.solve(wm.Omega, m))
         assert gmm.objective <= f_start
 
     def test_whitening_in_one_solve_matches_rows(self):
@@ -653,6 +666,31 @@ class TestBroadcastJacobian:
             assert row.tobytes() == residuals(x0[None])[0].tobytes()
         assert rows[-2, -1] > 0.0 and rows[-1, -4] == 12.0 - math.log(1e4)
 
+    @pytest.mark.parametrize("whitened", [False, True])
+    def test_non_finite_kernel_row_gets_the_barrier(self, monkeypatch, whitened):
+        # no feasible shape point is known where the kernel is not finite, so
+        # NaN is injected for the second of the feasible rows: that row's
+        # share entries are zeroed and its barrier entry is 1e4, and the
+        # other rows, the infeasible third among them, are as before
+        ds = _sampled("preset-5", seed=31)
+        n = len(ds.u) - 1
+        chol = np.linalg.cholesky(np.eye(n) + 0.5) if whitened else None
+        x = np.log([[1.7, 1.9], [2.0, 1.5], [0.5, 1.0]])  # sm(0.5, 1) has no mean
+        want = estimate._residual_factory("sm", ds.u[:-1], ds.s[:-1], chol)(x)
+        lorenz_columns = d._lorenz_columns
+
+        def nan_second_row(family, cols, u):
+            out = lorenz_columns(family, cols, u)
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(d, "_lorenz_columns", nan_second_row)
+        got = estimate._residual_factory("sm", ds.u[:-1], ds.s[:-1], chol)(x)
+        assert got[[0, 2]].tobytes() == want[[0, 2]].tobytes()
+        assert want[2, -1] > 0.0 and want[1, -1] == 0.0
+        assert np.all(got[1, :n] == 0.0) and got[1, -1] == 1e4
+        assert np.array_equal(got[1, n:-1], want[1, n:-1])
+
 
 class TestNlsRuns:
     """``nls_runs`` fits a dataset's families together; each family's
@@ -699,6 +737,14 @@ class TestNlsRuns:
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), family
         gb2 = nls_fit("gb2", ds, run=runs["gb2"])
         assert gb2.starts_tried == 3 and gb2.rss <= clean["b2"][1] * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("mean", [None, 2.0])
+    def test_run_outside_existence_region_raises(self, mean):
+        # sm(0.5, 1) has aq < 1 and no mean: solve_scale raises on the
+        # dataset's mean, and dist.lorenz without one
+        ds = deciles_from(TRUE_SPECS["sm"], mean=mean)
+        with pytest.raises(ExistenceError, match="does not exist for sm"):
+            nls_fit("sm", ds, run=(np.log([0.5, 1.0]), 0.1, True))
 
     def test_family_errors_are_kept(self):
         # two groups are too few for the two-shape families and the GB2,
