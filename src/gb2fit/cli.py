@@ -6,7 +6,6 @@ import csv
 import json
 import math
 import sys
-import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 
@@ -96,38 +95,36 @@ def _fit_one_dataset(task):
     if drop > _SLOPE_ROUNDING:  # the record is still fitted
         rows[0]["note"] = (f"shares are not convex: group {j}'s mean share {slopes[j - 1]:.3g} "
                            f"is below group {j - 1}'s {slopes[j - 2]:.3g}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        runs = nls_runs(families, d)  # the Levenberg-Marquardt runs of every family at once
-        for family in families:
-            try:  # each family's first stage once, for both methods
-                nls = nls_fit(family, d, run=runs[family])
-            except Exception as exc:
-                nls = exc
-            cells = []
-            for m in ("nls", "gmm") if method == "both" else (method,):
-                row = {"id": d.id, "family": family, "method": m, "survey_gini": d.survey_gini,
-                       "lower_bound_gini": lb, "error": None}
-                try:
-                    if isinstance(nls, Exception):
-                        raise nls
-                    fit = nls if m == "nls" else gmm_fit(family, d, nls)
-                    aic, bic = gof_scores(fit) if fit.converged else (None, None)
-                    gini, atkinson = dist.gini_closed(fit.spec), _fit_atkinson(fit.spec, epsilons)
-                    row.update(converged=fit.converged, params=list(fit.spec.params),
-                               objective=fit.objective, rss=fit.rss, k=fit.k,
-                               n_moments=len(fit.residuals), aic=aic, bic=bic, gini=gini.value,
-                               gini_method=gini.method, atkinson=atkinson, note=fit.note)
-                except Exception as exc:  # one error row per cell, never the batch
-                    row["error"] = str(exc) or type(exc).__name__
-                cells.append(row)
-            if method == "both" and d.survey_gini is not None:
-                closer = None
-                if not any(r["error"] for r in cells):
-                    closer = min(cells, key=lambda r: abs(r["gini"] - d.survey_gini))["method"]
-                for row in cells:
-                    row["closer_method"] = closer
-            rows.extend(cells)
+    runs = nls_runs(families, d)  # the Levenberg-Marquardt runs of every family at once
+    for family in families:
+        try:  # each family's first stage once, for both methods
+            nls = nls_fit(family, d, run=runs[family])
+        except Exception as exc:
+            nls = exc
+        cells = []
+        for m in ("nls", "gmm") if method == "both" else (method,):
+            row = {"id": d.id, "family": family, "method": m, "survey_gini": d.survey_gini,
+                   "lower_bound_gini": lb, "error": None}
+            try:
+                if isinstance(nls, Exception):
+                    raise nls
+                fit = nls if m == "nls" else gmm_fit(family, d, nls)
+                aic, bic = gof_scores(fit) if fit.converged else (None, None)
+                gini, atkinson = dist.gini_closed(fit.spec), _fit_atkinson(fit.spec, epsilons)
+                row.update(converged=fit.converged, params=list(fit.spec.params),
+                           objective=fit.objective, rss=fit.rss, k=fit.k,
+                           n_moments=len(fit.residuals), aic=aic, bic=bic, gini=gini.value,
+                           gini_method=gini.method, atkinson=atkinson, note=fit.note)
+            except Exception as exc:  # one error row per cell, never the batch
+                row["error"] = str(exc) or type(exc).__name__
+            cells.append(row)
+        if method == "both" and d.survey_gini is not None:
+            closer = None
+            if not any(r["error"] for r in cells):
+                closer = min(cells, key=lambda r: abs(r["gini"] - d.survey_gini))["method"]
+            for row in cells:
+                row["closer_method"] = closer
+        rows.extend(cells)
     return rows
 
 

@@ -7,7 +7,6 @@ when one is available, and is 1 otherwise.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -276,26 +275,26 @@ def _levenberg_marquardt(residuals, x0s):
 def _runs(cells):
     """Levenberg-Marquardt for the cells of one ``nls_runs`` stage, each a
     (residuals, start) pair with the same number of shapes, in one lockstep
-    run of one row per cell.  Per cell: its run's log-shapes, objective (inf
-    when the run does not end finite) and whether it converged, or the
-    exception the cell raised: when the batch raises, each cell runs alone,
-    so a failure stays in its own family."""
+    run of one row per cell.  Per cell: its run's log-shapes, objective and
+    whether it converged, or the exception the cell raised: when the batch
+    raises, each cell runs alone, so a failure stays in its own family.  The
+    objective is finite: ``_residual_factory`` charges a non-finite kernel
+    row the barrier."""
     try:
         x0s = np.log(np.array([start for _, start in cells], dtype=float))
         x, rss, converged = _levenberg_marquardt([fn for fn, _ in cells], x0s)
     except Exception as exc:
         return [exc] if len(cells) == 1 else [r for cell in cells for r in _runs([cell])]
-    rss = np.where(np.isfinite(rss), rss, np.inf)
     return [(x[c], float(rss[c]), bool(converged[c])) for c in range(len(cells))]
 
 
 def _spec_at(family, d, x):
-    """The spec at log-shapes x, clipped to the bound, and its share
+    """The spec at log-shapes x, which lie inside the bound, and its share
     residuals.  The shares fix only the shapes: the scale matches the
     dataset's mean, and is 1 when the dataset has none.  Outside the
     moment-existence region ``solve_scale`` or ``dist.lorenz`` raises
     ExistenceError."""
-    shapes = np.exp(np.clip(x, -_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND))
+    shapes = np.exp(x)
     spec = spec_from_shapes(family, shapes)
     if d.mean is not None:
         spec = spec_from_shapes(family, shapes, scale=solve_scale(spec, d.mean))
@@ -312,8 +311,8 @@ def nls_runs(families, d):
     donor of lowest RSS in the stage before (``_DONORS``), so gb2 tries
     three starts and runs from one.  A donor is fitted even when it is not
     asked for, and rows never mix, so each run ends as it would alone; a
-    donor whose run fails or ends non-finite ranks last, and a family none
-    of whose donors ends finite runs from its ``starting_values``."""
+    donor whose run raised ranks last, and a family all of whose donors
+    raised runs from its ``starting_values``."""
     needed = list(dict.fromkeys(families))
     for family in needed:  # grows as it goes: each family's donors join
         needed.extend(donor for donor in _DONORS.get(family, ()) if donor not in needed)
@@ -328,7 +327,7 @@ def nls_runs(families, d):
         except Exception as exc:
             runs[family] = exc
 
-    def donor_rss(donor):  # inf for a run that failed or ended non-finite
+    def donor_rss(donor):  # inf for a run that raised
         return math.inf if isinstance(runs[donor], Exception) else runs[donor][1]
 
     def start(family):
@@ -355,13 +354,11 @@ def nls_fit(family, d, run=None):
         run = nls_runs([family], d)[family]
     if isinstance(run, Exception):
         raise run
-    x, fval, converged = run
-    n_starts = len(_DONORS.get(family, ())) or 1
-    if not np.isfinite(fval):
-        raise EstimationError(f"every {family} run from the best of {n_starts} starts failed")
+    x, _, converged = run
     spec, residuals = _spec_at(family, d, x)
     return FitResult(spec=spec, method="nls", objective=float(np.sum(residuals**2)),
-                     residuals=residuals, starts_tried=n_starts, converged=converged, k=len(x))
+                     residuals=residuals, starts_tried=len(_DONORS.get(family, ())) or 1,
+                     converged=converged, k=len(x))
 
 
 def solve_scale(spec, sample_mean):
@@ -414,20 +411,20 @@ def gmm_fit(family, d, nls):
     first-stage shapes; an exception it raises is raised.  Omega is
     scale-free (W grows as b^2 and Psi as 1/b), so it is built at the
     first-stage spec as it is, and the dataset needs no mean; the fitted
-    scale is set as for NLS.  Falls back to the first-stage result (with a
-    warning and a note) when the weighting matrix cannot be built or
-    factored, the second-stage run does not end finite, or its optimum
-    leaves the moment-existence region (``_spec_at`` raises
-    ExistenceError).  The note names the cause in fixed words; the
-    row's params carry the numbers.
+    scale is set as for NLS.  Falls back to the first-stage result when
+    the weighting matrix cannot be built, is not finite or cannot be
+    factored, or when the second-stage optimum leaves the moment-existence
+    region (``_spec_at`` raises ExistenceError).  The row's note is the one
+    report of a fallback, and no warning is raised: it names the cause in
+    fixed words, and the row's params carry the numbers.
     """
 
     def fallback(reason):
-        warnings.warn(f"GMM fell back to NLS for {family}: {reason}", RuntimeWarning)
         return replace(nls, method="gmm", note=f"second stage fell back to NLS: {reason}")
 
     try:
-        omega = weighting_matrix(nls.spec, d).Omega
+        with np.errstate(all="ignore"):  # a non-finite Omega falls back below
+            omega = weighting_matrix(nls.spec, d).Omega
     except ExistenceError:
         return fallback(f"the fitted {family} has no second moment")
     except OverflowError:  # at an extreme mean
@@ -440,8 +437,6 @@ def gmm_fit(family, d, nls):
         return fallback("Omega is not positive definite")
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
     (x,), (fval,), (converged,) = _levenberg_marquardt([residuals_fn], np.log([dist.shapes_of(nls.spec)]))
-    if not np.isfinite(fval):
-        return fallback("every second-stage run failed")
     try:
         spec, residuals = _spec_at(family, d, x)
     except ExistenceError:

@@ -72,13 +72,13 @@ class GroupedDataset:
         return len(self.u)
 
 
-def from_shares(shares, proportions=None, id="dataset", mean=None, survey_gini=None):
-    """Build a GroupedDataset from non-cumulative income shares.
+def from_shares(shares, id="dataset", mean=None, survey_gini=None):
+    """Build a GroupedDataset from the non-cumulative income shares of
+    equal-population groups.
 
-    ``proportions`` defaults to equal-population groups.  Shares are
-    fractions that sum to 1 within 0.005, or percentages that sum to 100
-    within 0.5, as published tables rounded to 0.1 percentage point do;
-    either way they are divided by their sum.
+    Shares are fractions that sum to 1 within 0.005, or percentages that
+    sum to 100 within 0.5, as published tables rounded to 0.1 percentage
+    point do; either way they are divided by their sum.
     """
     shares = np.asarray(shares, dtype=float)
     total = shares.sum()
@@ -87,13 +87,8 @@ def from_shares(shares, proportions=None, id="dataset", mean=None, survey_gini=N
             f"invalid grouped dataset {id!r}: shares sum to {total:.8f}, not 1 or 100"
         )
     shares = shares / total
-    if proportions is None:
-        proportions = np.full(len(shares), 1.0 / len(shares))
-    else:
-        proportions = np.asarray(proportions, dtype=float)
-        proportions = proportions / proportions.sum()
     s = np.cumsum(shares)
-    u = np.cumsum(proportions)
+    u = np.cumsum(np.full(len(shares), 1.0 / len(shares)))
     s[-1] = 1.0
     u[-1] = 1.0
     return GroupedDataset(id=id, u=u, s=s, mean=mean, survey_gini=survey_gini)

@@ -114,29 +114,26 @@ def weighted_quantile(values, weights, q):
 
 
 def microdata_to_grouped(m, policy, household_sizes=None, id="synthetic"):
-    """Survey-style grouping: equivalise, filter, code, weight, then cut
-    into equal-population groups.
+    """Survey-style grouping: equivalise, code, then cut into
+    equal-population groups, keeping every record.
 
-    Processing order: income / sqrt(household size) when equivalising,
-    drop nonpositive incomes, bottom-code at 1% of the (pre-coding)
-    weighted mean, top-code at 10x the weighted median, multiply weights
-    by household size, then cut at u_j = j/J with boundary records going
-    to the lower group.
+    Processing order: when equivalising, income / sqrt(household size) and
+    weight * household size, each size positive and finite and the result
+    valid ``Microdata``; bottom-code at 1% of the (pre-coding) weighted
+    mean; top-code at 10x the weighted median; then cut at u_j = j/J with
+    boundary records going to the lower group.
     """
-    values = m.values.copy()
-    weights = m.weights.copy()
     if policy.equivalise:
         if household_sizes is None:
             raise ValidationError("household sizes required for equivalisation")
         sizes = np.asarray(household_sizes, dtype=float)
-        if sizes.shape != values.shape or np.any(sizes <= 0.0):
-            raise ValidationError("household sizes must be positive and aligned")
-        values = values / np.sqrt(sizes)
-        weights = weights * sizes  # household weights -> person weights
-    keep = values > 0.0
-    values, weights = values[keep], weights[keep]
-    if len(values) == 0:
-        raise ValidationError("no records left after filtering")
+        if sizes.shape != m.values.shape or not np.all((sizes > 0.0) & (sizes < np.inf)):
+            raise ValidationError("household sizes must be positive, finite and aligned")
+        # household weights -> person weights; Microdata rejects an income
+        # that underflows to 0 and a weight that overflows
+        with np.errstate(over="ignore"):
+            m = Microdata(values=m.values / np.sqrt(sizes), weights=m.weights * sizes)
+    values, weights = m.values, m.weights
 
     if policy.bottom_code:
         floor = 0.01 * float(np.sum(weights * values) / np.sum(weights))

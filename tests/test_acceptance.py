@@ -135,8 +135,6 @@ class TestAcceptance:
         }
         u = np.arange(1, 11) / 10
         worst_shape, worst_gini, worst_move = 0.0, 0.0, 0.0
-        import warnings
-
         for family, spec in true_specs.items():
             ds = GroupedDataset(
                 id=family, u=u, s=d.lorenz(spec, u), mean=d.moment(spec, 1.0)
@@ -150,9 +148,7 @@ class TestAcceptance:
                 worst_gini,
                 abs(d.gini_closed(fit.spec).value - d.gini_closed(spec).value),
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                gmm = gmm_fit(family, ds, nls=fit)
+            gmm = gmm_fit(family, ds, nls=fit)
             worst_move = max(
                 worst_move,
                 np.max(np.abs(d.shapes_of(gmm.spec) - d.shapes_of(fit.spec))),

@@ -549,8 +549,9 @@ class TestSimulate:
         ["--preset", "2", "--mixture", "1,1,0.5,5,1"],
         ["--mixture", "1,1,0.5,5,1", "--family", "fisk", "--params", "2,1"],
         ["--family", "sm,b2", "--params", "2,1,1.5"],
+        ["--family", "pareto", "--params", "2,1"],
     ], ids=["params-without-family", "preset-and-family", "preset-and-mixture",
-            "mixture-and-family", "two-families"])
+            "mixture-and-family", "two-families", "unknown-family"])
     def test_conflicting_or_unused_source_options_are_usage_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "s.jsonl"
         try:
@@ -589,6 +590,17 @@ class TestGroupAndMeasures:
         micro.write_text("income\n1.0\n2.0\n")
         assert main(["group", "--input", str(micro), "--output", str(out), "--groups", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["nan", "inf"])
+    def test_equivalise_non_finite_household_size_is_input_error(self, tmp_path, capsys, size):
+        micro, out = tmp_path / "m.csv", tmp_path / "g.jsonl"
+        micro.write_text("income,weight,household_size\n10,1,1\n20,1,1\n"
+                         f"30,1,{size}\n40,1,1\n50,1,1\n60,1,1\n")
+        assert main(["group", "--input", str(micro), "--output", str(out),
+                     "--groups", "2", "--equivalise"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["measures", "group"])

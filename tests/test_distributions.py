@@ -167,6 +167,20 @@ class TestCdfQuantile:
                 want = b * (z / zc) ** (1 / a)
                 assert abs(x - want) <= 1e-14 * want, (u, float((x - want) / want))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: d.GiniValue(1.5, "closed_form"), "outside"),
+        (lambda: d.n_shape_params("pareto"), "unknown family"),
+        (lambda: d.spec_from_shapes("gb2", [1.0, 2.0]), "gb2 has 3 shape parameters, got 2"),
+        (lambda: d.sample(SPECS["fisk"], 0), "sample size"),
+        (lambda: d.lorenz(SPECS["fisk"], 1.5), "lorenz requires"),
+        (lambda: d.moment(SPECS["fisk"], 0.0), "moment requires k > 0"),
+        (lambda: d.incomplete_moment_cdf(SPECS["fisk"], -1.0, 1.0), "requires k > 0"),
+    ], ids=["gini-above-one", "unknown-family", "shape-count", "no-draws", "u-above-one",
+            "moment-order", "incomplete-moment-order"])
+    def test_argument_domain_errors(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             d.cdf(SPECS["gb2"], -1.0)

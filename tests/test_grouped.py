@@ -53,6 +53,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match=message):
             GroupedDataset(**kwargs)
 
+    @pytest.mark.parametrize("u, s, message", [
+        ([0.5, 1.0], [0.3, 0.6, 1.0], "u and s must be 1-d vectors of equal length"),
+        ([[0.5, 1.0]], [[0.3, 1.0]], "u and s must be 1-d vectors of equal length"),
+        ([0.5, 0.9], [0.3, 1.0], "last population proportion must equal 1"),
+    ])
+    def test_malformed_vectors_rejected(self, u, s, message):
+        with pytest.raises(ValidationError, match=message):
+            GroupedDataset(id="x", u=u, s=s)
+
     def test_share_above_diagonal_rejected(self):
         with pytest.raises(ValidationError):
             GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.7, 1.0]))

@@ -135,6 +135,12 @@ class TestMicrodataCsv:
         assert np.array_equal(sizes, [4.0, 1.0])
         assert np.array_equal(m.values, [10.0, 20.0])
 
+    def test_household_size_for_only_some_records(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("income,weight,household_size\n10,1,4\n20,2,\n")
+        with pytest.raises(ValidationError, match="household_size present for only some records"):
+            gio.read_microdata_csv(path)
+
     def test_default_weight(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("income\n5\n6\n")

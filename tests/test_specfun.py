@@ -45,12 +45,13 @@ class TestIncBeta:
         for i in range(2):
             assert got[i].tobytes() == _beta_cdf(x, 1.0 - x, float(p[i, 0]), float(q[i, 0])).tobytes()
 
-    @pytest.mark.parametrize("bad", ["p", "q"])
+    @pytest.mark.parametrize("bad", ["y", "p", "q"])
     def test_broadcast_domain(self, bad):
-        shapes = {"p": np.array([[2.0], [1.0]]), "q": np.array([[1.5], [3.0]])}
-        shapes[bad] = np.array([[2.0], [0.0]])  # one row out of the domain
+        args = {"y": np.array([0.2, 0.7]), "p": np.array([[2.0], [1.0]]), "q": np.array([[1.5], [3.0]])}
+        # one entry out of the domain
+        args[bad] = np.array([0.2, 1.5]) if bad == "y" else np.array([[2.0], [0.0]])
         with pytest.raises(DomainError):
-            inv_inc_beta_ratio(np.array([0.2, 0.7]), shapes["p"], shapes["q"])
+            inv_inc_beta_ratio(args["y"], args["p"], args["q"])
 
 
 class TestInvIncBeta:

@@ -215,6 +215,27 @@ class TestMicrodataToGrouped:
         # equivalised incomes 2 and 3 with person weights 4 and 9
         assert ds.mean == pytest.approx((4 * 2.0 + 9 * 3.0) / 13.0)
 
+    @pytest.mark.parametrize("sizes", [[1.0, np.nan, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0],
+                                       [1.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0], [1.0, 1.0]],
+                             ids=["nan", "inf", "zero", "negative", "misaligned"])
+    def test_equivalise_rejects_bad_sizes(self, sizes):
+        # every record is kept, so a size that would drop one is an error
+        with pytest.raises(ValidationError, match="household sizes must be positive, finite and aligned"):
+            microdata_to_grouped(Microdata(values=np.arange(1.0, 5.0)),
+                                 GroupingPolicy(n_groups=2, equivalise=True), household_sizes=sizes)
+
+    @pytest.mark.parametrize("values, weights, sizes, message", [
+        ([5e-324, 1.0], [1.0, 1.0], [4.0, 1.0], "all incomes must be positive"),
+        ([1e-10, 1.0], [1e300, 1.0], [1e10, 1.0], "finite"),
+    ], ids=["income-underflows", "weight-overflows"])
+    def test_equivalised_microdata_is_validated(self, values, weights, sizes, message):
+        m = Microdata(values=np.array(values), weights=np.array(weights))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                microdata_to_grouped(m, GroupingPolicy(n_groups=2, equivalise=True),
+                                     household_sizes=sizes)
+
     def test_equivalise_requires_sizes(self):
         with pytest.raises(ValidationError):
             microdata_to_grouped(
