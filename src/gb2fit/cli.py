@@ -101,7 +101,7 @@ def _fit_one_dataset(task):
             nls = nls_fit(family, d, run=runs[family])
         except Exception as exc:
             nls = exc
-        cells = []
+        cells, measured = [], None  # measured: (spec, Gini, Atkinson) of the last spec
         for m in ("nls", "gmm") if method == "both" else (method,):
             row = {"id": d.id, "family": family, "method": m, "survey_gini": d.survey_gini,
                    "lower_bound_gini": lb, "error": None}
@@ -110,7 +110,9 @@ def _fit_one_dataset(task):
                     raise nls
                 fit = nls if m == "nls" else gmm_fit(family, d, nls)
                 aic, bic = gof_scores(fit) if fit.converged else (None, None)
-                gini, atkinson = dist.gini_closed(fit.spec), _fit_atkinson(fit.spec, epsilons)
+                if measured is None or measured[0] is not fit.spec:  # a fallback GMM row has its NLS spec
+                    measured = fit.spec, dist.gini_closed(fit.spec), _fit_atkinson(fit.spec, epsilons)
+                _, gini, atkinson = measured
                 row.update(converged=fit.converged, params=list(fit.spec.params),
                            objective=fit.objective, rss=fit.rss, k=fit.k,
                            n_moments=len(fit.residuals), aic=aic, bic=bic, gini=gini.value,
@@ -168,8 +170,9 @@ def cmd_fit(args):
                          "error": f"invalid record: {err}"})
             continue
         tasks.append((d, families, args.method, epsilons))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(tasks))  # the pool forks them all at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_fit_one_dataset, tasks):
                 rows.extend(result)
     else:

@@ -50,6 +50,9 @@ def _inverse_beta_pair(u, p, q):
     """z = I_u^-1(p, q) and 1 - z, each with its own digits: above
     u = I_1/2(p, q), where z > 1/2, 1 - z comes from I_(1-z)(q, p) = 1 - u."""
     upper = u > special.betainc(p, q, 0.5)
+    if not np.count_nonzero(upper):  # no u above it: the arguments as they are
+        w = inv_inc_beta_ratio(u, p, q)
+        return w, 1.0 - w
     w = inv_inc_beta_ratio(np.where(upper, 1.0 - u, u), np.where(upper, q, p), np.where(upper, p, q))
     wc = 1.0 - w
     return np.where(upper, wc, w), np.where(upper, w, wc)
@@ -190,7 +193,8 @@ def _margin(family, shapes, k=1.0):
     row = _TABLE[family]
     if row.to_gb2 is not None:
         a, p, q = row.to_gb2(*shapes)
-        return np.minimum(q - k / a, p + k / a)
+        c = k / a
+        return np.minimum(q - c, p + c)
     if family == "weibull":
         return shapes[0] + k
     return np.full_like(shapes[0], np.inf, dtype=float)  # lognormal
@@ -249,8 +253,10 @@ def sample(spec, n, seed=0):
 
 def _shape_columns(shapes, ndim=0):
     """The columns of shape rows (m, k), each as (m,) followed by ``ndim``
-    unit axes, so that it broadcasts against an ``ndim``-dimensional u."""
-    return [c.reshape((-1,) + (1,) * ndim) for c in np.asarray(shapes, dtype=float).T]
+    unit axes, so that it broadcasts against an ``ndim``-dimensional u: the
+    items of one (k, m, 1, ...) view."""
+    shapes = np.asarray(shapes, dtype=float)
+    return shapes.T.reshape(shapes.shape[::-1] + (1,) * ndim)
 
 
 def _lorenz_columns(family, cols, u):
@@ -259,27 +265,28 @@ def _lorenz_columns(family, cols, u):
 
     ``shapes`` is (m, k) in the ``shapes_of`` order and ``u`` any array in
     [0, 1]; returns an array of shape (m,) + u.shape.  Nothing is checked:
-    the callers check u and keep rows with a positive existence margin.
+    the callers check u and keep rows with a positive existence margin, and
+    hold ``np.errstate(divide="ignore")`` when u may be 0 or 1.
     """
     row = _TABLE[family]
     if row.to_gb2 is not None:
         a, p, q = row.to_gb2(*cols)
-        with np.errstate(divide="ignore"):  # log 0 at u = 0 or 1 gives z = 0 or 1
-            if row.z is _inverse_beta_pair and len(p) > 1:
-                # a row whose (p, q) repeats the row before it (the a-difference
-                # of a gb2 stencil) takes that row's z
-                new = np.append(True, ((p[1:] != p[:-1]) | (q[1:] != q[:-1])).ravel())
-                take = np.cumsum(new) - 1
-                z, zc = (v[take] for v in _inverse_beta_pair(u, p[new], q[new]))
-            else:
-                z, zc = row.z(u, p, q)
-            return _beta_cdf(z, zc, p + 1.0 / a, q - 1.0 / a)
+        if family == "gb2" and len(p) > 1:
+            # a row whose (p, q) = cols[1:] repeats the row before it (the
+            # a-difference of a stencil) takes that row's z
+            new = np.ones(len(p), bool)
+            new[1:] = (cols[1:, 1:] != cols[1:, :-1]).any(0).ravel()
+            take = new.cumsum() - 1
+            z, zc = (v[take] for v in _inverse_beta_pair(u, p[new], q[new]))
+        else:
+            z, zc = row.z(u, p, q)
+        c = 1.0 / a
+        return _beta_cdf(z, zc, p + c, q - c)
     if family == "lognormal":  # ndtri(0) = -inf and ndtri(1) = inf give L = 0 and 1
         (sigma,) = cols
         return special.ndtr(special.ndtri(u) - sigma)
     (a,) = cols  # weibull
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives L(1) = 1
-        return special.gammainc(1.0 + 1.0 / a, -np.log1p(-u))
+    return special.gammainc(1.0 + 1.0 / a, -np.log1p(-u))
 
 
 def lorenz(spec, u):
@@ -288,7 +295,9 @@ def lorenz(spec, u):
     u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u > 1.0)):
         raise DomainError("lorenz requires 0 <= u <= 1")
-    out = np.asarray(_lorenz_columns(spec.family, _shape_columns(shapes_of(spec)[None], u.ndim), u)[0])
+    # log 0 at u = 0 or 1 gives z = 0 or 1 (GB2 family), and log1p(-1) = -inf gives L(1) = 1 (Weibull)
+    with np.errstate(divide="ignore"):
+        out = np.asarray(_lorenz_columns(spec.family, _shape_columns(shapes_of(spec)[None], u.ndim), u)[0])
     return float(out) if out.ndim == 0 else out
 
 
@@ -367,6 +376,8 @@ def _beta_cdf(z, zc, p, q):
     ulp); elsewhere I_z(p, q), whose relative digits the complement loses."""
     ln_density = special.xlogy(p - 1.0, z) + special.xlogy(q - 1.0, zc) - special.betaln(p, q)
     upper = (z > 0.5) & (ln_density > 0.0)
+    if not np.count_nonzero(upper):  # I_z(p, q) everywhere: the arguments as they are
+        return special.betainc(p, q, z)
     i = special.betainc(np.where(upper, q, p), np.where(upper, p, q), np.where(upper, zc, z))
     return np.where(upper, 1.0 - i, i)
 

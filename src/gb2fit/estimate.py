@@ -122,28 +122,29 @@ def _residual_factory(family, u, s, chol=None):
     and put a sloped barrier in the last one.  ``_levenberg_marquardt``
     never leaves the bound, but a general least-squares solver run on these
     rows (the MINPACK oracle of the tests) does, and the excess entries
-    steer it back.
+    steer it back.  The kernel's floating-point errors are left to the
+    caller: ``_levenberg_marquardt`` holds ``np.errstate(all="ignore")``.
     """
     n = len(u)
 
     def residuals(x):
-        xc = np.minimum(np.maximum(x, -_LOG_SHAPE_BOUND), _LOG_SHAPE_BOUND)
+        xc = x.clip(-_LOG_SHAPE_BOUND, _LOG_SHAPE_BOUND)
         cols = dist._shape_columns(np.exp(xc), 1)
         margin = dist._margin(family, cols)[:, 0]
         out = np.zeros((len(x), n + x.shape[1] + 1))
         out[:, n:-1] = x - xc
         rows = margin > 0.0  # the feasible rows
-        if rows.all():  # the usual case, without boolean-index copies
+        # np.count_nonzero, here and in the solver, is the cheapest any or all of a small mask
+        if np.count_nonzero(rows) == len(rows):  # the usual case, without boolean-index copies
             rows = slice(None)
         else:
             out[:, -1] = np.where(rows, 0.0, 100.0 * np.sqrt(1.0 - np.minimum(margin, 0.0)))
-            if not rows.any():
+            if not np.count_nonzero(rows):
                 return out
-            cols = [c[rows] for c in cols]
-        with np.errstate(all="ignore"):
-            m = dist._lorenz_columns(family, cols, u) - s
-        finite = np.isfinite(m).all(axis=1)
-        if not finite.all():
+            cols = cols[:, rows]
+        m = dist._lorenz_columns(family, cols, u) - s
+        if np.count_nonzero(np.isfinite(m)) < m.size:
+            finite = np.isfinite(m).all(axis=1)
             m[~finite] = 0.0
             out[rows, -1] = np.where(finite, 0.0, 1e4)
         if chol is not None:
@@ -183,11 +184,16 @@ def _values_and_jacobians(residuals, x, i):
     ``residuals[i[j]]`` on it and its stencil; every stencil point stays
     inside the log-shape box."""
     k = x.shape[1]
-    h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    h = np.where(np.abs(x + h) > _LOG_SHAPE_BOUND, -h, h)  # difference inward at the edge
+    h = np.where(x >= 0, _FD_STEP, -_FD_STEP) * np.maximum(1.0, np.abs(x))
+    out = np.abs(x + h) > _LOG_SHAPE_BOUND
+    if np.count_nonzero(out):  # difference inward at the edge
+        h = np.where(out, -h, h)
     points = x[:, None] + _eyes(k)[1] * h[:, None]  # x, then x + h_j e_j
-    r = np.stack([residuals[c](p) for c, p in zip(i, points)])
-    dx = np.diagonal(points[:, 1:], axis1=1, axis2=2) - x
+    if len(i) == 1:  # one row: its function's own output, without a stack
+        r = residuals[i[0]](points[0])[None]
+    else:
+        r = np.stack([residuals[c](p) for c, p in zip(i, points)])
+    dx = points[:, 1:].diagonal(0, 1, 2) - x
     return r[:, 0], (r[:, 1:] - r[:, :1]) / dx[..., None]
 
 
@@ -230,22 +236,22 @@ def _levenberg_marquardt(residuals, x0s):
     # the state of the running rows only: row j of it is row i[j] of x0s
     i, lam, nu, d = np.arange(m), np.full(m, 1e-3), np.full(m, 2.0), np.zeros((m, k))
     stop = np.zeros(m, bool)  # the rows whose last step passed a stopping test
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # for the residual functions too
         f, jt = _values_and_jacobians(residuals, x, i)
         cost = np.add.reduce(f * f, axis=1)
         for _ in range(_MAX_ITER):
             jtj, g = jt @ jt.transpose(0, 2, 1), np.add.reduce(jt * f[:, None], axis=2)
             inside = np.abs(x) < _LOG_SHAPE_BOUND
-            if not inside.all():  # hold an edge coordinate whose descent direction -g leaves the box
+            if np.count_nonzero(inside) < inside.size:  # hold an edge coordinate whose descent direction -g leaves the box
                 free = inside | (g * x > 0.0)
                 g, jtj = g * free, jtj * free[:, :, None] * free[:, None, :]
-            col = np.diagonal(jtj, axis1=1, axis2=2)
+            col = jtj.diagonal(0, 1, 2)
             d = np.maximum(d, col)
             cosine = np.abs(g) / np.sqrt(col * cost[:, None])
-            stop |= (cost == 0.0) | np.all((col == 0.0) | (cosine <= _GTOL), axis=1)
-            if stop.any():  # the stopped rows leave the running state
+            stop |= (cost == 0.0) | ((col == 0.0) | (cosine <= _GTOL)).all(1)
+            if n_stop := np.count_nonzero(stop):  # the stopped rows leave the running state
                 x_end[i[stop]], cost_end[i[stop]], done[i[stop]] = x[stop], cost[stop], True
-                if stop.all():
+                if n_stop == len(stop):
                     return x_end, cost_end, done
                 i, x, f, jt, cost, lam, nu, d, jtj, g = (
                     v[~stop] for v in (i, x, f, jt, cost, lam, nu, d, jtj, g))
@@ -254,8 +260,9 @@ def _levenberg_marquardt(residuals, x0s):
             step = np.linalg.solve(a, -g[..., None])[..., 0]  # a is positive definite: lam, D > 0
             pred = np.add.reduce(step * (damp * step - g), axis=1)  # -(2 g'step + |J step|^2) here
             trial = x + step
-            crossed = np.any(np.abs(trial) > _LOG_SHAPE_BOUND, axis=1)
-            if crossed.any():  # solved again on the edge: the decrease predicted for the step taken
+            out = np.abs(trial) > _LOG_SHAPE_BOUND
+            if np.count_nonzero(out):  # solved again on the edge: the decrease predicted for the step taken
+                crossed = out.any(1)
                 trial[crossed] = _onto_edge(a[crossed], g[crossed], x[crossed], trial[crossed])
                 step[crossed] = taken = trial[crossed] - x[crossed]
                 jstep2 = np.add.reduce(taken * np.add.reduce(jtj[crossed] * taken[:, None], axis=2), axis=1)
@@ -264,10 +271,15 @@ def _levenberg_marquardt(residuals, x0s):
             cost_t = np.add.reduce(ft * ft, axis=1)
             drop, ok = cost - cost_t, cost_t < cost
             stop = (_norms(step) <= _XTOL * (_XTOL + _norms(x))) | (ok & (drop <= _FTOL * cost))
-            rho = drop / pred
-            lam = lam * np.where(ok, np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), nu)
-            nu = np.where(ok, 2.0, 2.0 * nu)
-            x[ok], f[ok], jt[ok], cost[ok] = trial[ok], ft[ok], jtt[ok], cost_t[ok]
+            gain = np.maximum(1.0 / 3.0, 1.0 - (2.0 * (drop / pred) - 1.0) ** 3)
+            n_ok = np.count_nonzero(ok)
+            if n_ok == len(ok):  # every row accepts: the trial arrays whole, without masked copies
+                lam, nu = lam * gain, np.full(len(ok), 2.0)
+                x, f, jt, cost = trial, ft, jtt, cost_t
+            else:
+                lam, nu = lam * np.where(ok, gain, nu), np.where(ok, 2.0, 2.0 * nu)
+                if n_ok:
+                    x[ok], f[ok], jt[ok], cost[ok] = trial[ok], ft[ok], jtt[ok], cost_t[ok]
     x_end[i], cost_end[i], done[i] = x, cost, stop
     return x_end, cost_end, done
 
@@ -372,6 +384,13 @@ def solve_scale(spec, sample_mean):
     return sample_mean / math.exp(log_mean)
 
 
+@functools.lru_cache(maxsize=None)
+def _lower_triangles(J):
+    """The (J, J) masks of the entries below the diagonal and of those on
+    or below it."""
+    return np.tri(J, J, -1, bool), np.tri(J, J, 0, bool)
+
+
 def weighting_matrix(spec, d):
     """Asymptotic covariance Omega = Psi W Psi' of the share moments.
 
@@ -389,13 +408,17 @@ def weighting_matrix(spec, d):
     mu2_partial = mu2 * dist.incomplete_moment_cdf(spec, 2.0, h)
 
     hz = np.append(h, 0.0)  # h_J = 0
+    ms = mu * s
     A = np.append(mu2_partial, mu2) - hz * mu * s
-    B = u * hz - mu * s
-    C = hz * (1.0 - u) + mu * s
-    W = np.triu(A[:, None] + B[:, None] * C)
-    W = W + np.triu(W, 1).T
+    B = u * hz - ms
+    C = hz * (1.0 - u) + ms
+    below, on_or_below = _lower_triangles(J)
+    W = np.where(below, 0.0, A[:, None] + B[:, None] * C)  # np.triu, from cached masks
+    W = W + np.where(on_or_below, 0.0, W).T
 
-    Psi = np.hstack([np.eye(J - 1), -s[:-1, None]]) / mu
+    Psi = np.eye(J - 1, J)
+    Psi[:, -1] = -s[:-1]
+    Psi = Psi / mu
     Omega = Psi @ W @ Psi.T
     Omega = (Omega + Omega.T) / 2.0
     return WeightingMatrix(
@@ -432,7 +455,7 @@ def gmm_fit(family, d, nls):
     if not np.isfinite(omega).all():
         return fallback("Omega is not finite")
     try:
-        chol = linalg.cholesky(omega, lower=True)
+        chol = linalg.cholesky(omega, lower=True, check_finite=False)  # checked just above
     except linalg.LinAlgError:
         return fallback("Omega is not positive definite")
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)

@@ -12,10 +12,10 @@ __all__ = ["inv_inc_beta_ratio"]
 
 def inv_inc_beta_ratio(y, p, q):
     """Inverse of the incomplete beta function ratio; y, p and q broadcast."""
-    if np.less_equal(p, 0.0).any() or np.less_equal(q, 0.0).any():
+    if np.count_nonzero(np.less_equal(p, 0.0)) or np.count_nonzero(np.less_equal(q, 0.0)):
         raise DomainError("inv_inc_beta_ratio requires p, q > 0")
     y = np.asarray(y, dtype=float)
-    if np.any((y < 0.0) | (y > 1.0)):
+    if np.count_nonzero((y < 0.0) | (y > 1.0)):
         raise DomainError("inv_inc_beta_ratio requires 0 <= y <= 1")
     out = special.betaincinv(p, q, y)
     return float(out) if out.ndim == 0 else out

@@ -248,6 +248,24 @@ class TestFit:
             same = set(nls) - {"method", "params", "note"}
             assert {k: gmm[k] for k in same} == {k: nls[k] for k in same}
 
+    @pytest.mark.parametrize("groups", ["10", "5"])
+    def test_each_fitted_spec_is_measured_once(self, tmp_path, monkeypatch, groups):
+        # a fallback GMM row carries its NLS row's spec, and that spec's Gini
+        # and Atkinson values, computed once; at 10 groups every GMM row falls back
+        sim, out = tmp_path / "sim.jsonl", tmp_path / "out.jsonl"
+        assert main(["simulate", "--output", str(sim), "--seed", "3", "--groups", groups]) == 0
+        calls, gini_closed = [], d.gini_closed
+        monkeypatch.setattr(d, "gini_closed", lambda spec: calls.append(spec) or gini_closed(spec))
+        assert main(["fit", "--input", str(sim), "--output", str(out), "--method", "both"]) == 0
+        rows = [r for r in read_jsonl(out) if r["method"] in ("nls", "gmm")]
+        ran = [gmm["note"] == "" for gmm in rows[1::2]]
+        assert len(rows) == 6 * 2 * len(d.FAMILIES) and (groups == "5") == any(ran)
+        assert len(calls) == 6 * len(d.FAMILIES) + sum(ran)
+        for nls, gmm, second_stage in zip(rows[::2], rows[1::2], ran):
+            if not second_stage:
+                assert [gmm[k] for k in ("gini", "gini_method", "atkinson")] == [
+                    nls[k] for k in ("gini", "gini_method", "atkinson")]
+
     def test_fallback_note_names_the_missing_second_moment(self, tmp_path):
         # the note names the family, not its fitted params
         sim, out = tmp_path / "sim.jsonl", tmp_path / "out.jsonl"
@@ -877,6 +895,35 @@ class TestDeterminismAndOrdering:
                  "--families", "fisk", "--mc-n", "2000", "--workers", workers]
             ) == 0
         assert seq.read_bytes() == par.read_bytes()
+
+    @pytest.mark.parametrize("records,pool", [(2, 2), (1, None)])
+    def test_pool_is_capped_at_the_records(self, tmp_path, monkeypatch, records, pool):
+        # the pool forks all its workers at once: --workers 4 forks no more
+        # workers than there are records, and one record fits in process
+        made = []
+
+        class Pool:  # records max_workers and maps in process
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        u = np.arange(1, 11) / 10
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_grouped_jsonl([GroupedDataset(id=f"d{i}", u=u, s=d.lorenz(FamilySpec("fisk", (2.0 + i, 1.0)), u))
+                             for i in range(records)], inp)
+        assert main(["fit", "--input", str(inp), "--output", str(out), "--families", "fisk",
+                     "--workers", "4"]) == 0
+        assert made == ([] if pool is None else [pool])
+        assert len(read_jsonl(out)) == 2 * records
 
 
 class TestImportFootprint:

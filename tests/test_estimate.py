@@ -656,6 +656,83 @@ class TestBroadcastJacobian:
         assert np.array_equal(got[1, n:-1], want[1, n:-1])
 
 
+def _accepted(residuals, x0):
+    """Per iteration of a one-row Levenberg-Marquardt run from x0, whether its
+    trial point was accepted: whether its sum of squares, the first row of
+    each residual call after the first, fell below the best before it."""
+    costs = []
+
+    def recorded(x):
+        r = residuals(x)
+        costs.append(np.add.reduce(r[0] * r[0]))
+        return r
+
+    estimate._levenberg_marquardt([recorded], x0[None])
+    return [c < min(costs[:j + 1]) for j, c in enumerate(costs[1:])]
+
+
+class TestFastPaths:
+    """The solver skips work in its common cases: the masked copies when
+    every running row accepts or none does, and the stack of a one-row
+    stage.  Each ends bit for bit where the path it bypasses ends (the beta
+    kernels' skipped argument swaps are tested in test_specfun.py)."""
+
+    @staticmethod
+    def _batch_and_alone(families, ds):
+        fns = [estimate._residual_factory(f, ds.u[:-1], ds.s[:-1]) for f in families]
+        x0s = np.concatenate([_starts(f, ds) for f in families])
+        batch = estimate._levenberg_marquardt(fns, x0s)
+        for j, (fn, x0) in enumerate(zip(fns, x0s)):
+            alone = estimate._levenberg_marquardt([fn], x0[None])
+            for got, want in zip(alone, batch):
+                assert np.array_equal(got[0], want[j]), (families[j], got, want)
+        return [_accepted(fn, x0) for fn, x0 in zip(fns, x0s)]
+
+    def test_rows_accepting_and_rejecting_in_one_iteration(self):
+        # lognormal and fisk accept their fourth trial and weibull rejects it:
+        # the batch takes masked copies where each row alone takes all or none
+        accepted = self._batch_and_alone(("lognormal", "fisk", "weibull"), _sampled("preset-5", seed=31))
+        assert any(len({a[t] for a in accepted}) == 2 for t in range(min(map(len, accepted))))
+
+    def test_every_row_accepting(self):
+        # every trial of both rows is accepted: the batch takes its trial arrays whole
+        accepted = self._batch_and_alone(("lognormal", "fisk"), _sampled("preset-5", seed=31))
+        assert all(all(a) for a in accepted)
+
+    def test_one_row_gb2_stage_matches_its_row_in_a_batch(self):
+        ds = _sampled("preset-5", seed=31)
+        residuals = estimate._residual_factory("gb2", ds.u[:-1], ds.s[:-1])
+        donors = estimate.nls_runs(estimate._DONORS["gb2"], ds)
+        best = min(range(3), key=lambda j: donors[estimate._DONORS["gb2"][j]][1])
+        x0s = np.log(_donor_starts("gb2", ds))
+        run = estimate.nls_runs(["gb2"], ds)["gb2"]  # one row, from the best donor's optimum
+        batch = estimate._levenberg_marquardt([residuals] * len(x0s), x0s)
+        assert all(np.array_equal(got, want[best]) for got, want in zip(run, batch))
+        assert not all(_accepted(residuals, x0s[best]))  # it rejects trials alone too
+
+    def test_one_row_gmm_stage_matches_its_row_in_a_batch(self):
+        from scipy import linalg
+
+        ds = _sampled("gb2", seed=5)
+        nls = nls_fit("gb2", ds)
+        gmm = gmm_fit("gb2", ds, nls=nls)
+        assert gmm.note == ""  # the second stage ran
+        chol = linalg.cholesky(weighting_matrix(nls.spec, ds).Omega, lower=True)
+        residuals = estimate._residual_factory("gb2", ds.u[:-1], ds.s[:-1], chol)
+        x0 = np.log(d.shapes_of(nls.spec))
+        x, cost, converged = estimate._levenberg_marquardt([residuals] * 2, np.vstack([x0, x0 + 0.5]))
+        assert np.array_equal(np.exp(x[0]), d.shapes_of(gmm.spec))
+        assert cost[0] == gmm.objective and converged[0] == gmm.converged
+
+    def test_presets_make_the_same_calls_and_rows(self, monkeypatch):
+        # the counts the fast paths must leave as they were
+        record = _Recording()
+        monkeypatch.setattr(estimate, "_residual_factory", record)
+        for ds in _presets():
+            estimate.nls_runs(d.FAMILIES, ds)
+        assert (record.calls.total(), record.rows.total()) == (575, 1817)
+
+
 class TestNlsRuns:
     """``nls_runs`` fits a dataset's families together; each family's
     ``nls_fit`` finished from its run equals the fit made alone."""

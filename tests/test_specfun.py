@@ -45,6 +45,19 @@ class TestIncBeta:
         for i in range(2):
             assert got[i].tobytes() == _beta_cdf(x, 1.0 - x, float(p[i, 0]), float(q[i, 0])).tobytes()
 
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_equals_the_swapped_form(self, upper):
+        # with no z above 1/2 where the density exceeds 1, I_z(p, q) comes
+        # straight from betainc; it equals the form that swaps the arguments
+        # entry by entry, bit for bit
+        z = np.array([0.05, 0.3, 0.5, 0.7, 0.95]) if upper else np.array([0.05, 0.2, 0.4])
+        p, q = np.array([[0.7], [2.0], [3.5]]), np.array([[1.3], [2.0], [1.2]])
+        ln_density = special.xlogy(p - 1.0, z) + special.xlogy(q - 1.0, 1.0 - z) - special.betaln(p, q)
+        swap = (z > 0.5) & (ln_density > 0.0)
+        assert swap.any() == upper
+        i = special.betainc(np.where(swap, q, p), np.where(swap, p, q), np.where(swap, 1.0 - z, z))
+        assert np.array_equal(_beta_cdf(z, 1.0 - z, p, q), np.where(swap, 1.0 - i, i))
+
     @pytest.mark.parametrize("bad", ["y", "p", "q"])
     def test_broadcast_domain(self, bad):
         args = {"y": np.array([0.2, 0.7]), "p": np.array([[2.0], [1.0]]), "q": np.array([[1.5], [3.0]])}
@@ -73,6 +86,18 @@ class TestInvIncBeta:
     def test_endpoints(self):
         assert inv_inc_beta_ratio(0.0, 2.0, 3.0) == 0.0
         assert inv_inc_beta_ratio(1.0, 2.0, 3.0) == 1.0
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_pair_equals_the_swapped_form(self, upper):
+        # with no u above I_1/2(p, q), z and 1 - z come from the arguments as
+        # they are; they equal the form that swaps them entry by entry
+        u = np.array([0.05, 0.3, 0.6, 0.9]) if upper else np.array([0.01, 0.1, 0.2])
+        p, q = np.array([[0.8], [2.0], [3.0]]), np.array([[1.5], [2.0], [2.5]])
+        swap = u > special.betainc(p, q, 0.5)
+        assert swap.any() == upper
+        w = special.betaincinv(np.where(swap, q, p), np.where(swap, p, q), np.where(swap, 1.0 - u, u))
+        z, zc = d._inverse_beta_pair(u, p, q)
+        assert np.array_equal(z, np.where(swap, 1.0 - w, w)) and np.array_equal(zc, np.where(swap, w, 1.0 - w))
 
 
 
