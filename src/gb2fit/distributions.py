@@ -271,11 +271,11 @@ def _lorenz_columns(family, cols, u):
     row = _TABLE[family]
     if row.to_gb2 is not None:
         a, p, q = row.to_gb2(*cols)
-        if family == "gb2" and len(p) > 1:
-            # a row whose (p, q) = cols[1:] repeats the row before it (the
-            # a-difference of a stencil) takes that row's z
+        if row.z is _inverse_beta_pair and len(p) > 1:
+            # a row whose (p, q) repeats the row before it (the a-difference
+            # of a gb2 stencil) takes that row's z
             new = np.ones(len(p), bool)
-            new[1:] = (cols[1:, 1:] != cols[1:, :-1]).any(0).ravel()
+            new[1:] = ((p[1:] != p[:-1]) | (q[1:] != q[:-1])).ravel()
             take = new.cumsum() - 1
             z, zc = (v[take] for v in _inverse_beta_pair(u, p[new], q[new]))
         else:

@@ -122,8 +122,7 @@ def _residual_factory(family, u, s, chol=None):
     and put a sloped barrier in the last one.  ``_levenberg_marquardt``
     never leaves the bound, but a general least-squares solver run on these
     rows (the MINPACK oracle of the tests) does, and the excess entries
-    steer it back.  The kernel's floating-point errors are left to the
-    caller: ``_levenberg_marquardt`` holds ``np.errstate(all="ignore")``.
+    steer it back.
     """
     n = len(u)
 
@@ -142,7 +141,8 @@ def _residual_factory(family, u, s, chol=None):
             if not np.count_nonzero(rows):
                 return out
             cols = cols[:, rows]
-        m = dist._lorenz_columns(family, cols, u) - s
+        with np.errstate(all="ignore"):
+            m = dist._lorenz_columns(family, cols, u) - s
         if np.count_nonzero(np.isfinite(m)) < m.size:
             finite = np.isfinite(m).all(axis=1)
             m[~finite] = 0.0
@@ -236,7 +236,7 @@ def _levenberg_marquardt(residuals, x0s):
     # the state of the running rows only: row j of it is row i[j] of x0s
     i, lam, nu, d = np.arange(m), np.full(m, 1e-3), np.full(m, 2.0), np.zeros((m, k))
     stop = np.zeros(m, bool)  # the rows whose last step passed a stopping test
-    with np.errstate(all="ignore"):  # for the residual functions too
+    with np.errstate(all="ignore"):
         f, jt = _values_and_jacobians(residuals, x, i)
         cost = np.add.reduce(f * f, axis=1)
         for _ in range(_MAX_ITER):
@@ -384,13 +384,6 @@ def solve_scale(spec, sample_mean):
     return sample_mean / math.exp(log_mean)
 
 
-@functools.lru_cache(maxsize=None)
-def _lower_triangles(J):
-    """The (J, J) masks of the entries below the diagonal and of those on
-    or below it."""
-    return np.tri(J, J, -1, bool), np.tri(J, J, 0, bool)
-
-
 def weighting_matrix(spec, d):
     """Asymptotic covariance Omega = Psi W Psi' of the share moments.
 
@@ -408,17 +401,13 @@ def weighting_matrix(spec, d):
     mu2_partial = mu2 * dist.incomplete_moment_cdf(spec, 2.0, h)
 
     hz = np.append(h, 0.0)  # h_J = 0
-    ms = mu * s
     A = np.append(mu2_partial, mu2) - hz * mu * s
-    B = u * hz - ms
-    C = hz * (1.0 - u) + ms
-    below, on_or_below = _lower_triangles(J)
-    W = np.where(below, 0.0, A[:, None] + B[:, None] * C)  # np.triu, from cached masks
-    W = W + np.where(on_or_below, 0.0, W).T
+    B = u * hz - mu * s
+    C = hz * (1.0 - u) + mu * s
+    W = np.triu(A[:, None] + B[:, None] * C)
+    W = W + np.triu(W, 1).T
 
-    Psi = np.eye(J - 1, J)
-    Psi[:, -1] = -s[:-1]
-    Psi = Psi / mu
+    Psi = np.hstack([np.eye(J - 1), -s[:-1, None]]) / mu
     Omega = Psi @ W @ Psi.T
     Omega = (Omega + Omega.T) / 2.0
     return WeightingMatrix(
