@@ -57,11 +57,17 @@ def _parse_floats(text):
 
 
 def _parse_epsilons(text):
-    """Atkinson inequality aversions, each finite and >= 0."""
+    """Atkinson inequality aversions, each finite and >= 0; a repeat is dropped."""
     eps = _parse_floats(text)
     if not all(0.0 <= e < math.inf for e in eps):
         raise argparse.ArgumentTypeError(f"each aversion must be finite and >= 0: {text!r}")
-    return eps
+    return list(dict.fromkeys(eps))
+
+
+def _eps_label(eps):
+    """An aversion's output key: its ``g`` form where that reads back as it, else its repr."""
+    text = f"{eps:g}"
+    return text if float(text) == eps else repr(eps)
 
 
 def _parse_mixture(text):
@@ -80,7 +86,7 @@ def _derived_seed(seed, *tags):
 
 def _fit_atkinson(spec, epsilons):
     return {
-        f"{eps:g}": atkinson_closed(spec, eps) if atkinson_exists(spec, eps) else None
+        _eps_label(eps): atkinson_closed(spec, eps) if atkinson_exists(spec, eps) else None
         for eps in epsilons
     }
 
@@ -142,10 +148,10 @@ def _write_rows(rows, path, fmt, epsilons=()):
         "aic", "bic", "gini", "gini_method", "survey_gini", "lower_bound_gini",
         "closer_method", "error", "note",
     ]
-    eps_cols = [f"atkinson_{e:g}" for e in epsilons]
+    labels = [_eps_label(e) for e in epsilons]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols + eps_cols)
+        writer.writerow(cols + [f"atkinson_{k}" for k in labels])
         for row in rows:
             atk = row.get("atkinson") or {}
             flat = []
@@ -154,7 +160,7 @@ def _write_rows(rows, path, fmt, epsilons=()):
                 if c == "params" and v is not None:
                     v = " ".join(f"{p:.10g}" for p in v)
                 flat.append(v)
-            writer.writerow(flat + [atk.get(f"{e:g}") for e in epsilons])
+            writer.writerow(flat + [atk.get(k) for k in labels])
 
 
 def cmd_fit(args):
@@ -231,7 +237,7 @@ def cmd_group(args):
 def cmd_measures(args):
     m, _ = gio.read_microdata_csv(args.input)
     result = sample_measures(m, args.epsilon)
-    result["atkinson"] = {f"{e:g}": v for e, v in result["atkinson"].items()}
+    result["atkinson"] = {_eps_label(e): v for e, v in result["atkinson"].items()}
     text = json.dumps(result, indent=2)
     if args.output:
         with open(args.output, "w") as fh:

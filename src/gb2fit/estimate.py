@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 from . import distributions as dist
 from .distributions import FamilySpec, spec_from_shapes
@@ -148,7 +148,7 @@ def _residual_factory(family, u, s, chol=None):
             m[~finite] = 0.0
             out[rows, -1] = np.where(finite, 0.0, 1e4)
         if chol is not None:
-            m = linalg.solve_triangular(chol, m.T, lower=True).T
+            m = np.linalg.solve(chol, m.T).T
         out[rows, :n] = m
         return out
 
@@ -444,8 +444,8 @@ def gmm_fit(family, d, nls):
     if not np.isfinite(omega).all():
         return fallback("Omega is not finite")
     try:
-        chol = linalg.cholesky(omega, lower=True, check_finite=False)  # checked just above
-    except linalg.LinAlgError:
+        chol = np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
         return fallback("Omega is not positive definite")
     residuals_fn = _residual_factory(family, d.u[:-1], d.s[:-1], chol)
     (x,), (fval,), (converged,) = _levenberg_marquardt([residuals_fn], np.log([dist.shapes_of(nls.spec)]))

@@ -18,6 +18,7 @@ from gb2fit.distributions import FamilySpec
 from gb2fit.exceptions import DomainError, NonConvergenceError
 from gb2fit.grouped import GroupedDataset
 from gb2fit.io import write_grouped_jsonl
+from gb2fit.measures import atkinson_closed, weighted_atkinson
 
 
 def read_jsonl(path):
@@ -453,6 +454,28 @@ class TestFit:
         (row,) = [line for line in out.read_text().splitlines() if '"fisk"' in line]
         assert '"atkinson": {"0": 0.0, "2": ' in row
 
+    def test_close_aversions_keep_their_own_values(self, tmp_path):
+        # both round to 0.123457 at six digits; the repeat is dropped
+        inp, out, out_csv = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "out.csv"
+        write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
+        argv = ["fit", "--input", str(inp), "--families", "fisk", "--method", "nls",
+                "--epsilon", "0.1234567,0.5,0.1234568,0.1234567"]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert main([*argv, "--output", str(out_csv), "--format", "csv"]) == 0
+        (row,) = [r for r in read_jsonl(out) if r["family"] == "fisk"]
+        spec = FamilySpec("fisk", tuple(row["params"]))
+        assert row["atkinson"] == {
+            "0.1234567": atkinson_closed(spec, 0.1234567), "0.5": atkinson_closed(spec, 0.5),
+            "0.1234568": atkinson_closed(spec, 0.1234568)}
+        assert row["atkinson"]["0.1234567"] != row["atkinson"]["0.1234568"]
+        import csv
+        with open(out_csv) as fh:
+            (csv_row,) = [r for r in csv.DictReader(fh) if r["family"] == "fisk"]
+        assert [c for c in csv_row if c.startswith("atkinson_")] == [
+            "atkinson_0.1234567", "atkinson_0.5", "atkinson_0.1234568"]
+        for e, v in row["atkinson"].items():
+            assert float(csv_row[f"atkinson_{e}"]) == v
+
     @pytest.mark.parametrize("epsilon", ["-0.5", "nan,inf", "0.5,inf", "1,-1"])
     def test_bad_epsilon_is_usage_error(self, tmp_path, epsilon):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
@@ -675,6 +698,17 @@ class TestGroupAndMeasures:
         assert main(["measures", "--input", str(micro), "--epsilon", "0,2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert set(out["atkinson"]) == {"0", "2"}
+
+    def test_measures_close_aversions_keep_their_own_values(self, tmp_path, capsys):
+        micro = tmp_path / "m.csv"
+        micro.write_text("income\n1\n2\n3\n4\n")
+        assert main(["measures", "--input", str(micro), "--epsilon", "0.1234567,1,0.1234568,1"]) == 0
+        atkinson = json.loads(capsys.readouterr().out)["atkinson"]
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        assert atkinson == {"0.1234567": weighted_atkinson(values, 0.1234567),
+                            "1": weighted_atkinson(values, 1.0),
+                            "0.1234568": weighted_atkinson(values, 0.1234568)}
+        assert atkinson["0.1234567"] != atkinson["0.1234568"]
 
     def test_measures_equal_incomes(self, tmp_path):
         micro, out = tmp_path / "m.csv", tmp_path / "meas.json"
@@ -948,3 +982,32 @@ assert "scipy.optimize" not in sys.modules
         )
         assert result.returncode == 0, result.stderr
         assert len(read_jsonl(tmp_path / "f.jsonl")) == 15
+
+    def test_fit_and_gini_load_no_scipy_linalg(self, tmp_path):
+        # against the scipy.linalg modules that scipy.special loads on its own;
+        # the input's 5-group GMM rows run second stages, and the gb2 Gini
+        # (P = 1.13, q + Q = 2.67) runs both Gauss-Jacobi branches
+        script = """
+import json, sys
+import scipy.special
+def linalg():
+    return {m for m in sys.modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")}
+loaded = linalg()
+import gb2fit.cli
+from gb2fit import distributions as d
+assert gb2fit.cli.main(["fit", "--input", sys.argv[1], "--output", sys.argv[2],
+                        "--method", "both"]) == 0
+assert d.gini_closed(d.FamilySpec("gb2", (3.0, 1.0, 0.8, 1.5))).method == "quadrature"
+print(json.dumps(sorted(linalg() - loaded)))
+"""
+        golden = Path(__file__).resolve().parent / "golden" / "presets-seed3-n2000-g5.jsonl"
+        out = tmp_path / "f.jsonl"
+        src = str(Path(gb2fit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-c", script, str(golden), str(out)],
+                                capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == []  # after fit's summary line
+        assert any(r["method"] == "gmm" and r["error"] is None and r["note"] == ""
+                   for r in read_jsonl(out))

@@ -155,6 +155,41 @@ def test_fit_box_gives_finite_ginis():
     assert n > 250
 
 
+def _legendre_rule(n):
+    """The n-node Gauss-Legendre rule to 30 digits, its weights halved to
+    sum to 1: each node is Newton-polished from Tricomi's guess, and its
+    weight is 2 / ((1 - x^2) P_n'(x)^2)."""
+    nodes, weights = [], []
+    with mp.workdps(30):
+        for i in range(n, 0, -1):
+            x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
+            for _ in range(8):
+                p0, p1 = mp.mpf(1), x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (x * p1 - p0) / (x * x - 1)  # P_n' from P_n and P_(n-1)
+                x -= p1 / dp
+            nodes.append(x)
+            weights.append(1 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
+def test_legendre_rule_against_mpmath():
+    y, w = d._gauss_rule(0.0)
+    nodes, weights = _legendre_rule(d._NODES)
+    assert max(abs(mp.mpf(got) - want) for got, want in zip(y, nodes)) <= 1e-15
+    assert max(abs(mp.mpf(got) / want - 1) for got, want in zip(w, weights)) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", [-0.99, -0.9, 0.5, 7.3, 39.0])
+def test_jacobi_rule_is_exact_on_polynomials(beta):
+    # sum_i w_i (1 + y_i)^j = 2^j (beta + 1) / (beta + j + 1) for j < 2 _NODES
+    y, w = d._gauss_rule(beta)
+    j = np.arange(2 * d._NODES)
+    got = np.array([w @ (1.0 + y) ** k for k in j])
+    np.testing.assert_allclose(got, 2.0**j * (beta + 1.0) / (beta + j + 1.0), rtol=1e-12, atol=0.0)
+
+
 if __name__ == "__main__":
     for a, p, q, _ in ORACLE:
         print(f"    ({a!r}, {p!r}, {q!r}, {float(oracle_gini(a, p, q))!r}),", flush=True)
