@@ -3,6 +3,7 @@ measures and report generation."""
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -36,6 +37,7 @@ _SLOPE_ROUNDING = 1e-9
 
 
 def _parse_families(text):
+    """Family names, each alias resolved; a repeat is dropped."""
     fams = []
     for tok in text.split(","):
         tok = tok.strip().lower()
@@ -43,11 +45,12 @@ def _parse_families(text):
         if tok not in dist.FAMILIES:
             raise argparse.ArgumentTypeError(f"unknown family {tok!r}")
         fams.append(tok)
-    return fams
+    return list(dict.fromkeys(fams))
 
 
 def _parse_family(text):
-    if len(fams := _parse_families(text)) != 1:
+    fams = _parse_families(text)
+    if "," in text:  # one name, not the same name twice
         raise argparse.ArgumentTypeError(f"expected one family: {text!r}")
     return fams[0]
 
@@ -57,11 +60,12 @@ def _parse_floats(text):
 
 
 def _parse_epsilons(text):
-    """Atkinson inequality aversions, each finite and >= 0; a repeat is dropped."""
+    """Atkinson inequality aversions, each finite and >= 0; -0 is read as 0 and a
+    repeat is dropped."""
     eps = _parse_floats(text)
     if not all(0.0 <= e < math.inf for e in eps):
         raise argparse.ArgumentTypeError(f"each aversion must be finite and >= 0: {text!r}")
-    return list(dict.fromkeys(eps))
+    return list(dict.fromkeys(abs(e) for e in eps))
 
 
 def _eps_label(eps):
@@ -353,6 +357,7 @@ def _emit_report(errors, dominance, args):
     print(f"report: {len(errors)} error sections, {len(dominance)} dominance matrices -> {args.output}")
 
 
+@functools.cache  # one parser per process; its defaults are never mutated
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gb2fit",
@@ -372,7 +377,6 @@ def build_parser():
     p.add_argument("--epsilon", type=_parse_epsilons, default=[0.5, 1.0, 1.5])
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="generate synthetic grouped datasets")
     p.add_argument("--output", required=True)
@@ -385,7 +389,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--groups", type=int, default=10, choices=(5, 10))
     p.add_argument("--microdata-out")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("group", help="group a microdata CSV into shares")
     p.add_argument("--input", required=True)
@@ -395,26 +398,24 @@ def build_parser():
     p.add_argument("--bottom-code", action="store_true")
     p.add_argument("--top-code", action="store_true")
     p.add_argument("--id", default="microdata")
-    p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("measures", help="weighted sample measures of a microdata CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--epsilon", type=_parse_epsilons, default=[0.5, 1.0, 1.5])
-    p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("report", help="error bins and dominance matrices from fit output")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the handler is looked up at each call, not stored in the shared parser
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -85,17 +85,15 @@ def weighted_atkinson(values, epsilon, weights=None):
     if epsilon < 0.0:
         raise DomainError("Atkinson aversion parameter must be >= 0")
     values = np.asarray(values, dtype=float)
-    weights = np.ones_like(values) if weights is None else np.asarray(weights, dtype=float)
-    wsum = weights.sum()
-    mu = float(np.sum(weights * values) / wsum)
+    mu = float(np.average(values, weights=weights))
     if epsilon == 0.0:
         return 0.0
     if epsilon == 1.0:
         # geometric-mean form computed in logs to avoid overflow
-        logmean = float(np.sum(weights * np.log(values)) / wsum)
+        logmean = float(np.average(np.log(values), weights=weights))
         a = 1.0 - math.exp(logmean - math.log(mu))
     else:
-        m = float(np.sum(weights * (values / mu) ** (1.0 - epsilon)) / wsum)
+        m = float(np.average((values / mu) ** (1.0 - epsilon), weights=weights))
         a = 1.0 - m ** (1.0 / (1.0 - epsilon))
     return min(max(a, 0.0), 1.0)
 
@@ -139,8 +137,7 @@ def atkinson_closed(spec, epsilon):
 def sample_measures(m, epsilons=(0.5, 1.0, 1.5)):
     """Weighted Gini, Atkinson set and mean of a microdata sample."""
     gini = weighted_gini(m.values, m.weights)
-    wsum = m.weights.sum()
-    mean = float(np.sum(m.weights * m.values) / wsum)
+    mean = float(np.average(m.values, weights=m.weights))
     atkinson = {
         float(e): weighted_atkinson(m.values, float(e), m.weights) for e in epsilons
     }

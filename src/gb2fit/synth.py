@@ -136,7 +136,7 @@ def microdata_to_grouped(m, policy, household_sizes=None, id="synthetic"):
     values, weights = m.values, m.weights
 
     if policy.bottom_code:
-        floor = 0.01 * float(np.sum(weights * values) / np.sum(weights))
+        floor = 0.01 * float(np.average(values, weights=weights))
         values = np.maximum(values, floor)
     if policy.top_code:
         cap = 10.0 * weighted_quantile(values, weights, 0.5)

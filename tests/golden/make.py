@@ -1,5 +1,6 @@
-"""Regenerate the golden corpus: each input here and its ``fit --method
-both`` output, which ``tests/test_golden.py`` compares a fresh fit with.
+"""Regenerate the golden corpus: each input here, its ``fit --method
+both`` output and the ``report`` of that output, which
+``tests/test_golden.py`` compares a fresh fit and a fresh report with.
 
 Run from the repository root:
 
@@ -48,6 +49,8 @@ def make():
     for name in [*SIMULATED, "edges"]:
         main(["fit", "--method", "both", "--input", str(HERE / f"{name}.jsonl"),
               "--output", str(HERE / f"{name}.fit.jsonl")])
+        main(["report", "--input", str(HERE / f"{name}.fit.jsonl"),
+              "--output", str(HERE / f"{name}.report.json")])
 
 
 if __name__ == "__main__":

@@ -454,6 +454,25 @@ class TestFit:
         (row,) = [line for line in out.read_text().splitlines() if '"fisk"' in line]
         assert '"atkinson": {"0": 0.0, "2": ' in row
 
+    @pytest.mark.parametrize("epsilon", ["-0", "-0,0", "0,-0"])
+    def test_negative_zero_epsilon_is_zero(self, tmp_path, epsilon):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
+        assert main(["fit", "--input", str(inp), "--output", str(out),
+                     "--families", "fisk", f"--epsilon={epsilon}"]) == 0
+        (row,) = [line for line in out.read_text().splitlines() if '"fisk"' in line]
+        assert '"atkinson": {"0": 0.0}' in row
+
+    def test_repeated_family_is_fitted_once(self, tmp_path):
+        # ln is lognormal's alias: four names, two families
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
+        assert main(["fit", "--input", str(inp), "--output", str(out), "--method", "both",
+                     "--families", "fisk,fisk,ln,lognormal"]) == 0
+        assert [(r["family"], r["method"]) for r in read_jsonl(out)] == [
+            ("lower_bound", "lower_bound"), ("fisk", "nls"), ("fisk", "gmm"),
+            ("lognormal", "nls"), ("lognormal", "gmm")]
+
     def test_close_aversions_keep_their_own_values(self, tmp_path):
         # both round to 0.123457 at six digits; the repeat is dropped
         inp, out, out_csv = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "out.csv"
@@ -590,9 +609,10 @@ class TestSimulate:
         ["--preset", "2", "--mixture", "1,1,0.5,5,1"],
         ["--mixture", "1,1,0.5,5,1", "--family", "fisk", "--params", "2,1"],
         ["--family", "sm,b2", "--params", "2,1,1.5"],
+        ["--family", "fisk,fisk", "--params", "2,1"],
         ["--family", "pareto", "--params", "2,1"],
     ], ids=["params-without-family", "preset-and-family", "preset-and-mixture",
-            "mixture-and-family", "two-families", "unknown-family"])
+            "mixture-and-family", "two-families", "one-family-twice", "unknown-family"])
     def test_conflicting_or_unused_source_options_are_usage_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "s.jsonl"
         try:
@@ -698,6 +718,12 @@ class TestGroupAndMeasures:
         assert main(["measures", "--input", str(micro), "--epsilon", "0,2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert set(out["atkinson"]) == {"0", "2"}
+
+    def test_measures_negative_zero_epsilon_is_zero(self, tmp_path, capsys):
+        micro = tmp_path / "m.csv"
+        micro.write_text("income\n1\n2\n3\n4\n")
+        assert main(["measures", "--input", str(micro), "--epsilon=-0"]) == 0
+        assert json.loads(capsys.readouterr().out)["atkinson"] == {"0": 0.0}
 
     def test_measures_close_aversions_keep_their_own_values(self, tmp_path, capsys):
         micro = tmp_path / "m.csv"
@@ -894,6 +920,34 @@ class TestReport:
         assert code == 0
         data = json.loads(rep.read_text())
         assert data == {"gini_errors": {}, "dominance": {}}
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
+        parser = cli.build_parser()
+        assert main(["fit", "--input", str(inp), "--output", str(out), "--families", "fisk"]) == 0
+        assert cli.build_parser() is parser
+
+    def test_consecutive_calls_write_what_each_writes_alone(self, tmp_path):
+        # the shared parser's default lists carry nothing from one call to the next
+        inp = tmp_path / "in.jsonl"
+        write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
+        runs = [
+            ["--families", "fisk,ln", "--epsilon", "0.5,2", "--method", "both"],
+            [],  # every default
+            ["--families", "sm", "--epsilon", "1", "--method", "gmm", "--format", "csv"],
+            ["--families", "weibull,fisk", "--method", "nls"],
+            [],
+        ]
+        for i, opts in enumerate(runs):
+            assert main(["fit", "--input", str(inp), "--output", str(tmp_path / f"shared-{i}"), *opts]) == 0
+        for i, opts in enumerate(runs):
+            cli.build_parser.cache_clear()  # a parser of its own, as in a fresh process
+            alone = tmp_path / f"alone-{i}"
+            assert main(["fit", "--input", str(inp), "--output", str(alone), *opts]) == 0
+            assert alone.read_bytes() == (tmp_path / f"shared-{i}").read_bytes(), opts
 
 
 class TestDeterminismAndOrdering:

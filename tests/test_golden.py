@@ -1,5 +1,6 @@
 """The golden corpus: a fresh ``fit --method both`` of each input in
-``tests/golden`` gives the committed rows.  ``tests/golden/make.py``
+``tests/golden`` gives the committed rows, and a fresh ``report`` of each
+committed fit file gives the committed report.  ``tests/golden/make.py``
 regenerates them; a change that moves them regenerates them in the same
 commit and names the rows it moved."""
 
@@ -25,6 +26,9 @@ EXACT = ("id", "family", "method", "note", "error", "gini_method", "converged")
 # RSS of a converged NLS row and 3.1e-5 for the params of a converged row
 # off the box (gb2 on 5 groups: 3 shapes from 4 shares).
 REL_TOL = 1e-4
+# A report is computed from the committed fit rows, so only the summation
+# order of a library moves its numbers.
+REPORT_REL_TOL = 1e-12
 
 
 def read_jsonl(path):
@@ -85,9 +89,58 @@ def test_fit_matches_golden(tmp_path, name):
     compare(read_jsonl(out), want, u_of)
 
 
+def compare_report(got, want, where=()):
+    """Assert that a report matches the golden one: the same keys in the same
+    order, equal bins, counts and model lists, and floats within REPORT_REL_TOL."""
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        np.testing.assert_allclose(got, want, rtol=REPORT_REL_TOL, atol=0.0, err_msg=str(where))
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key, value in want.items():
+            compare_report(got[key], value, (*where, key))
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            compare_report(g, w, (*where, i))
+    else:  # an int, a string or None
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_report_matches_golden(tmp_path, name):
+    out = tmp_path / "report.json"
+    main(["report", "--input", str(GOLDEN / f"{name}.fit.jsonl"), "--output", str(out)])
+    with open(GOLDEN / f"{name}.report.json") as fh:
+        want = json.load(fh)
+    with open(out) as fh:
+        compare_report(json.load(fh), want)
+
+
+@pytest.mark.parametrize("change", [
+    lambda r: r["gini_errors"]["lower_bound"]["abs_bins"].insert(0, 0),  # the bins
+    lambda r: r["gini_errors"]["fisk/nls"]["rel_bins"].sort(),  # a count moved between bins
+    lambda r: r["gini_errors"]["sm/nls"].update(n=2),
+    lambda r: r["dominance"]["nls_aic"]["models"].reverse(),  # the model order
+    lambda r: r["gini_errors"]["sm/nls"].update(  # a float moved by ten tolerances
+        mean_abs_error=r["gini_errors"]["sm/nls"]["mean_abs_error"] * (1.0 + 10.0 * REPORT_REL_TOL)),
+    lambda r: r["gini_errors"].pop("fisk/gmm"),  # a missing section
+])
+def test_changed_report_fails(change):
+    with open(GOLDEN / "presets-seed3-n2000-g5.report.json") as fh:
+        want = json.load(fh)
+    moved = copy.deepcopy(want)
+    change(moved)
+    assert moved != want
+    compare_report(want, want)
+    with pytest.raises(AssertionError):
+        compare_report(moved, want)
+
+
 def test_corpus():
     assert NAMES == ["dagum-seed3", "edges", "gb2-seed3", "lognormal-seed6",
                      "presets-seed3-n10000-g10", "presets-seed3-n2000-g5", "sm-seed3"]
+    assert sorted(p.name[:-len(".report.json")] for p in GOLDEN.glob("*.report.json")) == NAMES
     rows, _ = _golden("edges")
     assert [r["note"] for r in rows if r["family"] == "lower_bound" and "note" in r] == [
         "shares are not convex: group 2's mean share 0.35 is below group 1's 0.4"]

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gb2fit.distributions import FamilySpec, gini_closed, moment_exists
+from gb2fit.distributions import FamilySpec, gini_closed, moment_exists, sample
 from gb2fit.exceptions import DomainError, ExistenceError, ValidationError
 from gb2fit.measures import (
     McConfig,
@@ -125,6 +125,35 @@ class TestWeightedAtkinson:
     def test_negative_eps_rejected(self):
         with pytest.raises(DomainError):
             weighted_atkinson(np.array([1.0]), -0.5)
+
+    @staticmethod
+    def sum_form(values, epsilon, weights=None):
+        """The index with each weighted mean written out as sum(w x) / sum(w)."""
+        weights = np.ones_like(values) if weights is None else weights
+        wsum = weights.sum()
+        mu = float(np.sum(weights * values) / wsum)
+        if epsilon == 0.0:
+            return 0.0
+        if epsilon == 1.0:
+            logmean = float(np.sum(weights * np.log(values)) / wsum)
+            a = 1.0 - math.exp(logmean - math.log(mu))
+        else:
+            m = float(np.sum(weights * (values / mu) ** (1.0 - epsilon)) / wsum)
+            a = 1.0 - m ** (1.0 / (1.0 - epsilon))
+        return min(max(a, 0.0), 1.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 1.5, 2.0])
+    def test_equals_the_sum_form_bit_for_bit(self, eps):
+        x = sample(FamilySpec("sm", (2.0, 1.0, 1.5)), 100_000, seed=3)
+        w = np.random.default_rng(35).random(x.size) + 0.5
+        assert weighted_atkinson(x, eps) == self.sum_form(x, eps)
+        assert weighted_atkinson(x, eps, w) == self.sum_form(x, eps, w)
+
+    def test_weights_that_microdata_rejects_raise(self):
+        with pytest.raises(ZeroDivisionError):  # they sum to 0
+            weighted_atkinson(np.array([1.0, 2.0]), 0.5, np.array([1.0, -1.0]))
+        with pytest.raises(TypeError):  # not aligned with the values
+            weighted_atkinson(np.array([1.0, 2.0]), 0.5, np.array([1.0]))
 
 
 class TestGiniMc:
@@ -320,3 +349,10 @@ class TestSampleMeasures:
         for eps in a["atkinson"]:
             assert a["atkinson"][eps] == pytest.approx(b["atkinson"][eps], abs=1e-12)
         assert b["mean"] == pytest.approx(250.0 * a["mean"], rel=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_mean_equals_the_sum_form_bit_for_bit(self, weighted):
+        x = sample(FamilySpec("sm", (2.0, 1.0, 1.5)), 10_000, seed=3)
+        w = np.random.default_rng(35).random(x.size) + 0.5 if weighted else None
+        m = Microdata(values=x, weights=w)
+        assert sample_measures(m)["mean"] == float(np.sum(m.weights * m.values) / m.weights.sum())
