@@ -36,15 +36,28 @@ _FAMILY_ALIASES = {"ln": "lognormal"}
 _SLOPE_ROUNDING = 1e-9
 
 
+def _split_list(text):
+    """The entries of a comma-list option, stripped: none in an empty or
+    all-space value, and a blank entry in any other value is a usage error."""
+    if not text.strip():
+        return []
+    entries = [tok.strip() for tok in text.split(",")]
+    if "" in entries:
+        raise argparse.ArgumentTypeError(f"blank entry in {text!r}")
+    return entries
+
+
 def _parse_families(text):
     """Family names, each alias resolved; a repeat is dropped."""
     fams = []
-    for tok in text.split(","):
-        tok = tok.strip().lower()
+    for tok in _split_list(text):
+        tok = tok.lower()
         tok = _FAMILY_ALIASES.get(tok, tok)
         if tok not in dist.FAMILIES:
             raise argparse.ArgumentTypeError(f"unknown family {tok!r}")
         fams.append(tok)
+    if not fams:
+        raise argparse.ArgumentTypeError(f"expected a family: {text!r}")
     return list(dict.fromkeys(fams))
 
 
@@ -56,7 +69,7 @@ def _parse_family(text):
 
 
 def _parse_floats(text):
-    return [float(t) for t in text.split(",") if t.strip()]
+    return [float(t) for t in _split_list(text)]
 
 
 def _parse_epsilons(text):

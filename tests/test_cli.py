@@ -1,5 +1,7 @@
 """End-to-end command-line tests via main(argv)."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gb2fit
 from gb2fit import cli, distributions as d, estimate
@@ -949,6 +952,68 @@ class TestParser:
             assert main(["fit", "--input", str(inp), "--output", str(alone), *opts]) == 0
             assert alone.read_bytes() == (tmp_path / f"shared-{i}").read_bytes(), opts
 
+    @pytest.mark.parametrize("argv, option, value", [
+        (["fit", "--families", "fisk,"], "--families", "fisk,"),
+        (["fit", "--families", "fisk, ,ln"], "--families", "fisk, ,ln"),
+        (["fit", "--epsilon", "0.5,"], "--epsilon", "0.5,"),
+        (["fit", "--epsilon", ","], "--epsilon", ","),
+        (["measures", "--epsilon", ",1"], "--epsilon", ",1"),
+        (["simulate", "--family", "fisk", "--params", "2,1,"], "--params", "2,1,"),
+        (["simulate", "--mixture", "1,1,0.5,5,1,"], "--mixture", "1,1,0.5,5,1,"),
+    ], ids=["families", "families-space", "epsilon", "epsilon-comma", "measures-epsilon",
+            "params", "mixture"])
+    def test_blank_list_entry_is_usage_error(self, tmp_path, capsys, argv, option, value):
+        out = tmp_path / "out.jsonl"
+        inp = [] if argv[0] == "simulate" else ["--input", str(tmp_path / "in.jsonl")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *inp, "--output", str(out)])
+        assert exc.value.code == 2
+        assert f"error: argument {option}: blank entry in {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("families", ["", "  "])
+    def test_empty_families_is_usage_error(self, tmp_path, capsys, families):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", "in.jsonl", "--output", "out.jsonl", f"--families={families}"])
+        assert exc.value.code == 2
+        assert f"error: argument --families: expected a family: {families!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["", "  "])
+    def test_empty_epsilon_means_no_atkinson_values(self, tmp_path, epsilon):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_dataset(inp, FamilySpec("fisk", (2.5, 1.0)), id="f")
+        assert main(["fit", "--input", str(inp), "--output", str(out),
+                     "--families", "fisk", f"--epsilon={epsilon}"]) == 0
+        (row,) = [line for line in out.read_text().splitlines() if '"fisk"' in line]
+        assert '"atkinson": {}' in row
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(["--families", "--epsilon", "--params", "--mixture", "--family"]),
+           st.lists(st.sampled_from([",", " ", "0", ".", "5", "fisk", "ln", "x"]), max_size=8))
+    def test_list_options_parse_or_exit_2(self, option, tokens):
+        # a random value of a comma-list option gives a list with no blank entry, or
+        # exit 2; a value with a blank entry always exits 2
+        value = "".join(tokens)
+        blank = value.strip() and not all(t.strip() for t in value.split(","))
+        argv = (["fit", "--input", "in"] if option in ("--families", "--epsilon")
+                else ["simulate"]) + ["--output", "out", f"{option}={value}"]
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+        assert not blank, value
+        parsed = getattr(args, option[2:])
+        if option == "--family":
+            assert parsed in d.FAMILIES
+            return
+        assert isinstance(parsed, list)
+        if option == "--families":
+            assert parsed and all(f in d.FAMILIES for f in parsed)
+        else:
+            assert all(isinstance(v, float) for v in parsed)
+
 
 class TestDeterminismAndOrdering:
     def test_fit_order_insensitive(self, tmp_path):
@@ -1065,3 +1130,25 @@ print(json.dumps(sorted(linalg() - loaded)))
         assert json.loads(result.stdout.splitlines()[-1]) == []  # after fit's summary line
         assert any(r["method"] == "gmm" and r["error"] is None and r["note"] == ""
                    for r in read_jsonl(out))
+
+    def test_each_module_loads_only_the_layers_it_imports(self):
+        # the package re-exports nothing, so a module loads only its own imports
+        src = str(Path(gb2fit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+        def loaded(module):
+            script = (f"import json, sys, {module}\n"
+                      "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'gb2fit')))")
+            result = subprocess.run([sys.executable, "-c", script],
+                                    capture_output=True, text=True, env=env, timeout=300)
+            assert result.returncode == 0, result.stderr
+            return json.loads(result.stdout)
+
+        assert loaded("gb2fit") == ["gb2fit"]
+        assert loaded("gb2fit.distributions") == [
+            "gb2fit", "gb2fit.distributions", "gb2fit.exceptions", "gb2fit.specfun"]
+        assert loaded("gb2fit.cli") == [
+            "gb2fit", "gb2fit.cli", "gb2fit.distributions", "gb2fit.estimate",
+            "gb2fit.exceptions", "gb2fit.grouped", "gb2fit.io", "gb2fit.measures",
+            "gb2fit.select", "gb2fit.specfun", "gb2fit.synth"]
