@@ -50,9 +50,6 @@ def _inverse_beta_pair(u, p, q):
     """z = I_u^-1(p, q) and 1 - z, each with its own digits: above
     u = I_1/2(p, q), where z > 1/2, 1 - z comes from I_(1-z)(q, p) = 1 - u."""
     upper = u > special.betainc(p, q, 0.5)
-    if not np.count_nonzero(upper):  # no u above it: the arguments as they are
-        w = inv_inc_beta_ratio(u, p, q)
-        return w, 1.0 - w
     w = inv_inc_beta_ratio(np.where(upper, 1.0 - u, u), np.where(upper, q, p), np.where(upper, p, q))
     wc = 1.0 - w
     return np.where(upper, wc, w), np.where(upper, w, wc)
@@ -271,15 +268,7 @@ def _lorenz_columns(family, cols, u):
     row = _TABLE[family]
     if row.to_gb2 is not None:
         a, p, q = row.to_gb2(*cols)
-        if row.z is _inverse_beta_pair and len(p) > 1:
-            # a row whose (p, q) repeats the row before it (the a-difference
-            # of a gb2 stencil) takes that row's z
-            new = np.ones(len(p), bool)
-            new[1:] = ((p[1:] != p[:-1]) | (q[1:] != q[:-1])).ravel()
-            take = new.cumsum() - 1
-            z, zc = (v[take] for v in _inverse_beta_pair(u, p[new], q[new]))
-        else:
-            z, zc = row.z(u, p, q)
+        z, zc = row.z(u, p, q)
         c = 1.0 / a
         return _beta_cdf(z, zc, p + c, q - c)
     if family == "lognormal":  # ndtri(0) = -inf and ndtri(1) = inf give L = 0 and 1
@@ -376,8 +365,6 @@ def _beta_cdf(z, zc, p, q):
     ulp); elsewhere I_z(p, q), whose relative digits the complement loses."""
     ln_density = special.xlogy(p - 1.0, z) + special.xlogy(q - 1.0, zc) - special.betaln(p, q)
     upper = (z > 0.5) & (ln_density > 0.0)
-    if not np.count_nonzero(upper):  # I_z(p, q) everywhere: the arguments as they are
-        return special.betainc(p, q, z)
     i = special.betainc(np.where(upper, q, p), np.where(upper, p, q), np.where(upper, zc, z))
     return np.where(upper, 1.0 - i, i)
 

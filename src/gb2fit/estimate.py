@@ -143,10 +143,9 @@ def _residual_factory(family, u, s, chol=None):
             cols = cols[:, rows]
         with np.errstate(all="ignore"):
             m = dist._lorenz_columns(family, cols, u) - s
-        if np.count_nonzero(np.isfinite(m)) < m.size:
-            finite = np.isfinite(m).all(axis=1)
-            m[~finite] = 0.0
-            out[rows, -1] = np.where(finite, 0.0, 1e4)
+        finite = np.isfinite(m).all(axis=1)
+        m[~finite] = 0.0
+        out[rows, -1] = np.where(finite, 0.0, 1e4)
         if chol is not None:
             m = np.linalg.solve(chol, m.T).T
         out[rows, :n] = m
@@ -185,9 +184,7 @@ def _values_and_jacobians(residuals, x, i):
     inside the log-shape box."""
     k = x.shape[1]
     h = np.where(x >= 0, _FD_STEP, -_FD_STEP) * np.maximum(1.0, np.abs(x))
-    out = np.abs(x + h) > _LOG_SHAPE_BOUND
-    if np.count_nonzero(out):  # difference inward at the edge
-        h = np.where(out, -h, h)
+    h = np.where(np.abs(x + h) > _LOG_SHAPE_BOUND, -h, h)  # difference inward at the edge
     points = x[:, None] + _eyes(k)[1] * h[:, None]  # x, then x + h_j e_j
     if len(i) == 1:  # one row: its function's own output, without a stack
         r = residuals[i[0]](points[0])[None]
@@ -241,10 +238,9 @@ def _levenberg_marquardt(residuals, x0s):
         cost = np.add.reduce(f * f, axis=1)
         for _ in range(_MAX_ITER):
             jtj, g = jt @ jt.transpose(0, 2, 1), np.add.reduce(jt * f[:, None], axis=2)
-            inside = np.abs(x) < _LOG_SHAPE_BOUND
-            if np.count_nonzero(inside) < inside.size:  # hold an edge coordinate whose descent direction -g leaves the box
-                free = inside | (g * x > 0.0)
-                g, jtj = g * free, jtj * free[:, :, None] * free[:, None, :]
+            # hold an edge coordinate whose descent direction -g leaves the box
+            free = (np.abs(x) < _LOG_SHAPE_BOUND) | (g * x > 0.0)
+            g, jtj = g * free, jtj * free[:, :, None] * free[:, None, :]
             col = jtj.diagonal(0, 1, 2)
             d = np.maximum(d, col)
             cosine = np.abs(g) / np.sqrt(col * cost[:, None])
@@ -381,7 +377,15 @@ def solve_scale(spec, sample_mean):
     log_mean = dist.log_power_mean(spec, 1.0)  # log E[X] at unit scale
     if spec.family == "lognormal":  # the scale parameter is the log-scale mu
         return math.log(sample_mean) - log_mean
-    return sample_mean / math.exp(log_mean)
+    try:
+        scale = sample_mean / math.exp(log_mean)
+    except (OverflowError, ZeroDivisionError):  # E[X] at unit scale is past a double: the scale from logs
+        with np.errstate(over="ignore"):
+            scale = float(np.exp(math.log(sample_mean) - log_mean))
+    if not 0.0 < scale < math.inf:
+        raise EstimationError(
+            f"no positive finite scale of the fitted {spec.family} matches the record's mean {sample_mean:g}")
+    return scale
 
 
 def weighting_matrix(spec, d):

@@ -158,6 +158,9 @@ def microdata_to_grouped(m, policy, household_sizes=None, id="synthetic"):
     # the cuts inexact, and claiming u_j = j/J would put (u_j, s_j) off the
     # empirical Lorenz curve (breaking lower_bound <= sample Gini)
     weight_by_group = np.bincount(group - 1, weights=w, minlength=J)
+    if not weight_by_group.all():  # every weight is positive: a group of weight 0 holds no record
+        raise ValidationError(
+            f"grouping {len(x)} records into {J} groups leaves group {np.argmin(weight_by_group) + 1} empty")
     u = np.cumsum(weight_by_group) / total_w
     u[-1] = 1.0
     return GroupedDataset(

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,13 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gb2fit
 from gb2fit import cli, distributions as d, estimate
 from gb2fit.cli import main
 from gb2fit.distributions import FamilySpec
-from gb2fit.exceptions import DomainError, NonConvergenceError
+from gb2fit.exceptions import DomainError, NonConvergenceError, ValidationError
 from gb2fit.grouped import GroupedDataset
 from gb2fit.io import write_grouped_jsonl
 from gb2fit.measures import atkinson_closed, weighted_atkinson
@@ -526,7 +527,84 @@ class TestFit:
         assert code == 2
 
 
+# all income in the top group: Weibull fits at a = 0.00251, where log E[X] at
+# unit scale is 1994, so no positive finite scale matches the mean
+OVERFLOW = {"id": "overflow", "u": [0.5, 1.0], "s": [0.0, 1.0], "mean": 1.0, "gini": 0.08}
+SCALE_ERROR = "no positive finite scale of the fitted weibull matches the record's mean 1"
+
+
+@st.composite
+def fuzz_records(draw):
+    """Sorted nonnegative group incomes, with zeros, ties and a dominant top
+    group, as shares; an optional mean and survey Gini."""
+    J = draw(st.sampled_from([2, 3, 4, 5, 10]))
+    incomes = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 1e3), min_size=J, max_size=J))
+    if draw(st.booleans()):
+        incomes[-1] = draw(st.floats(1e6, 1e12))
+    cum = np.cumsum(sorted(incomes))
+    assume(cum[-1] > 0.0)
+    record = {"id": "fuzz", "u": (np.arange(1, J + 1) / J).tolist(), "s": (cum / cum[-1]).tolist()}
+    if draw(st.booleans()):
+        record["mean"] = 10.0 ** draw(st.floats(-300.0, 300.0))
+    if draw(st.booleans()):
+        record["gini"] = draw(st.floats(0.0, 0.99))
+    return record
+
+
+class TestFitFuzz:
+    """Random records, each fitted between two malformed lines: the batch
+    contract holds and every row is a fit, a group-count error or a scale
+    error."""
+
+    def test_no_finite_scale_is_the_weibull_rows_error(self, tmp_path):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        inp.write_text(json.dumps(OVERFLOW) + "\n")
+        assert main(["fit", "--method", "both", "--families", "weibull,fisk",
+                     "--input", str(inp), "--output", str(out)]) == 1
+        errors = {(r["family"], r["method"]): r["error"] for r in read_jsonl(out)}
+        assert errors == {("lower_bound", "lower_bound"): None, ("fisk", "nls"): None, ("fisk", "gmm"): None,
+                          ("weibull", "nls"): SCALE_ERROR, ("weibull", "gmm"): SCALE_ERROR}
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(record=fuzz_records())
+    @example(record=OVERFLOW)
+    def test_fit_rows(self, record, tmp_path_factory):
+        try:
+            GroupedDataset(id=record["id"], u=record["u"], s=record["s"],
+                           mean=record.get("mean"), survey_gini=record.get("gini"))
+        except ValidationError:
+            assume(False)
+        tmp = tmp_path_factory.mktemp("fuzz")
+        alone, batch = tmp / "alone.jsonl", tmp / "batch.jsonl"
+        alone.write_text(json.dumps(record) + "\n")
+        batch.write_text("\n".join(['{"id": "bad", "u": [0.5, 0.5], "s": [0.3, 1.0]}',
+                                    json.dumps(record), "not json"]) + "\n")
+        rows = {}
+        for path in (alone, batch):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                main(["fit", "--method", "both", "--input", str(path), "--output", str(tmp / "out.jsonl")])
+            rows[path] = read_jsonl(tmp / "out.jsonl")
+        bad = [r for r in rows[batch] if r["id"] != record["id"]]
+        assert [(r["id"], r["error"].startswith("invalid record: ")) for r in bad] == [
+            ("record-0", True), ("record-2", True)]
+        fitted = [r for r in rows[batch] if r["id"] == record["id"]]
+        assert len(fitted) == 15 and fitted == rows[alone]
+        for r in fitted:
+            assert r["error"] is None or re.fullmatch(
+                r"\w+ needs at least \d groups, dataset has \d+|no positive finite scale of the "
+                r"fitted \w+ matches the record's mean \S+", r["error"]), r
+            assert r["error"] or 0.0 <= r["gini"] <= 1.0, r
+
+
 class TestSimulate:
+    def test_too_few_draws_for_the_groups_names_the_empty_group(self, tmp_path, capsys):
+        out = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--family", "fisk", "--params", "2,1", "--n", "3",
+                     "--groups", "5", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: grouping 3 records into 5 groups leaves group 1 empty\n"
+        assert not out.exists()
+
     def test_default_six_presets(self, tmp_path):
         out = tmp_path / "sim.jsonl"
         code = main(["simulate", "--output", str(out), "--n", "2000"])
@@ -648,6 +726,13 @@ class TestGroupAndMeasures:
         rows = read_jsonl(out)
         assert len(rows) == 1 and len(rows[0]["u"]) == 5
         assert rows[0]["gini"] > 0.0
+
+    def test_group_leaving_a_group_empty_names_it(self, tmp_path, capsys):
+        micro, out = tmp_path / "m.csv", tmp_path / "g.jsonl"
+        micro.write_text("income\n1.0\n2.0\n")
+        assert main(["group", "--input", str(micro), "--output", str(out), "--groups", "5"]) == 2
+        assert capsys.readouterr().err == "error: grouping 2 records into 5 groups leaves group 1 empty\n"
+        assert not out.exists()
 
     def test_group_one_group_is_usage_error(self, tmp_path, capsys):
         micro, out = tmp_path / "m.csv", tmp_path / "g.jsonl"

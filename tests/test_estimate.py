@@ -208,6 +208,24 @@ class TestSolveScale:
         with pytest.raises(EstimationError):
             solve_scale(FamilySpec("weibull", (1.0, 1.0)), -1.0)
 
+    @pytest.mark.parametrize("spec, mean", [
+        (FamilySpec("weibull", (0.005, 1.0)), 1e300),  # log E[X] = 863 at unit scale: exp overflows
+        (FamilySpec("gb2", (0.005, 1.0, 1e-4, 1e4)), 1e-300),  # log E[X] = -991: exp underflows to 0
+    ], ids=["overflow", "underflow"])
+    def test_unit_mean_past_a_double(self, spec, mean):
+        # the scale then comes from logs, and its mean is the record's
+        eta = solve_scale(spec, mean)
+        fitted = spec_from_shapes(spec.family, d.shapes_of(spec), eta)
+        assert d.moment(fitted, 1.0) == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [FamilySpec("weibull", (0.005, 1.0)),
+                                      FamilySpec("gb2", (0.005, 1.0, 1e-4, 1e4))], ids=["0", "inf"])
+    def test_no_finite_scale(self, spec):
+        # at a mean of 1 the scale is exp(-863), which is 0, or exp(991), which overflows
+        with pytest.raises(EstimationError, match=f"no positive finite scale of the fitted {spec.family} "
+                                                  "matches the record's mean 1$"):
+            solve_scale(spec, 1.0)
+
 
 class TestWeightingMatrix:
     def build(self, spec=None, J=10):
@@ -674,8 +692,7 @@ def _accepted(residuals, x0):
 class TestFastPaths:
     """The solver skips work in its common cases: the masked copies when
     every running row accepts or none does, and the stack of a one-row
-    stage.  Each ends bit for bit where the path it bypasses ends (the beta
-    kernels' skipped argument swaps are tested in test_specfun.py)."""
+    stage.  Each ends bit for bit where the path it bypasses ends."""
 
     @staticmethod
     def _batch_and_alone(families, ds):

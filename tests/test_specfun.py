@@ -47,9 +47,8 @@ class TestIncBeta:
 
     @pytest.mark.parametrize("upper", [False, True])
     def test_equals_the_swapped_form(self, upper):
-        # with no z above 1/2 where the density exceeds 1, I_z(p, q) comes
-        # straight from betainc; it equals the form that swaps the arguments
-        # entry by entry, bit for bit
+        # I_z(p, q) swaps the arguments exactly where z > 1/2 and the density
+        # exceeds 1, bit for bit, whether some entry or none does
         z = np.array([0.05, 0.3, 0.5, 0.7, 0.95]) if upper else np.array([0.05, 0.2, 0.4])
         p, q = np.array([[0.7], [2.0], [3.5]]), np.array([[1.3], [2.0], [1.2]])
         ln_density = special.xlogy(p - 1.0, z) + special.xlogy(q - 1.0, 1.0 - z) - special.betaln(p, q)
@@ -89,8 +88,8 @@ class TestInvIncBeta:
 
     @pytest.mark.parametrize("upper", [False, True])
     def test_pair_equals_the_swapped_form(self, upper):
-        # with no u above I_1/2(p, q), z and 1 - z come from the arguments as
-        # they are; they equal the form that swaps them entry by entry
+        # z and 1 - z swap the arguments exactly where u > I_1/2(p, q), bit
+        # for bit, whether some entry or none does
         u = np.array([0.05, 0.3, 0.6, 0.9]) if upper else np.array([0.01, 0.1, 0.2])
         p, q = np.array([[0.8], [2.0], [3.0]]), np.array([[1.5], [2.0], [2.5]])
         swap = u > special.betainc(p, q, 0.5)

@@ -236,6 +236,17 @@ class TestMicrodataToGrouped:
                 microdata_to_grouped(m, GroupingPolicy(n_groups=2, equivalise=True),
                                      household_sizes=sizes)
 
+    @pytest.mark.parametrize("values, weights, message", [
+        ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], "grouping 3 records into 5 groups leaves group 1 empty"),
+        # enough records, but the heavy one spans three cuts
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 100.0, 1.0, 1.0, 1.0],
+         "grouping 5 records into 5 groups leaves group 2 empty"),
+    ], ids=["too-few", "heavy-record"])
+    def test_empty_group_is_named(self, values, weights, message):
+        m = Microdata(values=np.array(values), weights=np.array(weights))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            microdata_to_grouped(m, GroupingPolicy(n_groups=5))
+
     def test_equivalise_requires_sizes(self):
         with pytest.raises(ValidationError):
             microdata_to_grouped(
