@@ -5,7 +5,6 @@ is scale-free); the scale is recovered afterwards from the sample mean
 when one is available, and is 1 otherwise.
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -19,7 +18,6 @@ from .grouped import lower_bound_gini
 
 __all__ = [
     "FitResult",
-    "WeightingMatrix",
     "starting_values",
     "nls_runs",
     "nls_fit",
@@ -50,19 +48,6 @@ class FitResult:
     @property
     def rss(self):
         return float(np.sum(self.residuals**2))
-
-
-@dataclass(frozen=True)
-class WeightingMatrix:
-    """Asymptotic covariance pieces for the share moment conditions."""
-
-    h: np.ndarray  # fitted group income limits, j = 1..J-1
-    mu: float
-    mu2: float
-    mu2_partial: np.ndarray
-    W: np.ndarray  # J x J
-    Psi: np.ndarray  # (J-1) x J
-    Omega: np.ndarray  # (J-1) x (J-1)
 
 
 def _gini_anchor(d):
@@ -170,13 +155,6 @@ _FD_STEP = np.finfo(float).eps ** 0.5
 _XTOL, _FTOL, _GTOL, _MAX_ITER = 1e-10, 1e-12, 1e-10, 200
 
 
-@functools.lru_cache(maxsize=None)
-def _eyes(k):
-    """The identity (k, k) and the difference stencil (k + 1, k): a zero
-    row, then the identity."""
-    return np.eye(k), np.eye(k + 1, k, -1)
-
-
 def _values_and_jacobians(residuals, x, i):
     """Residuals f (m, n) at the rows of x (m, k) and the transposed
     forward-difference Jacobians (m, k, n), row j from one call of
@@ -185,7 +163,7 @@ def _values_and_jacobians(residuals, x, i):
     k = x.shape[1]
     h = np.where(x >= 0, _FD_STEP, -_FD_STEP) * np.maximum(1.0, np.abs(x))
     h = np.where(np.abs(x + h) > _LOG_SHAPE_BOUND, -h, h)  # difference inward at the edge
-    points = x[:, None] + _eyes(k)[1] * h[:, None]  # x, then x + h_j e_j
+    points = x[:, None] + np.eye(k + 1, k, -1) * h[:, None]  # x, then x + h_j e_j
     if len(i) == 1:  # one row: its function's own output, without a stack
         r = residuals[i[0]](points[0])[None]
     else:
@@ -194,15 +172,11 @@ def _values_and_jacobians(residuals, x, i):
     return r[:, 0], (r[:, 1:] - r[:, :1]) / dx[..., None]
 
 
-def _norms(v):
-    return np.sqrt(np.add.reduce(v * v, axis=1))  # np.linalg.norm(v, axis=1)
-
-
 def _onto_edge(a, g, x, trial):
     """The trial points x + step of rows whose step, solving a step = -g,
     crosses the box: each crossing coordinate is put exactly on the edge and
     a step = -g solved again for the others, until no free one crosses."""
-    eye, edge = _eyes(x.shape[1])[0], np.zeros(x.shape, bool)
+    eye, edge = np.eye(x.shape[1]), np.zeros(x.shape, bool)
     while (out := np.abs(trial) > _LOG_SHAPE_BOUND).any():
         edge |= out
         trial = np.where(edge, np.copysign(_LOG_SHAPE_BOUND, trial), trial)
@@ -228,7 +202,7 @@ def _levenberg_marquardt(residuals, x0s):
     squares and whether each row converged."""
     x = np.array(x0s, dtype=float)
     m, k = x.shape
-    eye = _eyes(k)[0]
+    eye = np.eye(k)
     x_end, cost_end, done = np.empty_like(x), np.empty(m), np.zeros(m, bool)
     # the state of the running rows only: row j of it is row i[j] of x0s
     i, lam, nu, d = np.arange(m), np.full(m, 1e-3), np.full(m, 2.0), np.zeros((m, k))
@@ -266,7 +240,8 @@ def _levenberg_marquardt(residuals, x0s):
             ft, jtt = _values_and_jacobians(residuals, trial, i)
             cost_t = np.add.reduce(ft * ft, axis=1)
             drop, ok = cost - cost_t, cost_t < cost
-            stop = (_norms(step) <= _XTOL * (_XTOL + _norms(x))) | (ok & (drop <= _FTOL * cost))
+            stop = ((np.linalg.norm(step, axis=1) <= _XTOL * (_XTOL + np.linalg.norm(x, axis=1)))
+                    | (ok & (drop <= _FTOL * cost)))
             gain = np.maximum(1.0 / 3.0, 1.0 - (2.0 * (drop / pred) - 1.0) ** 3)
             n_ok = np.count_nonzero(ok)
             if n_ok == len(ok):  # every row accepts: the trial arrays whole, without masked copies
@@ -388,16 +363,17 @@ def solve_scale(spec, sample_mean):
     return scale
 
 
-def weighting_matrix(spec, d):
-    """Asymptotic covariance Omega = Psi W Psi' of the share moments.
+def _share_covariance(spec, d):
+    """W, the asymptotic covariance of the J income-share moments, and the
+    mean mu.
 
     Requires a finite second moment.  For i <= j, W_ij = A_i + B_i C_j
-    with A = mu2_partial - h mu s, B = u h - mu s and C = h (1 - u) + mu s.
-    The top group's income limit cancels from the algebra: taking h_J = 0
-    with mu2_partial_J = mu2 gives the boundary column and W_JJ = mu2 - mu^2.
+    with A = mu2_partial - h mu s, B = u h - mu s and C = h (1 - u) + mu s,
+    h the fitted group income limits.  The top group's income limit cancels
+    from the algebra: taking h_J = 0 with mu2_partial_J = mu2 gives the
+    boundary column and W_JJ = mu2 - mu^2.
     """
     dist._require_moment(spec, 2.0, "second moment")
-    J = d.n_groups
     u, s = d.u, d.s
     h = dist.quantile(spec, u[:-1])
     mu = dist.moment(spec, 1.0)
@@ -409,14 +385,17 @@ def weighting_matrix(spec, d):
     B = u * hz - mu * s
     C = hz * (1.0 - u) + mu * s
     W = np.triu(A[:, None] + B[:, None] * C)
-    W = W + np.triu(W, 1).T
+    return W + np.triu(W, 1).T, mu
 
-    Psi = np.hstack([np.eye(J - 1), -s[:-1, None]]) / mu
+
+def weighting_matrix(spec, d):
+    """Asymptotic covariance Omega = Psi W Psi' of the J - 1 share moments,
+    a (J-1) x (J-1) array, with Psi = [I, -s] / mu and W from
+    ``_share_covariance``.  Requires a finite second moment."""
+    W, mu = _share_covariance(spec, d)
+    Psi = np.hstack([np.eye(d.n_groups - 1), -d.s[:-1, None]]) / mu
     Omega = Psi @ W @ Psi.T
-    Omega = (Omega + Omega.T) / 2.0
-    return WeightingMatrix(
-        h=h, mu=mu, mu2=mu2, mu2_partial=mu2_partial, W=W, Psi=Psi, Omega=Omega
-    )
+    return (Omega + Omega.T) / 2.0
 
 
 def gmm_fit(family, d, nls):
@@ -440,7 +419,7 @@ def gmm_fit(family, d, nls):
 
     try:
         with np.errstate(all="ignore"):  # a non-finite Omega falls back below
-            omega = weighting_matrix(nls.spec, d).Omega
+            omega = weighting_matrix(nls.spec, d)
     except ExistenceError:
         return fallback(f"the fitted {family} has no second moment")
     except OverflowError:  # at an extreme mean

@@ -81,16 +81,18 @@ def write_grouped_jsonl(datasets, path):
 
 
 def read_microdata_csv(path):
-    """Microdata CSV with columns income, weight[, household_size]."""
+    """Microdata CSV with columns income[, weight][, household_size]: a
+    weight column needs a number in every row; without one each weight is 1."""
     incomes, weights, sizes = [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if "income" not in (reader.fieldnames or ()):
+        columns = reader.fieldnames or ()
+        if "income" not in columns:
             raise ValidationError(f"{path}: no income column")
         for row in reader:
             try:
                 incomes.append(float(row["income"]))
-                weights.append(float(row.get("weight") or 1.0))
+                weights.append(float(row["weight"]) if "weight" in columns else 1.0)
                 if row.get("household_size") not in (None, ""):
                     sizes.append(float(row["household_size"]))
             except (ValueError, TypeError) as exc:  # an empty or short cell

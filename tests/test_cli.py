@@ -20,7 +20,7 @@ from gb2fit import cli, distributions as d, estimate
 from gb2fit.cli import main
 from gb2fit.distributions import FamilySpec
 from gb2fit.exceptions import DomainError, NonConvergenceError, ValidationError
-from gb2fit.grouped import GroupedDataset
+from gb2fit.grouped import GroupedDataset, slope_drop
 from gb2fit.io import write_grouped_jsonl
 from gb2fit.measures import atkinson_closed, weighted_atkinson
 
@@ -534,14 +534,20 @@ SCALE_ERROR = "no positive finite scale of the fitted weibull matches the record
 
 
 @st.composite
-def fuzz_records(draw):
-    """Sorted nonnegative group incomes, with zeros, ties and a dominant top
-    group, as shares; an optional mean and survey Gini."""
+def fuzz_records(draw, sort=True):
+    """Nonnegative group incomes, with zeros, ties and a dominant top group,
+    as shares: sorted, or without ``sort`` one group's income above the
+    next one's, so that the shares are not convex; an optional mean and
+    survey Gini."""
     J = draw(st.sampled_from([2, 3, 4, 5, 10]))
     incomes = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 1e3), min_size=J, max_size=J))
     if draw(st.booleans()):
         incomes[-1] = draw(st.floats(1e6, 1e12))
-    cum = np.cumsum(sorted(incomes))
+    incomes = sorted(incomes)
+    if not sort:
+        j = draw(st.integers(1, J - 1))
+        incomes[j - 1] = incomes[j] + draw(st.floats(1.0, 1e3))
+    cum = np.cumsum(incomes)
     assume(cum[-1] > 0.0)
     record = {"id": "fuzz", "u": (np.arange(1, J + 1) / J).tolist(), "s": (cum / cum[-1]).tolist()}
     if draw(st.booleans()):
@@ -551,10 +557,53 @@ def fuzz_records(draw):
     return record
 
 
+MALFORMED = ['{"id": "bad", "u": [0.5, 0.5], "s": [0.3, 1.0]}', "not json"]
+
+
+def _fit_between_malformed(records, tmp):
+    """Fit the records, each after a malformed line and the last before one,
+    and each alone: one error row per malformed line, and each record's rows
+    are those of its run alone, raise no warning, hold only group-count and
+    scale errors and a Gini in [0, 1], and note shares that are not convex."""
+    datasets = []
+    for record in records:
+        try:
+            datasets.append(GroupedDataset(id=record["id"], u=record["u"], s=record["s"],
+                                           mean=record.get("mean"), survey_gini=record.get("gini")))
+        except ValidationError:
+            assume(False)
+    lines = [line for i, record in enumerate(records) for line in (MALFORMED[i % 2], json.dumps(record))]
+    lines.append(MALFORMED[len(records) % 2])
+    batch = tmp / "batch.jsonl"
+    batch.write_text("\n".join(lines) + "\n")
+    inputs = [batch]
+    for record in records:
+        inputs.append(tmp / f"{record['id']}.jsonl")
+        inputs[-1].write_text(json.dumps(record) + "\n")
+    rows = {}
+    for path in inputs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            main(["fit", "--method", "both", "--input", str(path), "--output", str(tmp / "out.jsonl")])
+        rows[path] = read_jsonl(tmp / "out.jsonl")
+    bad = [r for r in rows[batch] if r["id"] not in {ds.id for ds in datasets}]
+    assert [(r["id"], r["error"].startswith("invalid record: ")) for r in bad] == [
+        (f"record-{2 * i}", True) for i in range(len(records) + 1)]
+    for ds, alone in zip(datasets, inputs[1:]):
+        fitted = [r for r in rows[batch] if r["id"] == ds.id]
+        assert len(fitted) == 15 and fitted == rows[alone]
+        for r in fitted:
+            assert r["error"] is None or re.fullmatch(
+                r"\w+ needs at least \d groups, dataset has \d+|no positive finite scale of the "
+                r"fitted \w+ matches the record's mean \S+", r["error"]), r
+            assert r["error"] or 0.0 <= r["gini"] <= 1.0, r
+        convex = slope_drop(ds)[0] <= cli._SLOPE_ROUNDING
+        assert (fitted[0].get("note") or "").startswith("shares are not convex: ") != convex, fitted[0]
+
+
 class TestFitFuzz:
-    """Random records, each fitted between two malformed lines: the batch
-    contract holds and every row is a fit, a group-count error or a scale
-    error."""
+    """Random records fitted between malformed lines: the batch contract
+    holds and every row is a fit, a group-count error or a scale error."""
 
     def test_no_finite_scale_is_the_weibull_rows_error(self, tmp_path):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
@@ -569,32 +618,14 @@ class TestFitFuzz:
     @given(record=fuzz_records())
     @example(record=OVERFLOW)
     def test_fit_rows(self, record, tmp_path_factory):
-        try:
-            GroupedDataset(id=record["id"], u=record["u"], s=record["s"],
-                           mean=record.get("mean"), survey_gini=record.get("gini"))
-        except ValidationError:
-            assume(False)
-        tmp = tmp_path_factory.mktemp("fuzz")
-        alone, batch = tmp / "alone.jsonl", tmp / "batch.jsonl"
-        alone.write_text(json.dumps(record) + "\n")
-        batch.write_text("\n".join(['{"id": "bad", "u": [0.5, 0.5], "s": [0.3, 1.0]}',
-                                    json.dumps(record), "not json"]) + "\n")
-        rows = {}
-        for path in (alone, batch):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                main(["fit", "--method", "both", "--input", str(path), "--output", str(tmp / "out.jsonl")])
-            rows[path] = read_jsonl(tmp / "out.jsonl")
-        bad = [r for r in rows[batch] if r["id"] != record["id"]]
-        assert [(r["id"], r["error"].startswith("invalid record: ")) for r in bad] == [
-            ("record-0", True), ("record-2", True)]
-        fitted = [r for r in rows[batch] if r["id"] == record["id"]]
-        assert len(fitted) == 15 and fitted == rows[alone]
-        for r in fitted:
-            assert r["error"] is None or re.fullmatch(
-                r"\w+ needs at least \d groups, dataset has \d+|no positive finite scale of the "
-                r"fitted \w+ matches the record's mean \S+", r["error"]), r
-            assert r["error"] or 0.0 <= r["gini"] <= 1.0, r
+        _fit_between_malformed([record], tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @given(records=st.lists(fuzz_records(sort=False), min_size=2, max_size=3))
+    def test_fit_files(self, records, tmp_path_factory):
+        # unsorted incomes give shares that are not convex, which are still fitted
+        records = [{**record, "id": f"fuzz-{i}"} for i, record in enumerate(records)]
+        _fit_between_malformed(records, tmp_path_factory.mktemp("fuzz"))
 
 
 class TestSimulate:
@@ -759,6 +790,16 @@ class TestGroupAndMeasures:
         assert main([command, "--input", str(micro), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 3" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["measures", "group"])
+    @pytest.mark.parametrize("cells", ["20,", "20"])  # a blank weight cell, a short row
+    def test_blank_or_missing_weight_is_input_error(self, tmp_path, capsys, command, cells):
+        micro, out = tmp_path / "m.csv", tmp_path / "out"
+        micro.write_text(f"income,weight\n10,5\n{cells}\n30,5\n40,5\n")
+        assert main([command, "--input", str(micro), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {micro} line 3: ") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["measures", "group"])

@@ -5,12 +5,13 @@ import collections
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gb2fit import distributions as d, estimate
+from gb2fit import distributions as d, estimate, io as gio
 from gb2fit.distributions import FamilySpec, spec_from_shapes
 from gb2fit.estimate import (
     gmm_fit,
@@ -235,12 +236,10 @@ class TestWeightingMatrix:
         return spec, ds, weighting_matrix(spec, ds)
 
     def test_shapes(self):
-        _, ds, wm = self.build()
+        spec, ds, omega = self.build()
         J = ds.n_groups
-        assert wm.W.shape == (J, J)
-        assert wm.Psi.shape == (J - 1, J)
-        assert wm.Omega.shape == (J - 1, J - 1)
-        assert len(wm.h) == J - 1
+        assert estimate._share_covariance(spec, ds)[0].shape == (J, J)
+        assert omega.shape == (J - 1, J - 1)
 
     def test_omega_symmetric_psd(self):
         for spec in (
@@ -248,18 +247,19 @@ class TestWeightingMatrix:
             FamilySpec("weibull", (1.5, 2.0)),
             FamilySpec("b2", (1.0, 2.0, 8.0)),
         ):
-            _, _, wm = self.build(spec)
-            assert np.array_equal(wm.Omega, wm.Omega.T)
-            assert np.min(np.linalg.eigvalsh(wm.Omega)) >= -1e-10
+            _, _, omega = self.build(spec)
+            assert np.array_equal(omega, omega.T)
+            assert np.min(np.linalg.eigvalsh(omega)) >= -1e-10
 
     def test_w_symmetric(self):
-        _, _, wm = self.build()
-        assert np.array_equal(wm.W, wm.W.T)
+        spec, ds, _ = self.build()
+        W = estimate._share_covariance(spec, ds)[0]
+        assert np.array_equal(W, W.T)
 
     def test_wjj_is_variance(self):
-        spec, _, wm = self.build()
+        spec, ds, _ = self.build()
         var = d.moment(spec, 2.0) - d.moment(spec, 1.0) ** 2
-        assert wm.W[-1, -1] == pytest.approx(var, rel=1e-14)
+        assert estimate._share_covariance(spec, ds)[0][-1, -1] == pytest.approx(var, rel=1e-14)
 
     def test_wjj_raw_formula_light_tail(self):
         # raw formula with h_J = quantile(1 - 1e-10), u_J = s_J = 1;
@@ -269,20 +269,23 @@ class TestWeightingMatrix:
             FamilySpec("weibull", (1.5, 2.0)),
             FamilySpec("b2", (1.0, 2.0, 12.0)),
         ):
-            _, _, wm = self.build(spec)
+            _, ds, _ = self.build(spec)
+            wjj = estimate._share_covariance(spec, ds)[0][-1, -1]
             hJ = d.quantile(spec, 1.0 - 1e-10)
-            mu = wm.mu
-            mu2pJ = wm.mu2 * d.incomplete_moment_cdf(spec, 2.0, hJ)
+            mu = d.moment(spec, 1.0)
+            mu2pJ = d.moment(spec, 2.0) * d.incomplete_moment_cdf(spec, 2.0, hJ)
             raw = mu2pJ + (1.0 * hJ - mu * 1.0) * (hJ - 1.0 * hJ + mu * 1.0) - hJ * mu * 1.0
-            assert abs(raw - wm.W[-1, -1]) / abs(wm.W[-1, -1]) < 1e-6, spec.family
+            assert abs(raw - wjj) / abs(wjj) < 1e-6, spec.family
 
     def test_one_share_omega_nonneg(self):
         spec = FamilySpec("weibull", (1.5, 2.0))
         ds = GroupedDataset(id="x", u=np.array([0.5, 1.0]), s=np.array([0.25, 1.0]))
-        wm = weighting_matrix(spec, ds)
-        assert wm.Omega.shape == (1, 1) and wm.Omega[0, 0] >= 0.0
-        v = np.array([1.0 / wm.mu, -0.25 / wm.mu])
-        assert wm.Omega[0, 0] == pytest.approx(float(v @ wm.W @ v), rel=1e-12)
+        omega = weighting_matrix(spec, ds)
+        assert omega.shape == (1, 1) and omega[0, 0] >= 0.0
+        mu = d.moment(spec, 1.0)
+        v = np.array([1.0 / mu, -0.25 / mu])
+        W = estimate._share_covariance(spec, ds)[0]
+        assert omega[0, 0] == pytest.approx(float(v @ W @ v), rel=1e-12)
 
     def test_second_moment_required(self):
         with pytest.raises(ExistenceError):
@@ -293,9 +296,9 @@ class TestWeightingMatrix:
     def test_w_matches_elementwise_loop(self, family):
         ds = _sampled("gb2", seed=5)
         spec = nls_fit(family, ds).spec
-        wm = weighting_matrix(spec, ds)
+        W = estimate._share_covariance(spec, ds)[0]
         want = _w_double_loop(spec, ds)
-        assert np.max(np.abs(wm.W - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(W - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _w_double_loop(spec, ds):
@@ -358,9 +361,9 @@ class TestGmm:
         gmm = gmm_fit("b2", ds, nls=nls)
         eta = solve_scale(nls.spec, ds.mean)
         scaled = spec_from_shapes("b2", d.shapes_of(nls.spec), eta)
-        wm = weighting_matrix(scaled, ds)
+        omega = weighting_matrix(scaled, ds)
         m = nls.residuals
-        f_start = float(m @ np.linalg.solve(wm.Omega, m))
+        f_start = float(m @ np.linalg.solve(omega, m))
         assert gmm.objective <= f_start + 1e-12
 
     def test_sampled_b2_gini_close(self):
@@ -510,11 +513,11 @@ class TestStartScreening:
         nls = nls_fit("gb2", ds)
         gmm = gmm_fit("gb2", ds, nls=nls)
         assert gmm.note == "" and gmm.converged  # the second stage ran
-        wm = weighting_matrix(
+        omega = weighting_matrix(
             spec_from_shapes("gb2", d.shapes_of(nls.spec), solve_scale(nls.spec, ds.mean)), ds)
-        assert np.linalg.cond(wm.Omega) < 1e12  # no ridge: the plain solve applies
+        assert np.linalg.cond(omega) < 1e12  # no ridge: the plain solve applies
         m = nls.residuals
-        f_start = float(m @ np.linalg.solve(wm.Omega, m))
+        f_start = float(m @ np.linalg.solve(omega, m))
         assert gmm.objective <= f_start
 
     def test_whitening_in_one_solve_matches_rows(self):
@@ -524,9 +527,9 @@ class TestStartScreening:
 
         ds = _sampled("gb2", seed=5)
         nls = nls_fit("gb2", ds)
-        wm = weighting_matrix(
+        omega = weighting_matrix(
             spec_from_shapes("gb2", d.shapes_of(nls.spec), solve_scale(nls.spec, ds.mean)), ds)
-        chol = linalg.cholesky(wm.Omega, lower=True)
+        chol = linalg.cholesky(omega, lower=True)
         u, s = ds.u[:-1], ds.s[:-1]
         x0s = np.vstack([_starts("gb2", ds), [[0.0, 0.0, -1.0], [12.0, 0.0, 0.0]]])  # infeasible, clipped
         got = estimate._residual_factory("gb2", u, s, chol)(x0s)
@@ -586,6 +589,36 @@ class TestOneStart:
             best = np.min(np.where(np.isfinite(rss3), rss3, np.inf))
             rss = estimate.nls_runs(["gb2"], ds)["gb2"][1]
             assert abs(rss - best) <= 1e-9 * best, (ds.id, rss, best)
+
+
+class TestMultistartAudit:
+    """Each family's one-start NLS fit ends within 1e-6 relative of the
+    lowest RSS that Levenberg-Marquardt reaches from a coarse grid of
+    log-shape starts, each family's grid one batch: the six seed-3 presets
+    at 5 groups, and the lognormal truth at 10 groups whose gb2 fit is the
+    known miss.  A listed miss that closes fails too, so the list stays
+    true."""
+
+    # in units of the log-shape bound: 7 points inside it for one shape, a
+    # 5 x 5 grid on 0.75 of it for two, a 4 x 4 x 4 grid on 0.6 of it for three
+    GRIDS = {1: np.linspace(-1.0, 1.0, 9)[1:-1], 2: np.linspace(-0.75, 0.75, 5), 3: np.linspace(-0.6, 0.6, 4)}
+    # the fits known to end above their grid's best, each with what should close it
+    MISSES = {
+        ("lognormal-6", "gb2"): "the lognormal corner: gb2 stops 1.8e-5 above a start on the p edge of "
+                                "the box; fitting the GB2's limit families closes it (ROADMAP item 4)",
+    }
+
+    @pytest.mark.parametrize("name", ["presets-seed3-n2000-g5", "lognormal-seed6"])
+    def test_one_start_reaches_the_grid_best(self, name):
+        for _, ds, _ in gio.iter_grouped(Path(__file__).parent / "golden" / f"{name}.jsonl"):
+            runs = estimate.nls_runs(d.FAMILIES, ds)
+            for family in d.FAMILIES:
+                k = d.n_shape_params(family)
+                x0s = estimate._LOG_SHAPE_BOUND * np.array(list(itertools.product(self.GRIDS[k], repeat=k)))
+                residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
+                best = estimate._levenberg_marquardt([residuals] * len(x0s), x0s)[1].min()
+                rss = runs[family][1]
+                assert (rss > (1.0 + 1e-6) * best) == ((ds.id, family) in self.MISSES), (ds.id, family, rss, best)
 
 
 class TestBroadcastJacobian:
@@ -734,7 +767,7 @@ class TestFastPaths:
         nls = nls_fit("gb2", ds)
         gmm = gmm_fit("gb2", ds, nls=nls)
         assert gmm.note == ""  # the second stage ran
-        chol = linalg.cholesky(weighting_matrix(nls.spec, ds).Omega, lower=True)
+        chol = linalg.cholesky(weighting_matrix(nls.spec, ds), lower=True)
         residuals = estimate._residual_factory("gb2", ds.u[:-1], ds.s[:-1], chol)
         x0 = np.log(d.shapes_of(nls.spec))
         x, cost, converged = estimate._levenberg_marquardt([residuals] * 2, np.vstack([x0, x0 + 0.5]))

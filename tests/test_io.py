@@ -153,6 +153,14 @@ class TestMicrodataCsv:
         with pytest.raises(ValidationError, match="line 3"):
             gio.read_microdata_csv(path)
 
+    @pytest.mark.parametrize("cells", ["20,", "20"])  # a blank weight cell, a short row
+    def test_blank_or_missing_weight_cell_names_its_line(self, tmp_path, cells):
+        path = tmp_path / "m.csv"
+        path.write_text(f"income,weight\n10,5\n{cells}\n30,5\n40,5\n")
+        with pytest.raises(ValidationError) as exc:
+            gio.read_microdata_csv(path)
+        assert str(exc.value).startswith(f"{path} line 3: ")
+
     def test_missing_income_column_names_file_and_column(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("weight\n1\n")
