@@ -121,7 +121,7 @@ def _fit_one_dataset(task):
     runs = nls_runs(families, d)  # the Levenberg-Marquardt runs of every family at once
     for family in families:
         try:  # each family's first stage once, for both methods
-            nls = nls_fit(family, d, run=runs[family])
+            nls = nls_fit(family, d, runs)
         except Exception as exc:
             nls = exc
         cells, measured = [], None  # measured: (spec, Gini, Atkinson) of the last spec
@@ -131,7 +131,7 @@ def _fit_one_dataset(task):
             try:
                 if isinstance(nls, Exception):
                     raise nls
-                fit = nls if m == "nls" else gmm_fit(family, d, nls)
+                fit = nls if m == "nls" else gmm_fit(d, nls)
                 aic, bic = gof_scores(fit) if fit.converged else (None, None)
                 if measured is None or measured[0] is not fit.spec:  # a fallback GMM row has its NLS spec
                     measured = fit.spec, dist.gini_closed(fit.spec), _fit_atkinson(fit.spec, epsilons)
@@ -239,13 +239,10 @@ def cmd_simulate(args):
 
 def cmd_group(args):
     m, sizes = gio.read_microdata_csv(args.input)
-    policy = GroupingPolicy(
-        n_groups=args.groups,
-        equivalise=args.equivalise,
-        bottom_code=args.bottom_code,
-        top_code=args.top_code,
-    )
-    d = microdata_to_grouped(m, policy, household_sizes=sizes, id=args.id)
+    if args.equivalise and sizes is None:
+        raise ValidationError("household sizes required for equivalisation")
+    policy = GroupingPolicy(n_groups=args.groups, bottom_code=args.bottom_code, top_code=args.top_code)
+    d = microdata_to_grouped(m, policy, household_sizes=sizes if args.equivalise else None, id=args.id)
     gio.write_grouped_jsonl([d], args.output)
     print(f"group: {len(m.values)} records into {args.groups} groups -> {args.output}")
     return 0

@@ -286,7 +286,7 @@ def _spec_at(family, d, x):
 
 def nls_runs(families, d):
     """The Levenberg-Marquardt runs of the NLS fits of ``families`` to d,
-    for ``nls_fit(family, d, run=...)``: per family, its run's
+    for ``nls_fit(family, d, runs)``: per family, its run's
     (log-shapes, objective, converged), or the exception its fit raises.
     The fits run in stages by number of shapes, the families of a stage in
     one lockstep run of one row each: the one-shape families from their
@@ -326,15 +326,16 @@ def nls_runs(families, d):
     return {family: runs[family] for family in families}
 
 
-def nls_fit(family, d, run=None):
+def nls_fit(family, d, runs=None):
     """Least-squares fit of the Lorenz curve to the observed shares.
 
     Runs Levenberg-Marquardt from the family's start (``nls_runs``).  The
-    fit is finished from its ``run`` of ``nls_runs``, made here when none is
-    given; a stored exception is raised again.
+    fit is finished from its run in ``runs``, a dict from ``nls_runs``, made
+    here when none is given; a stored exception is raised again.
     """
-    if run is None:
-        run = nls_runs([family], d)[family]
+    if runs is None:
+        runs = nls_runs([family], d)
+    run = runs[family]
     if isinstance(run, Exception):
         raise run
     x, _, converged = run
@@ -398,12 +399,12 @@ def weighting_matrix(spec, d):
     return (Omega + Omega.T) / 2.0
 
 
-def gmm_fit(family, d, nls):
+def gmm_fit(d, nls):
     """Two-step GMM: an optimally weighted second stage from the NLS fit ``nls``.
 
     The second stage is NLS on the share residuals whitened by the Cholesky
-    factor of Omega, one Levenberg-Marquardt row started from the
-    first-stage shapes; an exception it raises is raised.  Omega is
+    factor of Omega, one Levenberg-Marquardt row of ``nls``'s family started
+    from its shapes; an exception it raises is raised.  Omega is
     scale-free (W grows as b^2 and Psi as 1/b), so it is built at the
     first-stage spec as it is, and the dataset needs no mean; the fitted
     scale is set as for NLS.  Falls back to the first-stage result when
@@ -413,6 +414,7 @@ def gmm_fit(family, d, nls):
     report of a fallback, and no warning is raised: it names the cause in
     fixed words, and the row's params carry the numbers.
     """
+    family = nls.spec.family
 
     def fallback(reason):
         return replace(nls, method="gmm", note=f"second stage fell back to NLS: {reason}")

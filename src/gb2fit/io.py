@@ -31,16 +31,30 @@ def _grouped_from_json(obj):
     )
 
 
+def _csv_row(header, cells):
+    """A CSV record's cells by column: it needs one cell per header column."""
+    if len(cells) != len(header):
+        raise ValidationError(f"cell count {len(cells)} differs from the header's {len(header)}")
+    return dict(zip(header, cells))
+
+
+def _number(row, column):
+    try:
+        return float(row[column])
+    except ValueError:
+        raise ValidationError(f"{column} {row[column]!r} is not a number") from None
+
+
 def _grouped_from_csv_row(row):
     share_cols = sorted(
-        (c for c in row if c.startswith("share") and c[5:].isdigit()),
+        (c for c in row if c.startswith("share") and c[5:].isdecimal()),
         key=lambda c: int(c[5:]),
     )
     if not share_cols:
         raise ValidationError("no share1..shareJ columns found")
-    shares = [float(row[c]) for c in share_cols]
-    mean = float(row["mean"]) if row.get("mean") not in (None, "") else None
-    gini = float(row["gini"]) if row.get("gini") not in (None, "") else None
+    shares = [_number(row, c) for c in share_cols]
+    mean = _number(row, "mean") if row.get("mean") else None  # a blank cell is no value
+    gini = _number(row, "gini") if row.get("gini") else None
     return from_shares(
         shares, id=str(row.get("id", "dataset")), mean=mean, survey_gini=gini
     )
@@ -48,15 +62,18 @@ def _grouped_from_csv_row(row):
 
 def iter_grouped(path):
     """Yield (index, dataset, error) per record; a bad record yields
-    (index, None, message) and never aborts the batch."""
+    (index, None, message) and never aborts the batch.  A CSV record's
+    message names its line."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
-            for i, row in enumerate(csv.DictReader(fh)):
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            for i, cells in enumerate(filter(None, reader)):  # a blank line is no record
                 try:
-                    yield i, _grouped_from_csv_row(row), None
-                except (ValidationError, ValueError, KeyError, TypeError) as exc:
-                    yield i, None, str(exc)
+                    yield i, _grouped_from_csv_row(_csv_row(header, cells)), None
+                except ValidationError as exc:
+                    yield i, None, f"line {reader.line_num}: {exc}"
         return
     with open(path) as fh:
         for i, line in enumerate(fh):
@@ -81,27 +98,26 @@ def write_grouped_jsonl(datasets, path):
 
 
 def read_microdata_csv(path):
-    """Microdata CSV with columns income[, weight][, household_size]: a
-    weight column needs a number in every row; without one each weight is 1."""
+    """Microdata CSV with columns income[, weight][, household_size]: each
+    column needs a number in every row; without a weight column each weight
+    is 1.  A bad record is an error that names its line."""
     incomes, weights, sizes = [], [], []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        columns = reader.fieldnames or ()
-        if "income" not in columns:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if "income" not in header:
             raise ValidationError(f"{path}: no income column")
-        for row in reader:
+        for cells in filter(None, reader):  # a blank line is no record
             try:
-                incomes.append(float(row["income"]))
-                weights.append(float(row["weight"]) if "weight" in columns else 1.0)
-                if row.get("household_size") not in (None, ""):
-                    sizes.append(float(row["household_size"]))
-            except (ValueError, TypeError) as exc:  # an empty or short cell
+                row = _csv_row(header, cells)
+                incomes.append(_number(row, "income"))
+                weights.append(_number(row, "weight") if "weight" in row else 1.0)
+                if "household_size" in row:
+                    sizes.append(_number(row, "household_size"))
+            except ValidationError as exc:
                 raise ValidationError(f"{path} line {reader.line_num}: {exc}") from None
     m = Microdata(values=np.asarray(incomes), weights=np.asarray(weights))
-    household_sizes = np.asarray(sizes) if sizes else None
-    if household_sizes is not None and len(household_sizes) != len(incomes):
-        raise ValidationError("household_size present for only some records")
-    return m, household_sizes
+    return m, np.asarray(sizes) if "household_size" in header else None
 
 
 def write_microdata_csv(m, path):

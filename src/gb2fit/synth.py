@@ -63,7 +63,6 @@ class GroupingPolicy:
     """Switches for the survey-style grouping pipeline."""
 
     n_groups: int = 10
-    equivalise: bool = False
     bottom_code: bool = False
     top_code: bool = False
 
@@ -117,15 +116,13 @@ def microdata_to_grouped(m, policy, household_sizes=None, id="synthetic"):
     """Survey-style grouping: equivalise, code, then cut into
     equal-population groups, keeping every record.
 
-    Processing order: when equivalising, income / sqrt(household size) and
-    weight * household size, each size positive and finite and the result
-    valid ``Microdata``; bottom-code at 1% of the (pre-coding) weighted
-    mean; top-code at 10x the weighted median; then cut at u_j = j/J with
-    boundary records going to the lower group.
+    Processing order: given household sizes, equivalise to income /
+    sqrt(household size) and weight * household size, each size positive
+    and finite and the result valid ``Microdata``; bottom-code at 1% of
+    the (pre-coding) weighted mean; top-code at 10x the weighted median;
+    then cut at u_j = j/J with boundary records going to the lower group.
     """
-    if policy.equivalise:
-        if household_sizes is None:
-            raise ValidationError("household sizes required for equivalisation")
+    if household_sizes is not None:
         sizes = np.asarray(household_sizes, dtype=float)
         if sizes.shape != m.values.shape or not np.all((sizes > 0.0) & (sizes < np.inf)):
             raise ValidationError("household sizes must be positive, finite and aligned")

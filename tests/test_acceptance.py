@@ -148,7 +148,7 @@ class TestAcceptance:
                 worst_gini,
                 abs(d.gini_closed(fit.spec).value - d.gini_closed(spec).value),
             )
-            gmm = gmm_fit(family, ds, nls=fit)
+            gmm = gmm_fit(ds, fit)
             worst_move = max(
                 worst_move,
                 np.max(np.abs(d.shapes_of(gmm.spec) - d.shapes_of(fit.spec))),

@@ -235,6 +235,24 @@ class TestFit:
         assert rows[0]["error"].startswith("invalid record: ")
         assert [r["id"] for r in rows if r.get("family") == "fisk"] == ["ok"]
 
+    @pytest.mark.parametrize("text, line, message", [
+        # an extra cell, once filed under the key None, crashed the batch
+        ("id,share1,share2\na,0.4,0.6\nb,0.3,0.7,9\nc,0.2,0.8\n", 3, "cell count 4 differs from the header's 3"),
+        # a row short of its gini cell read as a record without a survey Gini
+        ("id,share1,share2,mean,gini\na,0.4,0.6,5,0.1\nb,0.3,0.7,5\nc,0.2,0.8,5,0.3\n", 3,
+         "cell count 4 differs from the header's 5"),
+        ("id,share1,share2\na,0.4,0.6\nb,x,0.7\nc,0.2,0.8\n", 3, "share1 'x' is not a number"),
+    ])
+    def test_bad_csv_row_is_one_invalid_record_row_that_names_its_line(self, tmp_path, text, line, message):
+        inp, out = tmp_path / "in.csv", tmp_path / "out.jsonl"
+        inp.write_text(text)
+        assert main(["fit", "--input", str(inp), "--output", str(out), "--families", "fisk"]) == 1
+        rows = read_jsonl(out)
+        assert [(r["id"], r["error"]) for r in rows if r["error"]] == [
+            ("record-1", f"invalid record: line {line}: {message}")]
+        assert [(r["id"], r["family"]) for r in rows if not r["error"]] == [
+            ("a", "lower_bound"), ("a", "fisk"), ("c", "lower_bound"), ("c", "fisk")]
+
     def test_fallback_gmm_row_repeats_nls_row(self, tmp_path):
         sim, out = tmp_path / "sim.jsonl", tmp_path / "out.jsonl"
         assert main(["simulate", "--output", str(sim), "--preset", "5", "--seed", "3"]) == 0
@@ -628,6 +646,102 @@ class TestFitFuzz:
         _fit_between_malformed(records, tmp_path_factory.mktemp("fuzz"))
 
 
+# a blank cell and cells that are not numbers
+NOT_NUMBERS = ["", " ", "x", "1e", "--1"]
+# the prefixes of the CSV columns that need a number in every row
+NUMBER_COLUMNS = ("share", "income", "weight", "household_size")
+
+
+@st.composite
+def bad_csv_record(draw, header):
+    """The cells of a record that is not one: its cell count differs from the
+    header's, or a cell of a column that needs a number is blank or not one."""
+    n = draw(st.integers(1, len(header) + 3))
+    cells = draw(st.lists(st.sampled_from(["1", "0.5", *NOT_NUMBERS]), min_size=n, max_size=n))
+    if n == len(header):
+        j = draw(st.sampled_from([j for j, c in enumerate(header) if c.startswith(NUMBER_COLUMNS)]))
+        cells[j] = draw(st.sampled_from(NOT_NUMBERS))
+    assume(",".join(cells))  # a blank line is no record
+    return cells
+
+
+def _csv_record_error(header, cells):
+    """The message of a bad record drawn by ``bad_csv_record``."""
+    if len(cells) != len(header):
+        return f"cell count {len(cells)} differs from the header's {len(header)}"
+    return next(f"{c} {v!r} is not a number" for c, v in zip(header, cells)
+                if v in NOT_NUMBERS and c.startswith(NUMBER_COLUMNS))
+
+
+@st.composite
+def share_tables(draw):
+    """A share table's header and records, bad records among valid ones,
+    and the index of each bad record."""
+    J = draw(st.integers(2, 4))
+    header = ["id", *(f"share{j}" for j in range(1, J + 1))]
+    header += draw(st.sampled_from([[], ["mean"], ["mean", "gini"]]))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=6))  # True: a bad record
+    records = []
+    for i, bad in enumerate(kinds):
+        if bad:
+            records.append(draw(bad_csv_record(header)))
+            continue
+        incomes = sorted(draw(st.lists(st.integers(1, 9), min_size=J, max_size=J)))
+        records.append([f"v{i}", *(repr(x / sum(incomes)) for x in incomes), "5", "0.3"][:len(header)])
+    return header, records, [i for i, bad in enumerate(kinds) if bad]
+
+
+@st.composite
+def microdata_files(draw):
+    """A microdata file's header and records, one of them bad, and the bad
+    record's index."""
+    header = draw(st.sampled_from([["income"], ["income", "weight"], ["income", "weight", "household_size"]]))
+    records = [[str(draw(st.integers(1, 9))) for _ in header] for _ in range(draw(st.integers(2, 6)))]
+    i = draw(st.integers(0, len(records)))
+    records.insert(i, draw(bad_csv_record(header)))
+    return header, records, i
+
+
+def _run_quietly(argv):
+    """main(argv)'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestCsvFuzz:
+    """CSV inputs with bad records among valid ones: a share table's bad
+    record is one error row that names its line, and a microdata file's is
+    an input error that names its line."""
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(table=share_tables())
+    def test_share_table_rows(self, table, tmp_path_factory):
+        header, records, bad = table
+        tmp = tmp_path_factory.mktemp("fuzz")
+        for name, rows in (("batch", records), ("valid", [r for i, r in enumerate(records) if i not in bad])):
+            (tmp / f"{name}.csv").write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n")
+            code, err = _run_quietly(["fit", "--families", "fisk", "--input", str(tmp / f"{name}.csv"),
+                                      "--output", str(tmp / f"{name}.jsonl")])
+            assert err == "" and code == int(bool(bad) and name == "batch")
+        rows = read_jsonl(tmp / "batch.jsonl")
+        assert [(r["id"], r["error"]) for r in rows if r["error"]] == [
+            (f"record-{i}", f"invalid record: line {i + 2}: {_csv_record_error(header, records[i])}") for i in bad]
+        assert [r for r in rows if not r["error"]] == read_jsonl(tmp / "valid.jsonl")
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(table=microdata_files())
+    def test_microdata_bad_record(self, table, tmp_path_factory):
+        header, records, i = table
+        tmp = tmp_path_factory.mktemp("fuzz")
+        micro, out = tmp / "m.csv", tmp / "out.json"
+        micro.write_text("\n".join(",".join(cells) for cells in [header, *records]) + "\n")
+        code, err = _run_quietly(["measures", "--input", str(micro), "--output", str(out)])
+        assert (code, err) == (2, f"error: {micro} line {i + 2}: {_csv_record_error(header, records[i])}\n")
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_too_few_draws_for_the_groups_names_the_empty_group(self, tmp_path, capsys):
         out = tmp_path / "sim.jsonl"
@@ -770,6 +884,35 @@ class TestGroupAndMeasures:
         micro.write_text("income\n1.0\n2.0\n")
         assert main(["group", "--input", str(micro), "--output", str(out), "--groups", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_equivalise_without_a_household_size_column_is_input_error(self, tmp_path, capsys):
+        micro, out = tmp_path / "m.csv", tmp_path / "g.jsonl"
+        micro.write_text("income,weight\n10,1\n20,1\n30,1\n40,1\n")
+        assert main(["group", "--input", str(micro), "--output", str(out), "--groups", "2", "--equivalise"]) == 2
+        assert capsys.readouterr().err == "error: household sizes required for equivalisation\n"
+        assert not out.exists()
+
+    def test_household_sizes_count_only_under_equivalise(self, tmp_path):
+        micro = tmp_path / "m.csv"
+        micro.write_text("income,household_size\n4,4\n4,4\n9,9\n9,9\n")
+        means = []
+        for flags in ([], ["--equivalise"]):
+            out = tmp_path / "g.jsonl"
+            assert main(["group", "--input", str(micro), "--output", str(out), "--groups", "2", *flags]) == 0
+            means.append(read_jsonl(out)[0]["mean"])
+        assert means == [6.5, pytest.approx(35.0 / 13.0)]
+
+    @pytest.mark.parametrize("command", ["measures", "group"])
+    @pytest.mark.parametrize("text, cells", [
+        ("income\n1,000\n20\n30\n", "cell count 2 differs from the header's 1"),  # a thousands separator
+        ("income,weight\n1,000,2\n20,1\n30,1\n", "cell count 3 differs from the header's 2"),
+    ])
+    def test_extra_cells_are_input_error(self, tmp_path, capsys, command, text, cells):
+        micro, out = tmp_path / "m.csv", tmp_path / "out"
+        micro.write_text(text)
+        assert main([command, "--input", str(micro), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {micro} line 2: {cells}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("size", ["nan", "inf"])

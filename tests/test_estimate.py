@@ -2,6 +2,7 @@
 scale recovery and the weighting matrix."""
 
 import collections
+import inspect
 import itertools
 import math
 import warnings
@@ -40,7 +41,7 @@ ANCHORS = [*np.linspace(0.05, 0.9, 60), 1e-4, 0.5, 0.9999]
 def _fit_from(family, ds, start):
     """``family``'s NLS fit to ds from ``start`` alone."""
     residuals = estimate._residual_factory(family, ds.u[:-1], ds.s[:-1])
-    return nls_fit(family, ds, run=estimate._runs([(residuals, start)])[0])
+    return nls_fit(family, ds, {family: estimate._runs([(residuals, start)])[0]})
 
 
 def deciles_from(spec, mean=None, id="gen"):
@@ -327,7 +328,7 @@ class TestGmm:
         mean = math.exp(0.32)
         ds = deciles_from(spec, mean=mean)
         nls = nls_fit("lognormal", ds)
-        gmm = gmm_fit("lognormal", ds, nls=nls)
+        gmm = gmm_fit(ds, nls)
         assert d.shapes_of(gmm.spec)[0] == pytest.approx(0.8, abs=1e-3)
         assert gmm.method == "gmm"
         # scale was recovered: mu = ln(mean) - sigma^2/2 = 0
@@ -339,14 +340,22 @@ class TestGmm:
         mean = d.moment(spec, 1.0)
         ds = deciles_from(spec, mean=mean)
         nls = nls_fit(family, ds)
-        gmm = gmm_fit(family, ds, nls=nls)
+        gmm = gmm_fit(ds, nls)
         move = np.max(np.abs(d.shapes_of(gmm.spec) - d.shapes_of(nls.spec)))
         assert move < 1e-3, family
+
+    def test_fits_the_family_of_its_first_stage(self):
+        # the second stage fits the family of its first stage: there is no
+        # other family argument to disagree with it
+        assert list(inspect.signature(gmm_fit).parameters) == ["d", "nls"]
+        ds = _sampled("preset-5", seed=3, groups=5)
+        for family in d.FAMILIES:
+            assert gmm_fit(ds, nls_fit(family, ds)).spec.family == family
 
     def test_without_mean_unit_scale(self):
         # Omega is scale-free, so GMM needs no mean; the scale is then 1
         ds = deciles_from(TRUE_SPECS["weibull"])
-        gmm = gmm_fit("weibull", ds, nls_fit("weibull", ds))
+        gmm = gmm_fit(ds, nls_fit("weibull", ds))
         assert gmm.method == "gmm" and gmm.spec.params[1] == 1.0
         assert gmm.spec.params[0] == pytest.approx(1.4, rel=1e-4)
 
@@ -358,7 +367,7 @@ class TestGmm:
         m = sample_family(spec, 100_000, seed=17)
         ds = microdata_to_grouped(m, GroupingPolicy(n_groups=10), id="b2")
         nls = nls_fit("b2", ds)
-        gmm = gmm_fit("b2", ds, nls=nls)
+        gmm = gmm_fit(ds, nls)
         eta = solve_scale(nls.spec, ds.mean)
         scaled = spec_from_shapes("b2", d.shapes_of(nls.spec), eta)
         omega = weighting_matrix(scaled, ds)
@@ -372,7 +381,7 @@ class TestGmm:
 
         m = sample_family(spec, 100_000, seed=23)
         ds = microdata_to_grouped(m, GroupingPolicy(n_groups=10), id="b2")
-        gmm = gmm_fit("b2", ds, nls_fit("b2", ds))
+        gmm = gmm_fit(ds, nls_fit("b2", ds))
         g = d.gini_closed(gmm.spec).value
         assert abs(g - d.gini_closed(spec).value) < 0.01
 
@@ -383,7 +392,7 @@ class TestGmm:
         nls = nls_fit("sm", ds)
         with warnings.catch_warnings():  # the note is the one report
             warnings.simplefilter("error")
-            gmm = gmm_fit("sm", ds, nls)
+            gmm = gmm_fit(ds, nls)
         assert gmm.note == "second stage fell back to NLS: the fitted sm has no second moment"
 
     @pytest.mark.parametrize("family, truth, mean, reason", [
@@ -399,7 +408,7 @@ class TestGmm:
         nls = nls_fit(family, ds)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gmm = gmm_fit(family, ds, nls)
+            gmm = gmm_fit(ds, nls)
         assert gmm.note == "second stage fell back to NLS: " + reason
         assert gmm.spec == nls.spec
 
@@ -421,7 +430,7 @@ class TestGmm:
 
         monkeypatch.setattr(estimate, "_residual_factory", failing_factory)
         with pytest.raises(RuntimeError, match="injected failure"):
-            gmm_fit("lognormal", ds, nls)
+            gmm_fit(ds, nls)
 
     @pytest.mark.parametrize("with_mean", [True, False])
     def test_second_stage_outside_existence_region_falls_back(self, monkeypatch, with_mean):
@@ -438,7 +447,7 @@ class TestGmm:
         monkeypatch.setattr(estimate, "_levenberg_marquardt", outside_run)
         with warnings.catch_warnings():  # the note is the one report
             warnings.simplefilter("error")
-            gmm = gmm_fit("gb2", ds, nls)
+            gmm = gmm_fit(ds, nls)
         assert gmm.note == "second stage fell back to NLS: second stage left the moment-existence region"
         assert gmm.method == "gmm" and gmm.spec == nls.spec and gmm.objective == nls.objective
 
@@ -453,7 +462,7 @@ class TestGmm:
         with warnings.catch_warnings():  # the note is the one report
             warnings.simplefilter("error")
             nls = nls_fit(family, ds)
-            gmm = gmm_fit(family, ds, nls)
+            gmm = gmm_fit(ds, nls)
         assert gmm.note.startswith("second stage fell back to NLS: ")
         assert gmm.method == "gmm" and gmm.spec == nls.spec
 
@@ -483,7 +492,7 @@ class TestFittedScale:
         ds = _sampled(source, seed=5)
         for family in d.FAMILIES:
             nls = nls_fit(family, ds)
-            gmm = gmm_fit(family, ds, nls=nls)
+            gmm = gmm_fit(ds, nls)
             for fit in (nls, gmm):
                 assert d.moment(fit.spec, 1.0) == pytest.approx(ds.mean, rel=1e-12), (family, fit.method)
 
@@ -511,7 +520,7 @@ class TestStartScreening:
     def test_gmm_whitened_objective(self):
         ds = _sampled("gb2", seed=5)
         nls = nls_fit("gb2", ds)
-        gmm = gmm_fit("gb2", ds, nls=nls)
+        gmm = gmm_fit(ds, nls)
         assert gmm.note == "" and gmm.converged  # the second stage ran
         omega = weighting_matrix(
             spec_from_shapes("gb2", d.shapes_of(nls.spec), solve_scale(nls.spec, ds.mean)), ds)
@@ -765,7 +774,7 @@ class TestFastPaths:
 
         ds = _sampled("gb2", seed=5)
         nls = nls_fit("gb2", ds)
-        gmm = gmm_fit("gb2", ds, nls=nls)
+        gmm = gmm_fit(ds, nls)
         assert gmm.note == ""  # the second stage ran
         chol = linalg.cholesky(weighting_matrix(nls.spec, ds), lower=True)
         residuals = estimate._residual_factory("gb2", ds.u[:-1], ds.s[:-1], chol)
@@ -793,10 +802,24 @@ class TestNlsRuns:
         runs = estimate.nls_runs(d.FAMILIES, ds)
         assert set(runs) == set(d.FAMILIES)
         for family in d.FAMILIES:
-            got, want = nls_fit(family, ds, run=runs[family]), nls_fit(family, ds)
+            got, want = nls_fit(family, ds, runs), nls_fit(family, ds)
             assert got.spec == want.spec and got.residuals.tobytes() == want.residuals.tobytes()
             assert (got.objective, got.converged, got.starts_tried, got.k) == (
                 want.objective, want.converged, want.starts_tried, want.k)
+
+    def test_one_dict_finishes_every_family_as_alone(self):
+        # nls_fit reads its own family's run from the dict of every family's,
+        # so no family is finished at another's optimum
+        assert list(inspect.signature(nls_fit).parameters) == ["family", "d", "runs"]
+        path = Path(__file__).parent / "golden" / "presets-seed3-n2000-g5.jsonl"
+        for _, ds, _ in itertools.islice(gio.iter_grouped(path), 2):
+            runs = estimate.nls_runs(d.FAMILIES, ds)
+            for family in d.FAMILIES:
+                got, want = nls_fit(family, ds, runs), nls_fit(family, ds)
+                assert got.spec == want.spec and got.spec.family == family
+                assert got.residuals.tobytes() == want.residuals.tobytes()
+                assert (got.objective, got.converged, got.starts_tried) == (
+                    want.objective, want.converged, want.starts_tried)
 
     def test_failing_cell_stays_in_its_family(self, monkeypatch):
         # sm's residuals raise on their third call, inside the batch of the
@@ -822,11 +845,11 @@ class TestNlsRuns:
         runs = estimate.nls_runs(d.FAMILIES, ds)
         assert isinstance(runs["sm"], RuntimeError)
         with pytest.raises(RuntimeError, match="injected failure"):
-            nls_fit("sm", ds, run=runs["sm"])
+            nls_fit("sm", ds, runs)
         for family in set(d.FAMILIES) - {"sm", "gb2"}:
             for got, want in zip(runs[family], clean[family]):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), family
-        gb2 = nls_fit("gb2", ds, run=runs["gb2"])
+        gb2 = nls_fit("gb2", ds, runs)
         assert gb2.starts_tried == 3 and gb2.rss <= clean["b2"][1] * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("mean", [None, 2.0])
@@ -835,7 +858,7 @@ class TestNlsRuns:
         # dataset's mean, and dist.lorenz without one
         ds = deciles_from(TRUE_SPECS["sm"], mean=mean)
         with pytest.raises(ExistenceError, match="does not exist for sm"):
-            nls_fit("sm", ds, run=(np.log([0.5, 1.0]), 0.1, True))
+            nls_fit("sm", ds, {"sm": (np.log([0.5, 1.0]), 0.1, True)})
 
     def test_family_errors_are_kept(self):
         # two groups are too few for the two-shape families and the GB2,
@@ -849,7 +872,7 @@ class TestNlsRuns:
         u = np.arange(1, 4) / 3
         runs = estimate.nls_runs(["gb2", "fisk"], GroupedDataset(id="j3", u=u, s=u ** 2))
         assert str(runs["gb2"]) == "gb2 needs at least 4 groups, dataset has 3"
-        assert nls_fit("fisk", GroupedDataset(id="j3", u=u, s=u ** 2), run=runs["fisk"]).converged
+        assert nls_fit("fisk", GroupedDataset(id="j3", u=u, s=u ** 2), runs).converged
 
     def test_equal_shares_fit_every_family(self):
         # s = u is the limit of equal incomes, beyond the shape box: every
@@ -859,7 +882,7 @@ class TestNlsRuns:
         ds = GroupedDataset(id="eq", u=u, s=u.copy())
         runs = estimate.nls_runs(d.FAMILIES, ds)
         for family in d.FAMILIES:
-            fit = nls_fit(family, ds, run=runs[family])
+            fit = nls_fit(family, ds, runs)
             assert fit.converged, family
             edge = np.abs(np.log(d.shapes_of(fit.spec)))
             assert edge == pytest.approx(np.full(fit.k, estimate._LOG_SHAPE_BOUND), rel=1e-12), family
@@ -888,7 +911,7 @@ class TestNlsRuns:
         best = min(pool, key=lambda f: runs[f][1])
         assert runs[best][1] < min(runs[f][1] for f in pool if f != best)
         assert np.allclose(starts[2], [pool[best]], rtol=1e-15, atol=0.0)
-        assert nls_fit("gb2", ds, run=runs["gb2"]).starts_tried == 3
+        assert nls_fit("gb2", ds, runs).starts_tried == 3
 
     def test_failed_donor_lends_its_gini_anchored_start(self, monkeypatch):
         # fisk's run raises: sm and dagum start from fisk's Gini-anchored

@@ -111,6 +111,33 @@ class TestCsv:
         assert rows[0][:2] == (0, None) and rows[0][2]
         assert rows[1][1].id == "ok" and rows[1][2] is None
 
+    @pytest.mark.parametrize("text, message", [
+        # an extra cell, once filed under the key None, crashed the batch
+        ("id,share1,share2\na,0.4,0.6\nb,0.3,0.7,9\nc,0.2,0.8\n",
+         "line 3: cell count 4 differs from the header's 3"),
+        # a row short of its gini cell read as a record without a survey Gini
+        ("id,share1,share2,mean,gini\na,0.4,0.6,5,0.1\nb,0.3,0.7,5\nc,0.2,0.8,5,0.3\n",
+         "line 3: cell count 4 differs from the header's 5"),
+        ("id,share1,share2\na,0.4,0.6\nb,x,0.7\nc,0.2,0.8\n", "line 3: share1 'x' is not a number"),
+        ("id,share1,share2\na,0.4,0.6\nb,,0.7\nc,0.2,0.8\n", "line 3: share1 '' is not a number"),
+        ("id,share1,share2,mean\na,0.4,0.6,5\nb,0.3,0.7,a\nc,0.2,0.8,5\n",
+         "line 3: mean 'a' is not a number"),
+    ])
+    def test_bad_row_is_one_bad_record_that_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "ds.csv"
+        path.write_text(text)
+        rows = list(gio.iter_grouped(path))
+        assert [(i, d is None, err) for i, d, err in rows] == [
+            (0, False, None), (1, True, message), (2, False, None)]
+        assert [d.id for _, d, _ in rows if d] == ["a", "c"]
+
+    def test_superscript_is_no_share_column(self, tmp_path):
+        # str.isdigit accepts "²", which int() rejects
+        path = tmp_path / "ds.csv"
+        path.write_text("id,share1,share2,share\u00b2\na,0.4,0.6,x\n")
+        ((_, ds, err),) = gio.iter_grouped(path)
+        assert err is None and np.array_equal(ds.s, [0.4, 1.0])
+
     def test_missing_share_columns(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("id,foo\nd1,1.0\n")
@@ -136,10 +163,12 @@ class TestMicrodataCsv:
         assert np.array_equal(m.values, [10.0, 20.0])
 
     def test_household_size_for_only_some_records(self, tmp_path):
+        # a household_size column needs a number in every row, as a weight column does
         path = tmp_path / "m.csv"
         path.write_text("income,weight,household_size\n10,1,4\n20,2,\n")
-        with pytest.raises(ValidationError, match="household_size present for only some records"):
+        with pytest.raises(ValidationError) as exc:
             gio.read_microdata_csv(path)
+        assert str(exc.value) == f"{path} line 3: household_size '' is not a number"
 
     def test_default_weight(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -160,6 +189,21 @@ class TestMicrodataCsv:
         with pytest.raises(ValidationError) as exc:
             gio.read_microdata_csv(path)
         assert str(exc.value).startswith(f"{path} line 3: ")
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("income,weight\n10,5\n20,\n", 3, "weight '' is not a number"),
+        ("income,weight\n10,5\nx,5\n", 3, "income 'x' is not a number"),
+        ("income,weight\n10,5\n20\n", 3, "cell count 1 differs from the header's 2"),
+        # an unquoted thousands separator makes an extra cell
+        ("income\n1,000\n20\n30\n", 2, "cell count 2 differs from the header's 1"),
+        ("income,weight\n1,000,2\n20,1\n", 2, "cell count 3 differs from the header's 2"),
+    ])
+    def test_bad_record_names_its_line_and_column(self, tmp_path, text, line, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            gio.read_microdata_csv(path)
+        assert str(exc.value) == f"{path} line {line}: {message}"
 
     def test_missing_income_column_names_file_and_column(self, tmp_path):
         path = tmp_path / "m.csv"

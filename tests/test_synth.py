@@ -1,5 +1,6 @@
 """Synthetic-data generation and the microdata-to-grouped pipeline."""
 
+import dataclasses
 import math
 import warnings
 
@@ -210,10 +211,20 @@ class TestMicrodataToGrouped:
         sizes = np.array([4.0, 4.0, 9.0, 9.0])
         m = Microdata(values=x)
         ds = microdata_to_grouped(
-            m, GroupingPolicy(n_groups=2, equivalise=True), household_sizes=sizes
+            m, GroupingPolicy(n_groups=2), household_sizes=sizes
         )
         # equivalised incomes 2 and 3 with person weights 4 and 9
         assert ds.mean == pytest.approx((4 * 2.0 + 9 * 3.0) / 13.0)
+
+    @pytest.mark.parametrize("policy", [GroupingPolicy(n_groups=2),
+                                        GroupingPolicy(n_groups=2, bottom_code=True, top_code=True)])
+    def test_sizes_alone_switch_equivalisation_on(self, policy):
+        # the policy has no switch of its own: given sizes, every policy equivalises
+        assert [f.name for f in dataclasses.fields(GroupingPolicy)] == ["n_groups", "bottom_code", "top_code"]
+        x = np.array([4.0, 4.0, 9.0, 9.0])
+        m = Microdata(values=x)
+        assert microdata_to_grouped(m, policy, household_sizes=x).mean == pytest.approx(35.0 / 13.0)
+        assert microdata_to_grouped(m, policy).mean == 6.5
 
     @pytest.mark.parametrize("sizes", [[1.0, np.nan, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0],
                                        [1.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0], [1.0, 1.0]],
@@ -222,7 +233,7 @@ class TestMicrodataToGrouped:
         # every record is kept, so a size that would drop one is an error
         with pytest.raises(ValidationError, match="household sizes must be positive, finite and aligned"):
             microdata_to_grouped(Microdata(values=np.arange(1.0, 5.0)),
-                                 GroupingPolicy(n_groups=2, equivalise=True), household_sizes=sizes)
+                                 GroupingPolicy(n_groups=2), household_sizes=sizes)
 
     @pytest.mark.parametrize("values, weights, sizes, message", [
         ([5e-324, 1.0], [1.0, 1.0], [4.0, 1.0], "all incomes must be positive"),
@@ -233,7 +244,7 @@ class TestMicrodataToGrouped:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=message):
-                microdata_to_grouped(m, GroupingPolicy(n_groups=2, equivalise=True),
+                microdata_to_grouped(m, GroupingPolicy(n_groups=2),
                                      household_sizes=sizes)
 
     @pytest.mark.parametrize("values, weights, message", [
@@ -246,12 +257,6 @@ class TestMicrodataToGrouped:
         m = Microdata(values=np.array(values), weights=np.array(weights))
         with pytest.raises(ValidationError, match=f"^{message}$"):
             microdata_to_grouped(m, GroupingPolicy(n_groups=5))
-
-    def test_equivalise_requires_sizes(self):
-        with pytest.raises(ValidationError):
-            microdata_to_grouped(
-                Microdata(values=np.ones(4)), GroupingPolicy(n_groups=2, equivalise=True)
-            )
 
     def test_output_always_valid(self):
         rng = np.random.default_rng(0)
